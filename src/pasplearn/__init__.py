@@ -29,7 +29,6 @@ from .errors import (
     InconsistentWorld,
     NoLearnableFacts,
     NonGroundInterpretation,
-    NonMultilinearProduct,
     PaspError,
     PaspSyntaxError,
     ProbOutOfRange,
@@ -57,12 +56,9 @@ from .model import (
     Program,
     Query,
     Rule,
-    World,
-    enumerate_worlds,
     interpretation_query,
     query_from_literals,
     world_cap,
-    world_probability,
 )
 from .parsing import (
     interpretations_to_text,
@@ -76,14 +72,9 @@ from .stable import ModelSet, answer_sets
 from .sympoly import (
     SymPoly,
     extract_poly,
-    poly_add,
-    poly_const,
     poly_eval,
     poly_grad,
-    poly_mul,
-    poly_scale,
     poly_to_text,
-    poly_var,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +99,6 @@ __all__ = [
     "ModelSet",
     "NoLearnableFacts",
     "NonGroundInterpretation",
-    "NonMultilinearProduct",
     "PaspError",
     "PaspSyntaxError",
     "ProbFact",
@@ -122,7 +112,6 @@ __all__ = [
     "SymPoly",
     "UndefinedConditional",
     "UnsafeRule",
-    "World",
     "WorldModels",
     "answer_sets",
     "check_consistency",
@@ -131,7 +120,6 @@ __all__ = [
     "credal_query",
     "em_expectation",
     "em_maximization",
-    "enumerate_worlds",
     "extract_poly",
     "generate",
     "ground",
@@ -143,17 +131,11 @@ __all__ = [
     "parse_interpretations",
     "parse_program",
     "parse_query",
-    "poly_add",
-    "poly_const",
     "poly_eval",
     "poly_grad",
-    "poly_mul",
-    "poly_scale",
     "poly_to_text",
-    "poly_var",
     "program_to_text",
     "query_from_literals",
     "world_cap",
     "world_models",
-    "world_probability",
 ]

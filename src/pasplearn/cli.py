@@ -36,8 +36,8 @@ from .errors import (
     UndefinedConditional,
     UnsafeRule,
 )
-from .learning import LearnConfig, LearnResult, learn_em, learn_opt
-from .model import Interpretation, Program, interpretation_query, query_from_literals
+from .learning import BACKENDS, LearnConfig, LearnResult, learn_em, learn_opt
+from .model import Program, interpretation_query, query_from_literals
 from .parsing import (
     interpretations_to_text,
     parse_interpretations,
@@ -47,7 +47,6 @@ from .parsing import (
 )
 from .sympoly import extract_poly, poly_from_world_flags, poly_to_text
 
-_BACKENDS = {"gradient": "gradient", "dfree": "derivativeFree"}
 _BENCH_METHODS = ("opt-gradient", "opt-dfree", "em")
 _CSV_HEADER = (
     "family,size,n_interps,method,seed,final_ll,iterations,wall_seconds,converged"
@@ -66,13 +65,6 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _fail_fast_consistency(program: Program) -> None:
-    wm = world_models(program)
-    for i, masks in enumerate(wm.model_masks):
-        if not masks:
-            raise InconsistentWorld(i, wm.world(i).selection)
-
-
 def _legend(program: Program) -> list[str]:
     return [
         f"# p{j} = {pf.atom}"
@@ -85,7 +77,7 @@ def cmd_infer(args) -> RunReport:
     program = parse_program(_read(args.program))
     q = query_from_literals(parse_query(args.query))
     if args.check:
-        _fail_fast_consistency(program)
+        world_models(program).raise_if_inconsistent()
     equations: list[str] = []
     if args.evidence:
         e = query_from_literals(parse_query(args.evidence))
@@ -141,7 +133,7 @@ def cmd_learn(args) -> RunReport:
         floor_prob=args.floor_prob,
         restarts=args.restarts,
         seed=args.seed,
-        opt_backend=_BACKENDS[args.backend],
+        opt_backend=BACKENDS[args.backend],
         skip_undefined=args.skip_undefined,
     )
     equations: list[str] = []
@@ -202,7 +194,7 @@ def _bench_cell(cell: tuple[str, int, int, str, int]) -> list[str]:
         cfg = LearnConfig(
             method=kind,
             seed=seed,
-            opt_backend=_BACKENDS[backend or "gradient"],
+            opt_backend=BACKENDS[backend or "gradient"],
         )
         run = learn_opt if kind == "opt" else learn_em
         result = run(program, interps, cfg)
@@ -272,6 +264,17 @@ def cmd_bench(args) -> RunReport:
     finally:
         if args.out:
             sink.close()
+    # Mean final log-likelihood per (family, method); failed cells have none.
+    lls: dict[tuple[str, str], list[float]] = {}
+    for row in rows:
+        if row[5]:
+            lls.setdefault((row[0], row[3]), []).append(float(row[5]))
+    print("mean final LL per (family, method):", file=sys.stderr)
+    for (family, method), vals in sorted(lls.items()):
+        print(
+            f"  {family:<9} {method:<13} {sum(vals) / len(vals): .6f}  (n={len(vals)})",
+            file=sys.stderr,
+        )
     return RunReport("bench", time.perf_counter() - t0, len(rows))
 
 
@@ -302,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--interpretations", required=True, help=".int data file")
     p_learn.add_argument("--method", choices=("opt", "em"), default="opt")
     p_learn.add_argument("--target", choices=("lower", "upper"), default="upper")
-    p_learn.add_argument("--backend", choices=tuple(_BACKENDS), default="gradient")
+    p_learn.add_argument("--backend", choices=tuple(BACKENDS), default="gradient")
     p_learn.add_argument("--eps-ll", type=float, default=5e-4)
     p_learn.add_argument("--max-iters", type=int, default=1000)
     p_learn.add_argument("--floor-prob", type=float, default=1e-12)

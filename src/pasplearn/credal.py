@@ -5,12 +5,13 @@ lower probability sums the worlds where *all* answer sets satisfy it,
 the upper probability the worlds where *some* answer set does.  The
 semantics requires every world to have at least one answer set;
 evaluation fails fast with :class:`InconsistentWorld` on the first
-world violating this (eager checking is available via
-:func:`check_consistency`).
+world violating this (:func:`check_consistency` counts them instead).
 
 The per-world answer sets depend only on the program structure, not on
 the probability values, so they are computed once per program and
 reused across queries, bounds, parameter values, and learning passes.
+Every number then follows from per-world flags: a bound is the dot
+product of the flags with the world weights of :func:`world_weights`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import CapExceeded, InconsistentWorld, UndefinedConditional
 from .grounding import GroundProgram, ground
-from .model import Program, Query, World, world_cap
+from .model import Program, Query, world_cap
 from .stable import StableSolver
 
 
@@ -40,8 +41,8 @@ class WorldModels:
     """All answer sets of all worlds, in world-index order.
 
     ``model_masks[i]`` holds the stable-model bit masks of world ``i``
-    (possibly empty — consistency is the caller's concern so that
-    counting and fail-fast uses can share one pass).
+    (possibly empty: :meth:`raise_if_inconsistent` fails fast on such a
+    world, :func:`check_consistency` counts them).
     """
 
     program: Program
@@ -61,24 +62,29 @@ class WorldModels:
         product of the fixed facts' probability factors.
         """
         if self._support is None:
-            n = self.program.n_prob_facts
+            facts = self.program.prob_facts
+            n = len(facts)
             idx = np.arange(1 << n, dtype=np.int64)
             patterns = np.zeros(1 << n, dtype=np.int64)
-            k_w = np.ones(1 << n)
             k = 0
-            for j, pf in enumerate(self.program.prob_facts):
-                included = (idx >> (n - 1 - j)) & 1
+            for j, pf in enumerate(facts):
                 if pf.learnable:
-                    patterns |= included << k
+                    patterns |= ((idx >> (n - 1 - j)) & 1) << k
                     k += 1
-                else:
-                    k_w *= np.where(included, pf.prob, 1.0 - pf.prob)
+            k_w = world_weights(
+                [(1.0, 1.0) if pf.learnable else (1.0 - pf.prob, pf.prob) for pf in facts]
+            )
             self._support = (patterns, k_w)
         return self._support
 
-    def world(self, index: int) -> World:
+    def raise_if_inconsistent(self) -> None:
+        """Raise :class:`InconsistentWorld` on the first world without answer sets."""
+        try:
+            i = self.model_masks.index(())
+        except ValueError:
+            return
         n = self.program.n_prob_facts
-        return World(index, tuple(index >> (n - 1 - j) & 1 for j in range(n)))
+        raise InconsistentWorld(i, tuple(i >> (n - 1 - j) & 1 for j in range(n)))
 
     def query_masks(self, query: Query) -> tuple[int, int, bool]:
         """(positive mask, negative mask, satisfiable) for mask testing.
@@ -102,30 +108,28 @@ class WorldModels:
                 neg_mask |= 1 << (n - 1 - i)
         return pos_mask, neg_mask, True
 
-    def satisfaction(self, query: Query) -> tuple[bytearray, bytearray]:
+    def satisfaction(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
         """Per-world flags (all answer sets satisfy, some answer set satisfies).
 
         Raises :class:`InconsistentWorld` on the first world without
         answer sets.
         """
+        self.raise_if_inconsistent()
         pos_mask, neg_mask, possible = self.query_masks(query)
         n_worlds = len(self.model_masks)
         all_sat = bytearray(n_worlds)
         some_sat = bytearray(n_worlds)
-        for i, masks in enumerate(self.model_masks):
-            if not masks:
-                raise InconsistentWorld(i, self.world(i).selection)
-            if not possible:
-                continue
-            every, some = True, False
-            for m in masks:
-                if m & pos_mask == pos_mask and m & neg_mask == 0:
-                    some = True
-                else:
-                    every = False
-            all_sat[i] = every
-            some_sat[i] = some
-        return all_sat, some_sat
+        if possible:
+            for i, masks in enumerate(self.model_masks):
+                every, some = True, False
+                for m in masks:
+                    if m & pos_mask == pos_mask and m & neg_mask == 0:
+                        some = True
+                    else:
+                        every = False
+                all_sat[i] = every
+                some_sat[i] = some
+        return np.frombuffer(all_sat, dtype=bool), np.frombuffer(some_sat, dtype=bool)
 
 
 @lru_cache(maxsize=8)
@@ -152,56 +156,54 @@ def world_models(program: Program, cap: int | None = None) -> WorldModels:
     return _world_models(program, world_cap(cap))
 
 
-def _world_probs(program: Program, theta=None) -> list[float]:
-    """P(w) for every world, in world-index order."""
+def world_weights(factors) -> np.ndarray:
+    """Product measure of every world, in world-index order.
+
+    ``factors[j]`` is the pair (weight when fact ``j`` is excluded,
+    weight when it is included); world ``i`` weighs the product of its
+    facts' entries.  ``(1−p_j, p_j)`` pairs give P(w); a ``(1, 1)`` pair
+    leaves fact ``j`` out of the product.
+    """
+    weights = np.ones(1)
+    # Fact 0 is the most significant bit of the world index.
+    for absent, present in factors:
+        weights = np.outer(weights, (absent, present)).ravel()
+    return weights
+
+
+def _probability_weights(program: Program, theta=None) -> np.ndarray:
+    """P(w) for every world; ``theta`` overrides the learnable probabilities."""
     probs = [pf.prob for pf in program.prob_facts]
     if theta is not None:
         for t, j in zip(theta, program.learnable_indices()):
             probs[j] = float(t)
-    n = len(probs)
-    out = [1.0] * (1 << n)
-    # Prefix-product sweep: bit j of the world index selects p_j vs 1-p_j.
-    for j, pj in enumerate(probs):
-        qj = 1.0 - pj
-        bit = 1 << (n - 1 - j)
-        for i in range(1 << n):
-            out[i] *= pj if i & bit else qj
-    return out
+    return world_weights([(1.0 - p, p) for p in probs])
 
 
 def credal_query(
     program: Program, q: Query, theta=None, cap: int | None = None
 ) -> CredalBounds:
     """Lower/upper probability of a conjunctive query."""
-    wm = world_models(program, cap)
-    all_sat, some_sat = wm.satisfaction(q)
-    pw = _world_probs(program, theta)
-    lower = 0.0
-    upper = 0.0
-    for i, p in enumerate(pw):
-        if some_sat[i]:
-            upper += p
-            if all_sat[i]:
-                lower += p
-    return CredalBounds(lower, upper)
+    all_sat, some_sat = world_models(program, cap).satisfaction(q)
+    weights = _probability_weights(program, theta)
+    return CredalBounds(float(weights @ all_sat), float(weights @ some_sat))
 
 
 def conditional_flags(
     wm: WorldModels, q: Query, e: Query
-) -> tuple[bytearray, bytearray, bytearray, bytearray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-world flags (all q∧e, some q∧e, all ¬q∧e, some ¬q∧e).
 
     ¬q of a conjunction is not itself a conjunction, so the complement
     flags are computed directly from per-model satisfaction.
     """
+    wm.raise_if_inconsistent()
     q_pos, q_neg, q_possible = wm.query_masks(q)
     e_pos, e_neg, e_possible = wm.query_masks(e)
     n = len(wm.model_masks)
     flags = tuple(bytearray(n) for _ in range(4))
     all_qe_f, some_qe_f, all_nqe_f, some_nqe_f = flags
     for i, masks in enumerate(wm.model_masks):
-        if not masks:
-            raise InconsistentWorld(i, wm.world(i).selection)
         all_qe = all_nqe = True
         some_qe = some_nqe = False
         for m in masks:
@@ -219,19 +221,16 @@ def conditional_flags(
         some_qe_f[i] = some_qe
         all_nqe_f[i] = all_nqe and some_nqe
         some_nqe_f[i] = some_nqe
-    return flags
+    return tuple(np.frombuffer(f, dtype=bool) for f in flags)
 
 
 def _conditional_joints(
     program: Program, q: Query, e: Query, theta=None, cap: int | None = None
 ) -> tuple[float, float, float, float]:
     """(lowP(q,e), upP(q,e), lowP(¬q,e), upP(¬q,e))."""
-    wm = world_models(program, cap)
-    flags = conditional_flags(wm, q, e)
-    pw = _world_probs(program, theta)
-    return tuple(
-        sum(p for i, p in enumerate(pw) if flag[i]) for flag in flags
-    )
+    flags = conditional_flags(world_models(program, cap), q, e)
+    weights = _probability_weights(program, theta)
+    return tuple(float(weights @ flag) for flag in flags)
 
 
 def conditional_from_joints(
@@ -266,5 +265,4 @@ def credal_conditional(
 
 def check_consistency(program: Program, cap: int | None = None) -> int:
     """Number of worlds with no answer set (0 = semantics applies)."""
-    wm = world_models(program, cap)
-    return sum(1 for masks in wm.model_masks if not masks)
+    return world_models(program, cap).model_masks.count(())

@@ -107,14 +107,6 @@ class NoLearnableFacts(PaspError):
     """Learning was requested for a program without learnable facts."""
 
 
-class NonMultilinearProduct(PaspError):
-    """Polynomial product would square a variable."""
-
-    def __init__(self, shared: tuple[int, ...]):
-        self.shared = shared
-        super().__init__(f"polynomial factors share variables {shared}")
-
-
 class SpecOutOfRange(PaspError):
     """A dataset specification violates its family's size bounds."""
 

@@ -14,7 +14,11 @@ credal bound (lower or upper) of its interpretation query:
 
 All query bounds are extracted once as multilinear polynomials (one
 world pass per program, cached), so iterations only evaluate
-polynomials and never re-enumerate answer sets.
+polynomials and never re-enumerate answer sets.  EM needs no further
+polynomials: a bound P of an interpretation q is linear in each θ_j, so
+the joint bounds of fact j with q are θ_j·P[θ_j=1] for a_j ∧ q and
+(1−θ_j)·P[θ_j=0] for ¬a_j ∧ q, evaluated from q's lower and upper
+polynomials.
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credal import conditional_from_joints, world_models
+from .credal import conditional_from_joints
 from .errors import NoLearnableFacts, UndefinedConditional
 from .model import Interpretation, Program, interpretation_query
 from .rng import SplitMix64
-from .sympoly import SymPoly, poly_eval, poly_from_world_flags, poly_grad
+from .sympoly import extract_poly, poly_eval, poly_grad
 
 _TARGETS = ("lower", "upper")
 _METHODS = ("opt", "em")
-_BACKENDS = ("gradient", "derivativeFree")
+#: Optimization backends: command-line name -> ``LearnConfig.opt_backend``.
+BACKENDS = {"gradient": "gradient", "dfree": "derivativeFree"}
 
 #: Joint-bound evaluations below this magnitude are snapped to exact
 #: zero before forming conditionals, so that boundary thetas hit the
@@ -59,9 +64,10 @@ class LearnConfig:
             raise ValueError(f"target must be one of {_TARGETS}, got {self.target!r}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.opt_backend not in _BACKENDS:
+        if self.opt_backend not in BACKENDS.values():
             raise ValueError(
-                f"opt_backend must be one of {_BACKENDS}, got {self.opt_backend!r}"
+                f"opt_backend must be one of {tuple(BACKENDS.values())}, "
+                f"got {self.opt_backend!r}"
             )
         if not self.eps_ll > 0:
             raise ValueError(f"eps_ll must be positive, got {self.eps_ll}")
@@ -101,18 +107,6 @@ def ll_gradient(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:
         if v > floor_prob:
             grad += poly_grad(p, theta) / v
     return grad
-
-
-def _interpretation_polys(
-    program: Program, interps, target: str, cap: int | None
-) -> list[SymPoly]:
-    wm = world_models(program, cap)
-    polys = []
-    for interp in interps:
-        all_sat, some_sat = wm.satisfaction(interpretation_query(interp))
-        flags = all_sat if target == "lower" else some_sat
-        polys.append(poly_from_world_flags(program, flags, cap))
-    return polys
 
 
 # -- constrained optimization ------------------------------------------
@@ -194,7 +188,9 @@ def learn_opt(
     nvars = len(program.learnable_indices())
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
-    polys = _interpretation_polys(program, interps, cfg.target, cap)
+    polys = [
+        extract_poly(program, interpretation_query(i), cfg.target, cap) for i in interps
+    ]
 
     def objective(theta):
         return ll_objective(polys, theta, cfg.floor_prob)
@@ -229,68 +225,58 @@ def learn_opt(
 # -- expectation maximization ------------------------------------------
 
 
-class _JointBounds:
-    """Pre-extracted joint-bound polynomials for EM.
+def _bound_polys(program: Program, interps, cap: int | None):
+    """(query, lower polynomial, upper polynomial) per interpretation."""
+    out = []
+    for interp in interps:
+        q = interpretation_query(interp)
+        lower = extract_poly(program, q, "lower", cap)
+        upper = extract_poly(program, q, "upper", cap)
+        out.append((q, lower, upper))
+    return out
 
-    For learnable fact j and interpretation k, the four joints are the
-    lower/upper bounds of (a_j ∧ q_k) and (not a_j ∧ q_k).  A fact's
-    truth in a world equals its inclusion bit, so all four come from
-    the interpretation's world-satisfaction flags filtered on that bit.
+
+def _expectations(
+    program: Program, bounds, theta, target: str, skip_undefined: bool
+) -> EMExpectations:
+    """Expected counts from each interpretation's two bound polynomials.
+
+    A bound P is linear in θ_i, so the joint bounds of fact i with the
+    interpretation are θ_i·P[θ_i=1] (fact true) and (1−θ_i)·P[θ_i=0]
+    (fact false).
     """
-
-    def __init__(self, program: Program, interps, cap: int | None):
-        wm = world_models(program, cap)
-        n = program.n_prob_facts
-        idx = np.arange(1 << n, dtype=np.int64)
-        self.program = program
-        self.learn_ids = program.learnable_indices()
-        self.queries = [interpretation_query(i) for i in interps]
-        self.joints: list[list[tuple[SymPoly, SymPoly, SymPoly, SymPoly]]] = []
-        for q in self.queries:
-            all_sat, some_sat = wm.satisfaction(q)
-            all_np = np.asarray(all_sat, dtype=bool)
-            some_np = np.asarray(some_sat, dtype=bool)
-            per_fact = []
-            for j in self.learn_ids:
-                inc = ((idx >> (n - 1 - j)) & 1).astype(bool)
-                per_fact.append(
-                    (
-                        poly_from_world_flags(program, all_np & inc, cap),
-                        poly_from_world_flags(program, some_np & inc, cap),
-                        poly_from_world_flags(program, all_np & ~inc, cap),
-                        poly_from_world_flags(program, some_np & ~inc, cap),
-                    )
-                )
-            self.joints.append(per_fact)
-
-    def expectations(
-        self, theta, target: str, skip_undefined: bool = False
-    ) -> EMExpectations:
-        L = len(self.learn_ids)
-        e0 = [0.0] * L
-        e1 = [0.0] * L
-        for k, per_fact in enumerate(self.joints):
-            for i, (low_a, up_a, low_na, up_na) in enumerate(per_fact):
-                vals = [
-                    _snap(poly_eval(p, theta)) for p in (low_a, up_a, low_na, up_na)
-                ]
-                try:
-                    cond_a = conditional_from_joints(*vals)
-                    cond_na = conditional_from_joints(vals[2], vals[3], vals[0], vals[1])
-                except UndefinedConditional:
-                    if skip_undefined:
-                        continue
-                    atom = self.program.prob_facts[self.learn_ids[i]].atom
-                    raise UndefinedConditional(
-                        f"fact {atom}, interpretation query {self.queries[k]}"
-                    ) from None
-                if target == "lower":
-                    e1[i] += cond_a.lower
-                    e0[i] += cond_na.lower
-                else:
-                    e1[i] += cond_a.upper
-                    e0[i] += cond_na.upper
-        return EMExpectations(tuple(e0), tuple(e1))
+    theta = np.asarray(theta, dtype=float)
+    L = len(theta)
+    # Row i is theta with θ_i pinned to 1 (resp. 0).
+    at_one = np.tile(theta, (L, 1))
+    np.fill_diagonal(at_one, 1.0)
+    at_zero = np.tile(theta, (L, 1))
+    np.fill_diagonal(at_zero, 0.0)
+    e0 = [0.0] * L
+    e1 = [0.0] * L
+    for q, low, up in bounds:
+        for i, t in enumerate(theta.tolist()):
+            low_a = _snap(t * poly_eval(low, at_one[i]))
+            up_a = _snap(t * poly_eval(up, at_one[i]))
+            low_na = _snap((1.0 - t) * poly_eval(low, at_zero[i]))
+            up_na = _snap((1.0 - t) * poly_eval(up, at_zero[i]))
+            try:
+                cond_a = conditional_from_joints(low_a, up_a, low_na, up_na)
+                cond_na = conditional_from_joints(low_na, up_na, low_a, up_a)
+            except UndefinedConditional:
+                if skip_undefined:
+                    continue
+                atom = program.prob_facts[program.learnable_indices()[i]].atom
+                raise UndefinedConditional(
+                    f"fact {atom}, interpretation query {q}"
+                ) from None
+            if target == "lower":
+                e1[i] += cond_a.lower
+                e0[i] += cond_na.lower
+            else:
+                e1[i] += cond_a.upper
+                e0[i] += cond_na.upper
+    return EMExpectations(tuple(e0), tuple(e1))
 
 
 def _snap(v: float) -> float:
@@ -311,10 +297,10 @@ def em_expectation(
     """Expected counts: e1_i = Σ_I P(a_i | I), e0_i = Σ_I P(not a_i | I).
 
     Conditionals are the chosen bound's conditional probabilities,
-    evaluated from pre-extracted joint polynomials.
+    evaluated from each interpretation's lower and upper polynomials.
     """
-    joints = _JointBounds(program, interps, cap)
-    return joints.expectations(theta, target, skip_undefined)
+    bounds = _bound_polys(program, interps, cap)
+    return _expectations(program, bounds, theta, target, skip_undefined)
 
 
 def em_maximization(e: EMExpectations, prev_theta) -> tuple[float, ...]:
@@ -343,8 +329,8 @@ def learn_em(
     nvars = len(program.learnable_indices())
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
-    polys = _interpretation_polys(program, interps, cfg.target, cap)
-    joints = _JointBounds(program, interps, cap)
+    bounds = _bound_polys(program, interps, cap)
+    polys = [low if cfg.target == "lower" else up for _q, low, up in bounds]
 
     theta = tuple(program.initial_theta())
     ll = ll_objective(polys, theta, cfg.floor_prob)
@@ -352,7 +338,7 @@ def learn_em(
     converged = False
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
-        exp = joints.expectations(theta, cfg.target, cfg.skip_undefined)
+        exp = _expectations(program, bounds, theta, cfg.target, cfg.skip_undefined)
         theta = em_maximization(exp, theta)
         prev_ll, ll = ll, ll_objective(polys, theta, cfg.floor_prob)
         trace.append(ll)

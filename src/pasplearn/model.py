@@ -19,9 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator, Union
-
-from .errors import CapExceeded
+from typing import Union
 
 Term = Union[str, int]
 
@@ -163,28 +161,6 @@ class Program:
     def initial_theta(self) -> tuple[float, ...]:
         return tuple(pf.prob for pf in self.prob_facts if pf.learnable)
 
-    def with_theta(self, theta) -> "Program":
-        """Copy of the program with learnable probabilities replaced."""
-        theta = tuple(float(t) for t in theta)
-        idx = self.learnable_indices()
-        if len(theta) != len(idx):
-            raise ValueError(f"expected {len(idx)} parameters, got {len(theta)}")
-        facts = list(self.prob_facts)
-        for t, j in zip(theta, idx):
-            facts[j] = ProbFact(facts[j].atom, t, learnable=True)
-        return Program(tuple(facts), self.rules)
-
-
-@dataclass(frozen=True)
-class World:
-    """One total choice: ``selection[j] = 1`` iff fact ``j`` is included."""
-
-    index: int
-    selection: tuple[int, ...]
-
-    def included(self, j: int) -> bool:
-        return self.selection[j] == 1
-
 
 def world_cap(cap: int | None = None) -> int:
     """Effective world cap: explicit arg, else PASP_WORLD_CAP, else default."""
@@ -194,33 +170,6 @@ def world_cap(cap: int | None = None) -> int:
     if env is not None:
         return int(env)
     return DEFAULT_WORLD_CAP
-
-
-def enumerate_worlds(program: Program, cap: int | None = None) -> Iterator[World]:
-    """All 2^n total choices, ordered by index (binary counting, MSB first)."""
-    n = program.n_prob_facts
-    eff = world_cap(cap)
-    if n > eff:
-        raise CapExceeded(n, eff)
-    for i in range(1 << n):
-        sel = tuple((i >> (n - 1 - j)) & 1 for j in range(n))
-        yield World(i, sel)
-
-
-def world_probability(program: Program, world: World, theta=None) -> float:
-    """Product measure of one world.
-
-    ``theta`` optionally overrides the learnable probabilities (in
-    declaration order of the learnable facts).
-    """
-    probs = [pf.prob for pf in program.prob_facts]
-    if theta is not None:
-        for t, j in zip(theta, program.learnable_indices()):
-            probs[j] = float(t)
-    p = 1.0
-    for j, pj in enumerate(probs):
-        p *= pj if world.selection[j] else 1.0 - pj
-    return p
 
 
 @dataclass(frozen=True)
@@ -251,24 +200,6 @@ class Query:
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return self.positives + self.negatives
-
-    def negated_atom(self) -> "Query":
-        """Complement of a single-atom query (used for conditionals)."""
-        if len(self.positives) == 1 and not self.negatives:
-            return Query((), self.positives)
-        if len(self.negatives) == 1 and not self.positives:
-            return Query(self.negatives, ())
-        raise ValueError("negation is only defined for single-literal queries")
-
-    def conjoin(self, other: "Query") -> "Query":
-        pos = set(self.positives) | set(other.positives)
-        neg = set(self.negatives) | set(other.negatives)
-        if pos & neg:
-            raise ValueError(f"contradictory conjunction on {sorted(pos & neg)}")
-        return Query(
-            tuple(sorted(pos, key=str)),
-            tuple(sorted(neg, key=str)),
-        )
 
 
 def query_from_literals(literals) -> Query:

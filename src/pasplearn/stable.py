@@ -13,10 +13,6 @@ check: compute the least model of the reduct and compare.
 Constraints are rules whose head is a reserved false atom, pinned false
 up front; any candidate deriving it fails the reduct comparison, so
 constraint violations can never be reported as models.
-
-An exhaustive-subset fallback (``exhaustive=True``) enumerates every
-subset of the non-fixed atoms and keeps those passing the reduct check;
-it exists for cross-checking the branching solver on small programs.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grounding import GroundProgram
-from .model import World
 
 _UNASSIGNED, _FALSE, _TRUE = -1, 0, 1
 
@@ -51,11 +46,6 @@ class ModelSet:
             frozenset(a for i, a in enumerate(gp.atoms) if m >> (n - 1 - i) & 1)
             for m in self.masks
         ]
-
-
-def selection_mask(world: World) -> int:
-    """Solver-internal world mask: bit j set iff probabilistic fact j included."""
-    return sum(bit << j for j, bit in enumerate(world.selection))
 
 
 class StableSolver:
@@ -322,8 +312,9 @@ class StableSolver:
     # -- verification ------------------------------------------------------
 
     def _check_leaf(self) -> None:
-        # Same reduct check as _is_stable, but the negblock counters are
-        # current at a leaf, so rule usability is O(1) per rule.
+        # Gelfond–Lifschitz check: the least model of the reduct must equal
+        # the candidate.  The negblock counters are current at a leaf, so
+        # a rule is in the reduct iff no negated body atom is true.
         assign = self.assign
         heads = self.heads
         negblock = self.negblock
@@ -366,75 +357,8 @@ class StableSolver:
                 m |= 1 << (n - 1 - i)
         return m
 
-    def _is_stable(self, assign) -> bool:
-        """Reduct check: least model of the reduct equals the candidate."""
-        least = self.least_model_of_reduct(assign)
-        if least is None:
-            return False
-        for i in range(self.n_atoms):
-            if (assign[i] == _TRUE) != least[i]:
-                return False
-        return True
 
-    def least_model_of_reduct(self, assign) -> bytearray | None:
-        """Least model of the reduct w.r.t. a total candidate.
-
-        Returns None if the reduct derives the reserved false atom
-        (i.e. the candidate violates a constraint).
-        """
-        heads = self.heads
-        cnt = list(self.base_cnt)
-        least = bytearray(self.n_total)
-        stack: list[int] = []
-        usable = bytearray(len(heads))
-        for r in range(len(heads)):
-            if any(assign[a] == _TRUE for a in self.neg[r]):
-                continue
-            usable[r] = 1
-            if cnt[r] == 0 and not least[heads[r]]:
-                least[heads[r]] = 1
-                stack.append(heads[r])
-        for j in self.prob_ids:
-            if assign[j] == _TRUE and not least[j]:
-                least[j] = 1
-                stack.append(j)
-        occ_pos = self.occ_pos
-        while stack:
-            atom = stack.pop()
-            for r in occ_pos[atom]:
-                if usable[r]:
-                    cnt[r] -= 1
-                    if cnt[r] == 0:
-                        h = heads[r]
-                        if not least[h]:
-                            least[h] = 1
-                            stack.append(h)
-        if least[self.false_atom]:
-            return None
-        return least
-
-
-def _exhaustive_models(solver: StableSolver, world_mask: int) -> tuple[int, ...]:
-    n = solver.n_atoms
-    fixed = set(solver.prob_ids)
-    free = [i for i in range(n) if i not in fixed]
-    if len(free) > 22:
-        raise ValueError(f"{len(free)} free atoms is too many for exhaustive search")
-    models = []
-    for bits in range(1 << len(free)):
-        assign = [_FALSE] * (n + 1)
-        for j in solver.prob_ids:
-            if world_mask >> j & 1:
-                assign[j] = _TRUE
-        for k, atom in enumerate(free):
-            if bits >> k & 1:
-                assign[atom] = _TRUE
-        if solver._is_stable(assign):
-            models.append(solver._mask(assign))
-    return tuple(sorted(models))
-
-
-def answer_sets(gp: GroundProgram, world_facts, *, exhaustive: bool = False) -> ModelSet:
+def answer_sets(gp: GroundProgram, world_facts) -> ModelSet:
     """All stable models of ``gp`` with the given probabilistic atoms true.
 
     ``world_facts`` may contain Atom objects or probabilistic-atom
@@ -447,9 +371,4 @@ def answer_sets(gp: GroundProgram, world_facts, *, exhaustive: bool = False) -> 
         if not 0 <= j < len(gp.prob_atom_ids):
             raise ValueError(f"atom index {j} is not a probabilistic atom")
         mask |= 1 << j
-    solver = StableSolver(gp)
-    if exhaustive:
-        masks = _exhaustive_models(solver, mask)
-    else:
-        masks = solver.models_for_mask(mask)
-    return ModelSet(masks, gp.n_atoms)
+    return ModelSet(StableSolver(gp).models_for_mask(mask), gp.n_atoms)

@@ -8,7 +8,7 @@ collecting terms yields a unique multilinear normal form: the
 coefficient of monomial ``t`` is ``Σ_{b⊆t} (−1)^{|t|−|b|} c_b`` where
 ``c_b`` accumulates ``k_w`` over contributing worlds with learnable
 pattern ``b`` (a signed subset-sum a.k.a. Möbius transform, computed
-dense via a butterfly when the variable count allows).
+with a butterfly over the 2^L table of patterns).
 
 Polynomials are immutable after construction; evaluation and gradient
 use cached flat numpy arrays (a segment per monomial, reduced with
@@ -25,16 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .credal import world_models
-from .errors import NonMultilinearProduct
 from .model import Program, Query
 
 #: Coefficients smaller than this in absolute value are dropped when
-#: polynomials are collected into normal form.
+#: polynomials are extracted into normal form.
 COEFF_EPS = 1e-15
-
-_Monomial = frozenset
-
-_DENSE_LIMIT = 20  # dense Möbius transform up to 2^20 table entries
 
 
 @dataclass
@@ -50,13 +45,6 @@ class SymPoly:
             for j in mono:
                 if not 0 <= j < self.nvars:
                     raise ValueError(f"variable {j} out of range for {self.nvars} vars")
-
-    @property
-    def support(self) -> frozenset:
-        out: set[int] = set()
-        for mono in self.coeffs:
-            out |= mono
-        return frozenset(out)
 
     def _arrays(self):
         """(coefs, flat var indices, segment offsets, segment lengths)."""
@@ -81,15 +69,6 @@ class SymPoly:
 
     def __str__(self) -> str:
         return poly_to_text(self)
-
-
-def poly_const(nvars: int, value: float) -> SymPoly:
-    coeffs = {} if abs(value) < COEFF_EPS else {_Monomial(): float(value)}
-    return SymPoly(nvars, coeffs)
-
-
-def poly_var(nvars: int, j: int) -> SymPoly:
-    return SymPoly(nvars, {_Monomial({j}): 1.0})
 
 
 def poly_eval(p: SymPoly, theta) -> float:
@@ -133,40 +112,6 @@ def poly_grad(p: SymPoly, theta) -> np.ndarray:
     return grad[: p.nvars]  # sentinel slot holds d/d(1), discarded
 
 
-def _collected(nvars: int, coeffs: dict) -> SymPoly:
-    return SymPoly(
-        nvars, {m: c for m, c in coeffs.items() if abs(c) >= COEFF_EPS}
-    )
-
-
-def poly_add(p: SymPoly, q: SymPoly) -> SymPoly:
-    if p.nvars != q.nvars:
-        raise ValueError(f"variable-count mismatch: {p.nvars} vs {q.nvars}")
-    out = dict(p.coeffs)
-    for mono, c in q.coeffs.items():
-        out[mono] = out.get(mono, 0.0) + c
-    return _collected(p.nvars, out)
-
-
-def poly_scale(p: SymPoly, c: float) -> SymPoly:
-    return _collected(p.nvars, {m: c * v for m, v in p.coeffs.items()})
-
-
-def poly_mul(p: SymPoly, q: SymPoly) -> SymPoly:
-    """Product of polynomials with disjoint variable supports."""
-    if p.nvars != q.nvars:
-        raise ValueError(f"variable-count mismatch: {p.nvars} vs {q.nvars}")
-    shared = p.support & q.support
-    if shared:
-        raise NonMultilinearProduct(tuple(sorted(shared)))
-    out: dict[frozenset, float] = {}
-    for m1, c1 in p.coeffs.items():
-        for m2, c2 in q.coeffs.items():
-            mono = m1 | m2
-            out[mono] = out.get(mono, 0.0) + c1 * c2
-    return _collected(p.nvars, out)
-
-
 def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:
     """Human-readable rendering with sorted monomials, e.g. ``0.4*p1 + 0.6*p0*p1``."""
     if not p.coeffs:
@@ -190,29 +135,6 @@ def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:
 # -- extraction from world enumeration ---------------------------------
 
 
-def _mobius_sparse(table: dict[int, float], var_ids: list[int]) -> dict[frozenset, float]:
-    """Signed subset-sum transform of a sparse pattern table."""
-    if not table:
-        return {}
-    if not var_ids:
-        return {_Monomial(): table.get(0, 0.0)}
-    *rest, last = var_ids
-    k = len(rest)
-    bit = 1 << k
-    t0 = {b: v for b, v in table.items() if not b & bit}
-    t1 = {b & ~bit: v for b, v in table.items() if b & bit}
-    lo = _mobius_sparse(t0, rest)
-    hi = _mobius_sparse(t1, rest)
-    out: dict[frozenset, float] = dict(lo)
-    for mono, v in hi.items():
-        ext = mono | {last}
-        out[ext] = out.get(ext, 0.0) + v
-    for mono, v in lo.items():
-        ext = mono | {last}
-        out[ext] = out.get(ext, 0.0) - v
-    return out
-
-
 def poly_from_world_flags(program: Program, flags, cap: int | None = None) -> SymPoly:
     """Polynomial ``Σ_w flags[w] · k_w · Π_{j∈w} π_j · Π_{j∉w} (1−π_j)``.
 
@@ -227,25 +149,17 @@ def poly_from_world_flags(program: Program, flags, cap: int | None = None) -> Sy
     if mask.shape != patterns.shape:
         raise ValueError(f"expected {patterns.shape[0]} world flags, got {mask.shape}")
 
-    if nvars <= _DENSE_LIMIT:
-        dense = np.zeros(1 << nvars)
-        np.add.at(dense, patterns[mask], k_w[mask])
-        arr = dense
-        for k in range(nvars):
-            arr = arr.reshape(-1, 2, 1 << k)
-            arr[:, 1, :] -= arr[:, 0, :]
-        arr = arr.reshape(-1)
-        coeffs: dict[frozenset, float] = {}
-        for t in np.nonzero(np.abs(arr) >= COEFF_EPS)[0]:
-            mono = _Monomial(k for k in range(nvars) if t >> k & 1)
-            coeffs[mono] = float(arr[t])
-        return SymPoly(nvars, coeffs)
-
-    table: dict[int, float] = {}
-    for b, kw in zip(patterns[mask].tolist(), k_w[mask].tolist()):
-        table[b] = table.get(b, 0.0) + kw
-    raw = _mobius_sparse(table, list(range(nvars)))
-    return _collected(nvars, raw)
+    arr = np.zeros(1 << nvars)
+    np.add.at(arr, patterns[mask], k_w[mask])
+    for k in range(nvars):
+        arr = arr.reshape(-1, 2, 1 << k)
+        arr[:, 1, :] -= arr[:, 0, :]
+    arr = arr.reshape(-1)
+    coeffs: dict[frozenset, float] = {}
+    for t in np.nonzero(np.abs(arr) >= COEFF_EPS)[0]:
+        mono = frozenset(k for k in range(nvars) if t >> k & 1)
+        coeffs[mono] = float(arr[t])
+    return SymPoly(nvars, coeffs)
 
 
 def extract_poly(program: Program, q: Query, bound: str, cap: int | None = None) -> SymPoly:

@@ -11,7 +11,12 @@ import time
 import pytest
 
 from pasplearn.cli import main as cli_main
-from pasplearn.credal import check_consistency, credal_conditional, credal_query
+from pasplearn.credal import (
+    check_consistency,
+    credal_conditional,
+    credal_query,
+    world_weights,
+)
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import InconsistentWorld, UndefinedConditional
 from pasplearn.grounding import ground
@@ -23,13 +28,7 @@ from pasplearn.learning import (
     learn_opt,
     ll_objective,
 )
-from pasplearn.model import (
-    Query,
-    enumerate_worlds,
-    interpretation_query,
-    query_from_literals,
-    world_probability,
-)
+from pasplearn.model import Query, interpretation_query, query_from_literals
 from pasplearn.parsing import parse_interpretations, parse_program, parse_query
 from pasplearn.rng import SplitMix64
 from pasplearn.stable import answer_sets
@@ -60,7 +59,7 @@ def test_criterion_1_worked_graph_bounds_exact():
     c = credal_conditional(program, q("path(1,4)"), q("edge(2,4)"))
     assert c.lower == pytest.approx(0.0, abs=1e-9)
     assert c.upper == pytest.approx(0.2, abs=1e-9)
-    probs = [world_probability(program, w) for w in enumerate_worlds(program)]
+    probs = list(world_weights([(1 - pf.prob, pf.prob) for pf in program.prob_facts]))
     expected = [0.056, 0.504, 0.024, 0.216, 0.014, 0.126, 0.006, 0.054]
     assert probs == pytest.approx(expected, abs=1e-12)
     assert time.perf_counter() - t0 < 1.0

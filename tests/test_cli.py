@@ -111,7 +111,11 @@ def test_infer_inconsistent_exit_2(tmp_path, capsys):
 def test_infer_check_flag(tmp_path, capsys):
     prog = write(tmp_path, "incon.pasp", "0.5::a.\n:- a.\n")
     assert main(["infer", "--program", prog, "--query", "a", "--check"]) == 2
-    capsys.readouterr()
+    checked = capsys.readouterr().err
+    assert main(["infer", "--program", prog, "--query", "a"]) == 2
+    assert capsys.readouterr().err == checked == (
+        "error: world w1 (selection 1) has no answer set\n"
+    )
 
 
 def test_infer_undefined_conditional_exit_3(tmp_path):
@@ -319,3 +323,19 @@ def test_bench_parallel_matches_sequential(tmp_path):
             return [r[:7] + r[8:] for r in csv.reader(fh)]  # drop wall_seconds
 
     assert stable(seq) == stable(par)
+
+
+def test_bench_mean_ll_summary_on_stderr(tmp_path, capsys):
+    out = str(tmp_path / "bench.csv")
+    assert main(bench_argv(out, sizes="2,3,99")) == 0  # 99 fails for shop
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == "mean final LL per (family, method):"
+    assert len(lines) == 3
+    for line, method in zip(lines[1:], ("em", "opt-gradient")):
+        lls = [float(r[5]) for r in rows if r[3] == method and r[5]]
+        assert len(lls) == 2  # the failed size-99 cell is left out
+        assert line == f"  shop      {method:<13} {sum(lls) / len(lls): .6f}  (n=2)"

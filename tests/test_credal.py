@@ -9,15 +9,10 @@ from pasplearn.credal import (
     conditional_from_joints,
     credal_conditional,
     credal_query,
+    world_weights,
 )
 from pasplearn.errors import CapExceeded, InconsistentWorld, UndefinedConditional
-from pasplearn.model import (
-    Atom,
-    Query,
-    enumerate_worlds,
-    query_from_literals,
-    world_probability,
-)
+from pasplearn.model import Query, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 
 from oracles import credal_brute
@@ -41,7 +36,7 @@ def test_graph_conditional_bounds(graph_program):
 
 
 def test_world_probabilities_product_form(graph_program):
-    probs = [world_probability(graph_program, w) for w in enumerate_worlds(graph_program)]
+    probs = list(world_weights([(1 - pf.prob, pf.prob) for pf in graph_program.prob_facts]))
     assert probs == pytest.approx(
         [0.056, 0.504, 0.024, 0.216, 0.014, 0.126, 0.006, 0.054], abs=1e-15
     )

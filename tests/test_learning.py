@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pasplearn.credal import conditional_from_joints
 from pasplearn.errors import NoLearnableFacts, UndefinedConditional
 from pasplearn.learning import (
     EMExpectations,
@@ -14,11 +15,19 @@ from pasplearn.learning import (
     learn_opt,
     ll_objective,
 )
-from pasplearn.model import query_from_literals
+from pasplearn.model import (
+    Interpretation,
+    Literal,
+    ProbFact,
+    Program,
+    query_from_literals,
+)
 from pasplearn.parsing import parse_interpretations, parse_program, parse_query
+from pasplearn.rng import SplitMix64
 from pasplearn.sympoly import extract_poly
 
-from randprog import random_ground_program
+from oracles import credal_brute
+from randprog import random_ground_program, random_query_literals
 
 COIN = "learnable(0.5)::a.\n"
 COIN_DATA = "a.\nnot a.\n"
@@ -142,6 +151,65 @@ def test_em_expectation_undefined_conditional_context():
     # the same call with skipping enabled contributes nothing
     e = em_expectation(program, interps("q, q2.\n"), [0.5], skip_undefined=True)
     assert e.e0 == (0.0,) and e.e1 == (0.0,)
+
+
+def _with_theta(program, theta):
+    """The program with its learnable probabilities set to theta."""
+    facts = list(program.prob_facts)
+    for t, j in zip(theta, program.learnable_indices()):
+        facts[j] = ProbFact(facts[j].atom, t, learnable=True)
+    return Program(tuple(facts), program.rules)
+
+
+def _brute_expectations(program, pos, neg, theta, target):
+    """Per learnable fact, (P(a | I), P(not a | I)) from brute-force joints.
+
+    None when the conditional is undefined.
+    """
+    fixed = _with_theta(program, theta)
+    out = []
+    for j in program.learnable_indices():
+        atom = program.prob_facts[j].atom
+        joint_a = credal_brute(fixed, set(pos) | {atom}, neg)
+        joint_na = credal_brute(fixed, pos, set(neg) | {atom})
+        try:
+            cond_a = conditional_from_joints(*joint_a, *joint_na)
+            cond_na = conditional_from_joints(*joint_na, *joint_a)
+        except UndefinedConditional:
+            return None
+        out.append((getattr(cond_a, target), getattr(cond_na, target)))
+    return out
+
+
+def test_em_expectation_matches_brute_force_joints():
+    checks = undefined = 0
+    seed = 0
+    while checks < 300:
+        seed += 1
+        program = random_ground_program(seed)
+        if not program.learnable_indices():
+            continue
+        pos, neg = random_query_literals(seed, program)
+        if set(pos) & set(neg) or credal_brute(program, pos, neg) is None:
+            continue  # contradictory interpretation or inconsistent program
+        interp = Interpretation(
+            tuple(Literal(a) for a in pos) + tuple(Literal(a, False) for a in neg)
+        )
+        rng = SplitMix64(seed).split(3)
+        theta = [rng.random() for _ in program.learnable_indices()]
+        for target in ("lower", "upper"):
+            expected = _brute_expectations(program, pos, neg, theta, target)
+            if expected is None:
+                with pytest.raises(UndefinedConditional):
+                    em_expectation(program, [interp], theta, target)
+                undefined += 1
+                continue
+            got = em_expectation(program, [interp], theta, target)
+            for j, (cond_a, cond_na) in enumerate(expected):
+                assert got.e1[j] == pytest.approx(cond_a, abs=1e-9), (seed, target, j)
+                assert got.e0[j] == pytest.approx(cond_na, abs=1e-9), (seed, target, j)
+                checks += 1
+    assert undefined > 0
 
 
 def test_em_maximization_update_and_retention():

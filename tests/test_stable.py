@@ -5,7 +5,7 @@ from pasplearn.grounding import ground
 from pasplearn.parsing import parse_program
 from pasplearn.stable import answer_sets
 
-from oracles import rule_universe, stable_models_brute, worlds_brute
+from oracles import rule_universe, sorted_key, stable_models_brute, worlds_brute
 from randprog import random_ground_program
 
 
@@ -65,14 +65,17 @@ def test_models_sorted_lexicographically():
     assert list(ms.masks) == sorted(ms.masks)
 
 
-def test_exhaustive_flag_matches_fast_path():
+def test_exhaustive_oracle_matches_fast_path():
     text = "0.5::f.\na :- not b, f.\nb :- not a.\nc :- a, b.\n:- c."
     program = parse_program(text)
     gp = ground(program)
-    for facts in ([], [program.prob_facts[0].atom]):
-        fast = answer_sets(gp, list(facts))
-        slow = answer_sets(gp, list(facts), exhaustive=True)
-        assert fast.masks == slow.masks
+    rules = list(program.rules)
+    f = program.prob_facts[0].atom
+    universe = rule_universe(rules, {f})
+    for facts in (frozenset(), frozenset({f})):
+        fast = answer_sets(gp, list(facts)).atom_sets(gp)
+        slow = stable_models_brute(rules, facts, universe)
+        assert sorted(fast, key=sorted_key) == slow
 
 
 @settings(max_examples=120)

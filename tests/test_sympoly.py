@@ -4,22 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pasplearn.credal import credal_query
-from pasplearn.errors import InconsistentWorld, NonMultilinearProduct
+from pasplearn.errors import InconsistentWorld
 from pasplearn.model import Query, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 from pasplearn.rng import SplitMix64
-from pasplearn.sympoly import (
-    SymPoly,
-    extract_poly,
-    poly_add,
-    poly_const,
-    poly_eval,
-    poly_grad,
-    poly_mul,
-    poly_scale,
-    poly_to_text,
-    poly_var,
-)
+from pasplearn.sympoly import SymPoly, extract_poly, poly_eval, poly_grad, poly_to_text
 
 from randprog import random_ground_program, random_query_literals
 
@@ -29,8 +18,8 @@ def mono(nvars, items):
 
 
 def test_eval_constant_and_var():
-    assert poly_eval(poly_const(3, 2.5), [0.1, 0.2, 0.3]) == 2.5
-    assert poly_eval(poly_var(3, 1), [0.1, 0.2, 0.3]) == 0.2
+    assert poly_eval(mono(3, [((), 2.5)]), [0.1, 0.2, 0.3]) == 2.5
+    assert poly_eval(mono(3, [((1,), 1.0)]), [0.1, 0.2, 0.3]) == 0.2
 
 
 def test_eval_multilinear_combination():
@@ -39,31 +28,10 @@ def test_eval_multilinear_combination():
     assert poly_eval(p, [0.5, 0.25]) == pytest.approx(0.5 - 0.5 + 2 * 0.125)
 
 
-def test_add_collects_and_drops_zeros():
-    p = mono(2, [((0,), 1.0)])
-    r = poly_add(p, poly_scale(p, -1.0))
-    assert r.coeffs == {}
-    assert poly_eval(r, [0.7, 0.1]) == 0.0
-
-
-def test_mul_disjoint_supports():
-    p = mono(3, [((0,), 1.0), ((), 0.5)])
-    s = mono(3, [((1, 2), 2.0)])
-    r = poly_mul(p, s)
-    assert r.coeffs == {frozenset({0, 1, 2}): 2.0, frozenset({1, 2}): 1.0}
-
-
-def test_mul_shared_variable_rejected():
-    p = poly_var(2, 0)
-    with pytest.raises(NonMultilinearProduct) as exc:
-        poly_mul(p, p)
-    assert exc.value.shared == (0,)
-
-
 def test_rendering_style():
     p = mono(2, [((1,), 0.4), ((0, 1), 0.6)])
     assert poly_to_text(p) == "0.4*p1 + 0.6*p0*p1"
-    assert poly_to_text(poly_const(2, 0.0)) == "0"
+    assert poly_to_text(SymPoly(2, {})) == "0"
     assert poly_to_text(mono(2, [((0,), 1.0), ((1,), -0.25)])) == "p0 - 0.25*p1"
 
 
@@ -149,5 +117,11 @@ def test_extraction_agrees_with_direct_query(seed, tseed):
 
 
 def test_coefficients_below_epsilon_dropped():
-    p = poly_add(mono(1, [((0,), 1.0)]), mono(1, [((0,), -1.0 + 1e-16)]))
-    assert p.coeffs == {}
+    # upper(q) = 0.3*0.2*(1 - p0) + 0.06*p0: the p0 coefficient cancels
+    # up to float rounding (about 7e-18) and is dropped
+    program = parse_program(
+        "learnable(0.5)::a.\n0.06::b.\n0.3::c.\n0.2::d.\nq :- a, b.\nq :- not a, c, d."
+    )
+    up = extract_poly(program, query_from_literals(parse_query("q")), "upper")
+    assert list(up.coeffs) == [frozenset()]
+    assert up.coeffs[frozenset()] == pytest.approx(0.06, abs=1e-15)
