@@ -305,13 +305,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--interpretations", required=True, help=".int data file")
     p_learn.add_argument("--method", choices=("opt", "em"), default="opt")
     p_learn.add_argument("--target", choices=("lower", "upper"), default="upper")
-    p_learn.add_argument("--backend", choices=tuple(BACKENDS), default="gradient")
-    p_learn.add_argument("--eps-ll", type=float, default=5e-4)
-    p_learn.add_argument("--max-iters", type=int, default=1000)
+    p_learn.add_argument(
+        "--backend",
+        choices=tuple(BACKENDS),
+        default="gradient",
+        help="opt only: projected gradient ascent or coordinate search",
+    )
+    p_learn.add_argument(
+        "--eps-ll",
+        type=float,
+        default=5e-4,
+        help="em only: stop when the log-likelihood changes by less than this",
+    )
+    p_learn.add_argument(
+        "--max-iters", type=int, default=1000, help="em only: iteration limit"
+    )
     p_learn.add_argument("--floor-prob", type=float, default=1e-12)
-    p_learn.add_argument("--restarts", type=int, default=4)
-    p_learn.add_argument("--seed", type=int, default=0)
-    p_learn.add_argument("--skip-undefined", action="store_true")
+    p_learn.add_argument(
+        "--restarts",
+        type=int,
+        default=4,
+        help="opt only: number of starts (the declared probabilities, then random ones)",
+    )
+    p_learn.add_argument(
+        "--seed", type=int, default=0, help="opt only: seed of the random starts"
+    )
+    p_learn.add_argument(
+        "--skip-undefined",
+        action="store_true",
+        help="em only: skip undefined conditionals instead of failing",
+    )
     p_learn.add_argument("--show-equations", action="store_true")
     p_learn.add_argument("--json", action="store_true")
     p_learn.set_defaults(func=cmd_learn)

@@ -14,11 +14,20 @@ credal bound (lower or upper) of its interpretation query:
 
 All query bounds are extracted once as multilinear polynomials (one
 world pass per program, cached), so iterations only evaluate
-polynomials and never re-enumerate answer sets.  EM needs no further
-polynomials: a bound P of an interpretation q is linear in each θ_j, so
-the joint bounds of fact j with q are θ_j·P[θ_j=1] for a_j ∧ q and
-(1−θ_j)·P[θ_j=0] for ¬a_j ∧ q, evaluated from q's lower and upper
-polynomials.
+polynomials and never re-enumerate answer sets.  Each learner stacks
+its polynomials once into a :class:`~pasplearn.sympoly.PolyStack`: the
+objective is one gather and one ``reduceat`` over every monomial plus a
+dot product per polynomial, and the gradient adds one ``bincount``.
+EM needs no further polynomials: a bound P of an interpretation q is
+linear in each θ_j, so the joint bounds of fact j with q are
+θ_j·P[θ_j=1] for a_j ∧ q and (1−θ_j)·P[θ_j=0] for ¬a_j ∧ q.  An E-step
+evaluates the stack of every lower and upper polynomial once at each of
+the 2·L points with one θ_j pinned to 1 or to 0.
+
+The stacked numbers are bit-for-bit those of evaluating one polynomial
+at a time.  This matters: on a flat likelihood ridge, changes in the
+last bits alter the optimizer's path, its iteration count and its
+parameters.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .credal import conditional_from_joints
 from .errors import NoLearnableFacts, UndefinedConditional
 from .model import Interpretation, Program, interpretation_query
 from .rng import SplitMix64
-from .sympoly import extract_poly, poly_eval, poly_grad
+from .sympoly import PolyStack, extract_poly
 
 _TARGETS = ("lower", "upper")
 _METHODS = ("opt", "em")
@@ -47,7 +56,18 @@ _SNAP_EPS = 1e-15
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Knobs shared by both learning methods."""
+    """Knobs of the two learners; each learner reads only some of them.
+
+    Both read ``target``, ``floor_prob`` and ``method``, which must name
+    the learner it is passed to (``"opt"`` for :func:`learn_opt`,
+    ``"em"`` for :func:`learn_em`).  :func:`learn_opt` also reads
+    ``restarts``, ``seed`` and ``opt_backend``, and not ``eps_ll`` or
+    ``max_iters``: each of its runs stops after at most 500 iterations
+    (sweeps for the derivative-free backend) at a fixed tolerance of
+    1e-6.  :func:`learn_em` also reads ``eps_ll``, ``max_iters`` and
+    ``skip_undefined``, and not ``restarts``, ``seed`` or
+    ``opt_backend``.
+    """
 
     target: str = "upper"
     method: str = "opt"
@@ -79,6 +99,15 @@ class LearnConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
+def _check_method(cfg: LearnConfig, method: str) -> None:
+    """Refuse a config that names the other learner."""
+    if cfg.method != method:
+        raise ValueError(
+            f"LearnConfig(method={cfg.method!r}) passed to learn_{method}; "
+            f"call learn_{cfg.method} or set method={method!r}"
+        )
+
+
 @dataclass(frozen=True)
 class LearnResult:
     params: tuple[float, ...]
@@ -94,18 +123,29 @@ class EMExpectations:
     e1: tuple[float, ...]
 
 
+def _stacked(polys, theta) -> PolyStack:
+    """polys as a :class:`PolyStack` (a list of SymPoly is stacked here)."""
+    if isinstance(polys, PolyStack):
+        return polys
+    polys = list(polys)
+    return PolyStack(polys, polys[0].nvars if polys else len(theta))
+
+
 def ll_objective(polys, theta, floor_prob: float = 1e-12) -> float:
-    """Σ_k log(max(polys[k](theta), floor_prob)); at most 0 when values ≤ 1."""
-    return sum(math.log(max(poly_eval(p, theta), floor_prob)) for p in polys)
+    """Σ_k log(max(polys[k](theta), floor_prob)); at most 0 when values ≤ 1.
+
+    ``polys`` is a :class:`PolyStack` or a list of :class:`SymPoly`.
+    """
+    return sum(math.log(max(v, floor_prob)) for v in _stacked(polys, theta).values(theta))
 
 
 def ll_gradient(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:
     """Gradient of :func:`ll_objective`; floored terms contribute zero."""
+    values, rows = _stacked(polys, theta).gradients(theta)
     grad = np.zeros(len(theta))
-    for p in polys:
-        v = poly_eval(p, theta)
+    for v, row in zip(values, rows):
         if v > floor_prob:
-            grad += poly_grad(p, theta) / v
+            grad += row / v
     return grad
 
 
@@ -185,12 +225,14 @@ def learn_opt(
     ``cfg.seed``.  The best run wins (ties keep the earliest);
     ``iterations`` and ``converged`` describe the winning run.
     """
+    _check_method(cfg, "opt")
     nvars = len(program.learnable_indices())
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
-    polys = [
-        extract_poly(program, interpretation_query(i), cfg.target, cap) for i in interps
-    ]
+    polys = PolyStack(
+        [extract_poly(program, interpretation_query(i), cfg.target, cap) for i in interps],
+        nvars,
+    )
 
     def objective(theta):
         return ll_objective(polys, theta, cfg.floor_prob)
@@ -226,40 +268,43 @@ def learn_opt(
 
 
 def _bound_polys(program: Program, interps, cap: int | None):
-    """(query, lower polynomial, upper polynomial) per interpretation."""
-    out = []
-    for interp in interps:
-        q = interpretation_query(interp)
-        lower = extract_poly(program, q, "lower", cap)
-        upper = extract_poly(program, q, "upper", cap)
-        out.append((q, lower, upper))
-    return out
+    """Interpretation queries, their lower polynomials and their upper ones."""
+    queries = [interpretation_query(i) for i in interps]
+    lower = [extract_poly(program, q, "lower", cap) for q in queries]
+    upper = [extract_poly(program, q, "upper", cap) for q in queries]
+    return queries, lower, upper
 
 
 def _expectations(
-    program: Program, bounds, theta, target: str, skip_undefined: bool
+    program: Program, queries, bounds: PolyStack, theta, target: str, skip_undefined: bool
 ) -> EMExpectations:
     """Expected counts from each interpretation's two bound polynomials.
 
-    A bound P is linear in θ_i, so the joint bounds of fact i with the
-    interpretation are θ_i·P[θ_i=1] (fact true) and (1−θ_i)·P[θ_i=0]
-    (fact false).
+    ``bounds`` stacks the lower polynomials of ``queries`` and then
+    their upper ones.  A bound P is linear in θ_i, so the joint bounds
+    of fact i with the interpretation are θ_i·P[θ_i=1] (fact true) and
+    (1−θ_i)·P[θ_i=0] (fact false): the stack is evaluated once at each
+    of the 2·L points with one θ_i pinned.
     """
     theta = np.asarray(theta, dtype=float)
-    L = len(theta)
-    # Row i is theta with θ_i pinned to 1 (resp. 0).
-    at_one = np.tile(theta, (L, 1))
-    np.fill_diagonal(at_one, 1.0)
-    at_zero = np.tile(theta, (L, 1))
-    np.fill_diagonal(at_zero, 0.0)
-    e0 = [0.0] * L
-    e1 = [0.0] * L
-    for q, low, up in bounds:
-        for i, t in enumerate(theta.tolist()):
-            low_a = _snap(t * poly_eval(low, at_one[i]))
-            up_a = _snap(t * poly_eval(up, at_one[i]))
-            low_na = _snap((1.0 - t) * poly_eval(low, at_zero[i]))
-            up_na = _snap((1.0 - t) * poly_eval(up, at_zero[i]))
+    n = len(queries)
+    at_one = []
+    at_zero = []
+    for i in range(len(theta)):
+        point = theta.copy()
+        point[i] = 1.0
+        at_one.append(bounds.values(point))
+        point[i] = 0.0
+        at_zero.append(bounds.values(point))
+    ts = theta.tolist()
+    e0 = [0.0] * len(ts)
+    e1 = [0.0] * len(ts)
+    for k, q in enumerate(queries):
+        for i, t in enumerate(ts):
+            low_a = _snap(t * at_one[i][k])
+            up_a = _snap(t * at_one[i][n + k])
+            low_na = _snap((1.0 - t) * at_zero[i][k])
+            up_na = _snap((1.0 - t) * at_zero[i][n + k])
             try:
                 cond_a = conditional_from_joints(low_a, up_a, low_na, up_na)
                 cond_na = conditional_from_joints(low_na, up_na, low_a, up_a)
@@ -299,8 +344,9 @@ def em_expectation(
     Conditionals are the chosen bound's conditional probabilities,
     evaluated from each interpretation's lower and upper polynomials.
     """
-    bounds = _bound_polys(program, interps, cap)
-    return _expectations(program, bounds, theta, target, skip_undefined)
+    queries, lower, upper = _bound_polys(program, interps, cap)
+    bounds = PolyStack(lower + upper, len(program.learnable_indices()))
+    return _expectations(program, queries, bounds, theta, target, skip_undefined)
 
 
 def em_maximization(e: EMExpectations, prev_theta) -> tuple[float, ...]:
@@ -326,11 +372,13 @@ def learn_em(
     ``ll_trace[0]`` is the log-likelihood at the initial parameters; one
     entry is appended per EM iteration.
     """
+    _check_method(cfg, "em")
     nvars = len(program.learnable_indices())
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
-    bounds = _bound_polys(program, interps, cap)
-    polys = [low if cfg.target == "lower" else up for _q, low, up in bounds]
+    queries, lower, upper = _bound_polys(program, interps, cap)
+    bounds = PolyStack(lower + upper, nvars)
+    polys = PolyStack(lower if cfg.target == "lower" else upper, nvars)
 
     theta = tuple(program.initial_theta())
     ll = ll_objective(polys, theta, cfg.floor_prob)
@@ -338,7 +386,7 @@ def learn_em(
     converged = False
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
-        exp = _expectations(program, bounds, theta, cfg.target, cfg.skip_undefined)
+        exp = _expectations(program, queries, bounds, theta, cfg.target, cfg.skip_undefined)
         theta = em_maximization(exp, theta)
         prev_ll, ll = ll, ll_objective(polys, theta, cfg.floor_prob)
         trace.append(ll)

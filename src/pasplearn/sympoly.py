@@ -10,12 +10,20 @@ coefficient of monomial ``t`` is ``Σ_{b⊆t} (−1)^{|t|−|b|} c_b`` where
 pattern ``b`` (a signed subset-sum a.k.a. Möbius transform, computed
 with a butterfly over the 2^L table of patterns).
 
-Polynomials are immutable after construction; evaluation and gradient
-use cached flat numpy arrays (a segment per monomial, reduced with
-``np.multiply.reduceat``).  Gradients are exact: each partial is the
-polynomial with its variable removed, handled with explicit zero
-accounting so that θ components equal to 0 still differentiate
-correctly.
+Polynomials are immutable after construction and cache flat numpy
+arrays: a coefficient per monomial and a segment of variable indices
+per monomial.  :class:`PolyStack` concatenates those arrays for several
+polynomials over the same variables, so that one gather and one
+``np.multiply.reduceat`` give every monomial product of all of them at
+a point.  Each polynomial's value is then the dot product of its own
+coefficients and products, and all gradients come from one
+``np.bincount``.  :func:`poly_eval` and :func:`poly_grad` are the
+one-polynomial case.  The stack keeps each polynomial's floating-point
+operations in the order of evaluating it alone, so its numbers do not
+depend on which polynomials share the stack.  Gradients are exact: each
+partial is the polynomial with its variable removed, handled with
+explicit zero accounting so that θ components equal to 0 still
+differentiate correctly.
 """
 
 from __future__ import annotations
@@ -47,23 +55,22 @@ class SymPoly:
                     raise ValueError(f"variable {j} out of range for {self.nvars} vars")
 
     def _arrays(self):
-        """(coefs, flat var indices, segment offsets, segment lengths)."""
+        """(coefs, flat var indices, segment lengths), monomials in canonical order."""
         if self._cache is None:
-            order = sorted(self.coeffs, key=lambda m: (len(m), sorted(m)))
-            coefs = np.array([self.coeffs[m] for m in order], dtype=float)
+            order = sorted((len(m), sorted(m), c) for m, c in self.coeffs.items())
+            coefs = np.array([c for _, _, c in order], dtype=float)
             flat: list[int] = []
-            offsets: list[int] = []
-            for mono in order:
-                offsets.append(len(flat))
+            lengths: list[int] = []
+            for _, segment, _ in order:
                 # Sentinel index nvars (value pinned to 1.0) keeps the
                 # constant monomial's segment non-empty for reduceat.
-                flat.extend(sorted(mono) or [self.nvars])
-            lengths = np.diff(offsets + [len(flat)])
+                segment = segment or [self.nvars]
+                flat.extend(segment)
+                lengths.append(len(segment))
             self._cache = (
                 coefs,
                 np.array(flat, dtype=np.intp),
-                np.array(offsets, dtype=np.intp),
-                lengths,
+                np.array(lengths, dtype=np.intp),
             )
         return self._cache
 
@@ -71,45 +78,110 @@ class SymPoly:
         return poly_to_text(self)
 
 
+class PolyStack:
+    """Several polynomials over the same variables, stacked for evaluation.
+
+    The monomials of every polynomial are concatenated in order: one
+    coefficient array, one flat array of variable indices with a
+    segment per monomial, and the slice of monomials each polynomial
+    owns.  One gather and one ``reduceat`` give every monomial's product
+    at a point; each polynomial's value is then the dot product of its
+    own slice, and all gradients come from one ``bincount`` over
+    ``owner·(nvars+1)+var``.  This keeps the floating-point operations,
+    and their order, of evaluating each polynomial on its own, so the
+    numbers are bit-for-bit those of :func:`poly_eval` and
+    :func:`poly_grad` (which are the one-polynomial case).
+    """
+
+    def __init__(self, polys, nvars: int):
+        polys = list(polys)
+        for p in polys:
+            if p.nvars != nvars:
+                raise ValueError(f"polynomial over {p.nvars} vars in a stack of {nvars}")
+        self.nvars = nvars
+        parts = [p._arrays() for p in polys]
+        # The leading empty arrays keep a stack of no monomials well-typed.
+        empty = np.zeros(0, dtype=np.intp)
+        self.coefs = np.concatenate([np.zeros(0)] + [c for c, _, _ in parts])
+        self.flat = np.concatenate([empty] + [f for _, f, _ in parts])
+        self.lengths = np.concatenate([empty] + [n for _, _, n in parts])
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        owner = np.repeat(np.arange(len(polys)), [len(f) for _, f, _ in parts])
+        self._grad_index = owner * (nvars + 1) + self.flat
+        self._el_coef = np.repeat(self.coefs, self.lengths)
+        self._spans = []
+        start = 0
+        for coefs, _, _ in parts:
+            self._spans.append((start, start + len(coefs)))
+            start += len(coefs)
+        self._coef_slices = [self.coefs[s:e] for s, e in self._spans]
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    def _ext(self, theta) -> np.ndarray:
+        """theta with the sentinel 1.0 appended, after a length check."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.nvars,):
+            raise ValueError(f"expected theta of length {self.nvars}, got {theta.shape}")
+        ext = np.empty(self.nvars + 1)
+        ext[:-1] = theta
+        ext[-1] = 1.0
+        return ext
+
+    def _values(self, prods) -> list[float]:
+        return [float(c.dot(prods[s:e])) for c, (s, e) in zip(self._coef_slices, self._spans)]
+
+    def values(self, theta) -> list[float]:
+        """Value of every polynomial at theta."""
+        ext = self._ext(theta)
+        return self._values(np.multiply.reduceat(ext[self.flat], self.offsets))
+
+    def gradients(self, theta) -> tuple[list[float], np.ndarray]:
+        """Values and exact gradients (one row per polynomial) at theta.
+
+        Each partial is the polynomial with its variable removed; a θ
+        component equal to 0 is handled with explicit zero accounting
+        so that it still differentiates correctly.
+        """
+        ext = self._ext(theta)
+        vals = ext[self.flat]
+        if ext.all():
+            # No zero factor: the zero-accounting formulas below reduce
+            # to these, operation for operation.
+            prods = np.multiply.reduceat(vals, self.offsets)
+            others = np.repeat(prods, self.lengths) / vals
+        else:
+            zero = vals == 0.0
+            nz_vals = np.where(zero, 1.0, vals)
+            seg_nz_prod = np.multiply.reduceat(nz_vals, self.offsets)
+            seg_zeros = np.add.reduceat(zero.astype(np.int64), self.offsets)
+            # Per flat element: product of its monomial's *other* variables.
+            el_nz_prod = np.repeat(seg_nz_prod, self.lengths)
+            el_zeros = np.repeat(seg_zeros, self.lengths)
+            others = np.where(
+                el_zeros == 0,
+                el_nz_prod / nz_vals,
+                np.where((el_zeros == 1) & zero, el_nz_prod, 0.0),
+            )
+            # A monomial with a zero factor is 0; the rest are products
+            # of the same factors in the same order as in values().
+            prods = np.where(seg_zeros == 0, seg_nz_prod, 0.0)
+        width = self.nvars + 1
+        grads = np.bincount(
+            self._grad_index, weights=self._el_coef * others, minlength=len(self) * width
+        ).reshape(len(self), width)
+        return self._values(prods), grads[:, : self.nvars]  # sentinel column: d/d(1)
+
+
 def poly_eval(p: SymPoly, theta) -> float:
     """Value of p at theta (length must equal nvars)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (p.nvars,):
-        raise ValueError(f"expected theta of length {p.nvars}, got {theta.shape}")
-    if not p.coeffs:
-        return 0.0
-    coefs, flat, offsets, _ = p._arrays()
-    ext = np.append(theta, 1.0)
-    prods = np.multiply.reduceat(ext[flat], offsets)
-    return float(coefs @ prods)
+    return PolyStack([p], p.nvars).values(theta)[0]
 
 
 def poly_grad(p: SymPoly, theta) -> np.ndarray:
     """Exact gradient of p at theta."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (p.nvars,):
-        raise ValueError(f"expected theta of length {p.nvars}, got {theta.shape}")
-    grad = np.zeros(p.nvars + 1)
-    if not p.coeffs:
-        return grad[: p.nvars]
-    coefs, flat, offsets, lengths = p._arrays()
-    ext = np.append(theta, 1.0)
-    vals = ext[flat]
-    zero = vals == 0.0
-    nz_vals = np.where(zero, 1.0, vals)
-    seg_nz_prod = np.multiply.reduceat(nz_vals, offsets)
-    seg_zeros = np.add.reduceat(zero.astype(np.int64), offsets)
-    # Per flat element: product of its monomial's *other* variables.
-    el_nz_prod = np.repeat(seg_nz_prod, lengths)
-    el_zeros = np.repeat(seg_zeros, lengths)
-    el_coef = np.repeat(coefs, lengths)
-    others = np.where(
-        el_zeros == 0,
-        el_nz_prod / nz_vals,
-        np.where((el_zeros == 1) & zero, el_nz_prod, 0.0),
-    )
-    np.add.at(grad, flat, el_coef * others)
-    return grad[: p.nvars]  # sentinel slot holds d/d(1), discarded
+    return PolyStack([p], p.nvars).gradients(theta)[1][0]
 
 
 def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:

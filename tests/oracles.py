@@ -5,12 +5,23 @@ brute-force enumeration: full Herbrand instantiation for grounding,
 all-subsets reduct checking for stable models, and world-by-world
 summation for credal bounds.  Nothing is shared with the package's
 solver internals.
+
+The polynomial section at the end keeps the original one-polynomial
+numpy formulas for evaluation, gradient, log-likelihood and the EM
+E-step.  The package's stacked evaluation must reproduce them bit for
+bit, because the optimizer's path on a flat likelihood ridge follows
+the last bits of these numbers.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product as iproduct
 
+import numpy as np
+
+from pasplearn.credal import conditional_from_joints
+from pasplearn.errors import UndefinedConditional
 from pasplearn.model import Atom, Program, Rule, is_variable
 
 
@@ -136,3 +147,105 @@ def credal_brute(program: Program, pos, neg):
             if all(sat):
                 lower += p
     return lower, upper
+
+
+# -- one polynomial at a time ---------------------------------------------
+
+
+def _poly_arrays(p):
+    """(coefs, flat var indices, segment offsets, segment lengths)."""
+    order = sorted(p.coeffs, key=lambda m: (len(m), sorted(m)))
+    coefs = np.array([p.coeffs[m] for m in order], dtype=float)
+    flat: list[int] = []
+    offsets: list[int] = []
+    for mono in order:
+        offsets.append(len(flat))
+        flat.extend(sorted(mono) or [p.nvars])
+    lengths = np.diff(offsets + [len(flat)])
+    return coefs, np.array(flat, dtype=np.intp), np.array(offsets, dtype=np.intp), lengths
+
+
+def poly_eval_ref(p, theta) -> float:
+    theta = np.asarray(theta, dtype=float)
+    assert theta.shape == (p.nvars,)
+    if not p.coeffs:
+        return 0.0
+    coefs, flat, offsets, _ = _poly_arrays(p)
+    ext = np.append(theta, 1.0)
+    prods = np.multiply.reduceat(ext[flat], offsets)
+    return float(coefs @ prods)
+
+
+def poly_grad_ref(p, theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    assert theta.shape == (p.nvars,)
+    grad = np.zeros(p.nvars + 1)
+    if not p.coeffs:
+        return grad[: p.nvars]
+    coefs, flat, offsets, lengths = _poly_arrays(p)
+    ext = np.append(theta, 1.0)
+    vals = ext[flat]
+    zero = vals == 0.0
+    nz_vals = np.where(zero, 1.0, vals)
+    seg_nz_prod = np.multiply.reduceat(nz_vals, offsets)
+    seg_zeros = np.add.reduceat(zero.astype(np.int64), offsets)
+    el_nz_prod = np.repeat(seg_nz_prod, lengths)
+    el_zeros = np.repeat(seg_zeros, lengths)
+    el_coef = np.repeat(coefs, lengths)
+    others = np.where(
+        el_zeros == 0,
+        el_nz_prod / nz_vals,
+        np.where((el_zeros == 1) & zero, el_nz_prod, 0.0),
+    )
+    np.add.at(grad, flat, el_coef * others)
+    return grad[: p.nvars]
+
+
+def ll_objective_ref(polys, theta, floor_prob: float = 1e-12) -> float:
+    return sum(math.log(max(poly_eval_ref(p, theta), floor_prob)) for p in polys)
+
+
+def ll_gradient_ref(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:
+    grad = np.zeros(len(theta))
+    for p in polys:
+        v = poly_eval_ref(p, theta)
+        if v > floor_prob:
+            grad += poly_grad_ref(p, theta) / v
+    return grad
+
+
+def _snap(v: float) -> float:
+    if abs(v) < 1e-15:
+        return 0.0
+    return min(max(v, 0.0), 1.0)
+
+
+def expectations_ref(bounds, theta, target: str, skip_undefined: bool = False):
+    """(e0, e1) from (lower, upper) polynomial pairs, one poly_eval at a time.
+
+    Raises :class:`UndefinedConditional` where the E-step does.
+    """
+    theta = np.asarray(theta, dtype=float)
+    L = len(theta)
+    at_one = np.tile(theta, (L, 1))
+    np.fill_diagonal(at_one, 1.0)
+    at_zero = np.tile(theta, (L, 1))
+    np.fill_diagonal(at_zero, 0.0)
+    e0 = [0.0] * L
+    e1 = [0.0] * L
+    for low, up in bounds:
+        for i, t in enumerate(theta.tolist()):
+            low_a = _snap(t * poly_eval_ref(low, at_one[i]))
+            up_a = _snap(t * poly_eval_ref(up, at_one[i]))
+            low_na = _snap((1.0 - t) * poly_eval_ref(low, at_zero[i]))
+            up_na = _snap((1.0 - t) * poly_eval_ref(up, at_zero[i]))
+            try:
+                cond_a = conditional_from_joints(low_a, up_a, low_na, up_na)
+                cond_na = conditional_from_joints(low_na, up_na, low_a, up_a)
+            except UndefinedConditional:
+                if skip_undefined:
+                    continue
+                raise
+            e1[i] += getattr(cond_a, target)
+            e0[i] += getattr(cond_na, target)
+    return tuple(e0), tuple(e1)

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pasplearn.credal import conditional_from_joints
+from pasplearn.credal import check_consistency, conditional_from_joints
+from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import NoLearnableFacts, UndefinedConditional
 from pasplearn.learning import (
     EMExpectations,
@@ -13,6 +15,7 @@ from pasplearn.learning import (
     em_maximization,
     learn_em,
     learn_opt,
+    ll_gradient,
     ll_objective,
 )
 from pasplearn.model import (
@@ -24,9 +27,16 @@ from pasplearn.model import (
 )
 from pasplearn.parsing import parse_interpretations, parse_program, parse_query
 from pasplearn.rng import SplitMix64
-from pasplearn.sympoly import extract_poly
+from pasplearn.sympoly import PolyStack, SymPoly, extract_poly, poly_eval, poly_grad
 
-from oracles import credal_brute
+from oracles import (
+    credal_brute,
+    expectations_ref,
+    ll_gradient_ref,
+    ll_objective_ref,
+    poly_eval_ref,
+    poly_grad_ref,
+)
 from randprog import random_ground_program, random_query_literals
 
 COIN = "learnable(0.5)::a.\n"
@@ -56,6 +66,18 @@ def test_config_validation():
         LearnConfig(floor_prob=0.5)
     with pytest.raises(ValueError):
         LearnConfig(target="middle")
+
+
+def test_learners_refuse_config_of_the_other_method():
+    program, data = parse_program(COIN), interps(COIN_DATA)
+    with pytest.raises(ValueError, match="learn_em"):
+        learn_opt(program, data, LearnConfig(method="em"))
+
+
+def test_em_refuses_opt_config():
+    program, data = parse_program(COIN), interps(COIN_DATA)
+    with pytest.raises(ValueError, match="learn_opt"):
+        learn_em(program, data, LearnConfig(method="opt"))
 
 
 def test_ll_objective_values(learnable_graph_program):
@@ -255,6 +277,16 @@ def test_lower_vs_upper_target_differ():
     assert lo.params == (0.4, 0.6)
 
 
+def test_em_lower_target_identically_zero():
+    program = parse_program(TWO_RULE)
+    res = learn_em(program, interps("q.\n"), LearnConfig(method="em", target="lower"))
+    floor = math.log(1e-12)
+    assert res.params == (1.0, 1.0)
+    assert res.final_ll == floor
+    assert res.ll_trace == (floor, floor)
+    assert res.iterations == 1 and res.converged
+
+
 def test_bit_for_bit_reproducibility(learnable_graph_program, graph_interpretations):
     for cfg in (
         LearnConfig(seed=7, restarts=3),
@@ -297,3 +329,87 @@ def test_opt_meets_or_beats_em_on_random_programs(seed):
     except UndefinedConditional:
         return
     assert opt.final_ll >= em.final_ll - 1e-3
+
+
+# -- stacked evaluation is bit-for-bit the one-polynomial formulas --------
+
+
+def _theta_cases(nvars, seed):
+    """Random θ in (0, 1); θ of exact 0s and 1s; a mix; θ whose terms floor."""
+    rng = SplitMix64(seed).split(7)
+    rand = [rng.random() for _ in range(nvars)]
+    corners = [float(rng.randint(0, 1)) for _ in range(nvars)]
+    mixed = [c if k % 2 else r for k, (r, c) in enumerate(zip(rand, corners))]
+    tiny = [r * 1e-6 for r in rand]
+    return [rand, corners, mixed, tiny]
+
+
+def _assert_same_numbers(program, data, seed, seen):
+    """Stacked objective, gradient and E-step == the one-polynomial oracle."""
+    nvars = len(program.learnable_indices())
+    queries = [query_from_literals(i.literals) for i in data]
+    lower = [extract_poly(program, q, "lower") for q in queries]
+    upper = [extract_poly(program, q, "upper") for q in queries]
+    empty = SymPoly(nvars, {})
+    poly_sets = [lower, upper, upper + [empty] + lower, [empty] * 3]
+    for theta in _theta_cases(nvars, seed):
+        seen["zero"] += 0.0 in theta
+        for polys in poly_sets:
+            for floor in (1e-12, 5e-4):
+                for arg in (polys, PolyStack(polys, nvars)):
+                    assert ll_objective(arg, theta, floor) == ll_objective_ref(
+                        polys, theta, floor
+                    )
+                    got = ll_gradient(arg, theta, floor)
+                    assert got.tolist() == ll_gradient_ref(polys, theta, floor).tolist()
+            for p in polys:
+                value = poly_eval(p, theta)
+                assert value == poly_eval_ref(p, theta)
+                assert poly_grad(p, theta).tolist() == poly_grad_ref(p, theta).tolist()
+                seen["floored"] += value <= 1e-12
+                seen["empty"] += not p.coeffs
+        for target in ("lower", "upper"):
+            for skip in (False, True):
+                try:
+                    want = expectations_ref(zip(lower, upper), theta, target, skip)
+                except UndefinedConditional:
+                    with pytest.raises(UndefinedConditional):
+                        em_expectation(program, data, theta, target)
+                    continue
+                got = em_expectation(program, data, theta, target, skip_undefined=skip)
+                assert (got.e0, got.e1) == want
+                seen["estep"] += 1
+
+
+def test_stacked_numbers_equal_one_polynomial_formulas_on_random_programs():
+    seen = {"zero": 0, "floored": 0, "empty": 0, "estep": 0}
+    programs = 0
+    seed = 0
+    while programs < 40:
+        seed += 1
+        program = random_ground_program(seed)
+        if not program.learnable_indices() or check_consistency(program) != 0:
+            continue
+        data = []
+        for k in range(3):
+            pos, neg = random_query_literals(seed + 1000 * k, program)
+            if not set(pos) & set(neg):
+                data.append(
+                    Interpretation(
+                        tuple(Literal(a) for a in pos)
+                        + tuple(Literal(a, False) for a in neg)
+                    )
+                )
+        _assert_same_numbers(program, data, seed, seen)
+        programs += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("family,size", [("path", 8), ("shop", 8), ("smoke", 2)])
+def test_stacked_numbers_equal_one_polynomial_formulas_on_generated_cells(family, size):
+    program, data = generate(
+        DatasetSpec(family=family, size=size, num_interpretations=10, seed=0)
+    )
+    seen = {"zero": 0, "floored": 0, "empty": 0, "estep": 0}
+    _assert_same_numbers(program, data, 0, seen)
+    assert seen["zero"] and seen["floored"] and seen["estep"], seen
