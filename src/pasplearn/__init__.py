@@ -68,7 +68,6 @@ from .parsing import (
     program_to_text,
 )
 from .rng import SplitMix64
-from .stable import ModelSet, answer_sets
 from .sympoly import (
     SymPoly,
     extract_poly,
@@ -96,7 +95,6 @@ __all__ = [
     "LearnConfig",
     "LearnResult",
     "Literal",
-    "ModelSet",
     "NoLearnableFacts",
     "NonGroundInterpretation",
     "PaspError",
@@ -113,7 +111,6 @@ __all__ = [
     "UndefinedConditional",
     "UnsafeRule",
     "WorldModels",
-    "answer_sets",
     "check_consistency",
     "conditional_from_joints",
     "credal_conditional",

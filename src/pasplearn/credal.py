@@ -40,9 +40,11 @@ class CredalBounds:
 class WorldModels:
     """All answer sets of all worlds, in world-index order.
 
-    ``model_masks[i]`` holds the stable-model bit masks of world ``i``
-    (possibly empty: :meth:`raise_if_inconsistent` fails fast on such a
-    world, :func:`check_consistency` counts them).
+    ``model_masks[i]`` holds the stable models of world ``i``, sorted
+    ascending and possibly empty (:meth:`raise_if_inconsistent` fails
+    fast on such a world, :func:`check_consistency` counts them).  A
+    model is an atom mask: ground atom ``k`` of ``gp`` is in it iff bit
+    ``n_atoms - 1 - k`` is set.
     """
 
     program: Program
@@ -133,27 +135,23 @@ class WorldModels:
 
 
 @lru_cache(maxsize=8)
-def _world_models(program: Program, cap: int) -> WorldModels:
-    n = program.n_prob_facts
-    if n > cap:
-        raise CapExceeded(n, cap)
+def _world_models(program: Program) -> WorldModels:
     gp = ground(program)
     solver = StableSolver(gp)
-    masks = []
-    for i in range(1 << n):
-        # World index reads the selection MSB-first; the solver mask is
-        # indexed by fact id, i.e. bit-reversed.
-        world_mask = 0
-        for j in range(n):
-            if i >> (n - 1 - j) & 1:
-                world_mask |= 1 << j
-        masks.append(solver.models_for_mask(world_mask))
-    return WorldModels(program, gp, tuple(masks))
+    masks = tuple(solver.models_for_world(i) for i in range(1 << program.n_prob_facts))
+    return WorldModels(program, gp, masks)
 
 
-def world_models(program: Program, cap: int | None = None) -> WorldModels:
-    """Cached all-worlds answer-set pass for a program."""
-    return _world_models(program, world_cap(cap))
+def world_models(program: Program) -> WorldModels:
+    """Cached all-worlds answer-set pass for a program.
+
+    Raises :class:`CapExceeded`, before any world is solved, when the
+    program has more probabilistic facts than :func:`world_cap` allows.
+    """
+    n, cap = program.n_prob_facts, world_cap()
+    if n > cap:
+        raise CapExceeded(n, cap)
+    return _world_models(program)
 
 
 def world_weights(factors) -> np.ndarray:
@@ -180,11 +178,9 @@ def _probability_weights(program: Program, theta=None) -> np.ndarray:
     return world_weights([(1.0 - p, p) for p in probs])
 
 
-def credal_query(
-    program: Program, q: Query, theta=None, cap: int | None = None
-) -> CredalBounds:
+def credal_query(program: Program, q: Query, theta=None) -> CredalBounds:
     """Lower/upper probability of a conjunctive query."""
-    all_sat, some_sat = world_models(program, cap).satisfaction(q)
+    all_sat, some_sat = world_models(program).satisfaction(q)
     weights = _probability_weights(program, theta)
     return CredalBounds(float(weights @ all_sat), float(weights @ some_sat))
 
@@ -225,10 +221,10 @@ def conditional_flags(
 
 
 def _conditional_joints(
-    program: Program, q: Query, e: Query, theta=None, cap: int | None = None
+    program: Program, q: Query, e: Query, theta=None
 ) -> tuple[float, float, float, float]:
     """(lowP(q,e), upP(q,e), lowP(¬q,e), upP(¬q,e))."""
-    flags = conditional_flags(world_models(program, cap), q, e)
+    flags = conditional_flags(world_models(program), q, e)
     weights = _probability_weights(program, theta)
     return tuple(float(weights @ flag) for flag in flags)
 
@@ -255,14 +251,12 @@ def conditional_from_joints(
     return CredalBounds(lower, upper)
 
 
-def credal_conditional(
-    program: Program, q: Query, e: Query, theta=None, cap: int | None = None
-) -> CredalBounds:
+def credal_conditional(program: Program, q: Query, e: Query, theta=None) -> CredalBounds:
     """Conditional lower/upper probability of q given evidence e."""
-    joints = _conditional_joints(program, q, e, theta, cap)
+    joints = _conditional_joints(program, q, e, theta)
     return conditional_from_joints(*joints, context=f"{q} | {e}")
 
 
-def check_consistency(program: Program, cap: int | None = None) -> int:
+def check_consistency(program: Program) -> int:
     """Number of worlds with no answer set (0 = semantics applies)."""
-    return world_models(program, cap).model_masks.count(())
+    return world_models(program).model_masks.count(())

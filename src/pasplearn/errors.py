@@ -76,7 +76,7 @@ class CapExceeded(PaspError):
         self.cap = cap
         super().__init__(
             f"{n_facts} probabilistic facts exceed the world cap {cap} "
-            f"(2^{n_facts} worlds); raise the cap explicitly to proceed"
+            f"(2^{n_facts} worlds); set PASP_WORLD_CAP to raise it"
         )
 
 

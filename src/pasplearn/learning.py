@@ -216,7 +216,6 @@ def learn_opt(
     program: Program,
     interps: list[Interpretation],
     cfg: LearnConfig,
-    cap: int | None = None,
 ) -> LearnResult:
     """Maximize the log-likelihood over [0,1]^L by multi-start search.
 
@@ -230,7 +229,7 @@ def learn_opt(
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
     polys = PolyStack(
-        [extract_poly(program, interpretation_query(i), cfg.target, cap) for i in interps],
+        [extract_poly(program, interpretation_query(i), cfg.target) for i in interps],
         nvars,
     )
 
@@ -267,11 +266,11 @@ def learn_opt(
 # -- expectation maximization ------------------------------------------
 
 
-def _bound_polys(program: Program, interps, cap: int | None):
+def _bound_polys(program: Program, interps):
     """Interpretation queries, their lower polynomials and their upper ones."""
     queries = [interpretation_query(i) for i in interps]
-    lower = [extract_poly(program, q, "lower", cap) for q in queries]
-    upper = [extract_poly(program, q, "upper", cap) for q in queries]
+    lower = [extract_poly(program, q, "lower") for q in queries]
+    upper = [extract_poly(program, q, "upper") for q in queries]
     return queries, lower, upper
 
 
@@ -336,7 +335,6 @@ def em_expectation(
     interps: list[Interpretation],
     theta,
     target: str = "upper",
-    cap: int | None = None,
     skip_undefined: bool = False,
 ) -> EMExpectations:
     """Expected counts: e1_i = Σ_I P(a_i | I), e0_i = Σ_I P(not a_i | I).
@@ -344,7 +342,7 @@ def em_expectation(
     Conditionals are the chosen bound's conditional probabilities,
     evaluated from each interpretation's lower and upper polynomials.
     """
-    queries, lower, upper = _bound_polys(program, interps, cap)
+    queries, lower, upper = _bound_polys(program, interps)
     bounds = PolyStack(lower + upper, len(program.learnable_indices()))
     return _expectations(program, queries, bounds, theta, target, skip_undefined)
 
@@ -365,7 +363,6 @@ def learn_em(
     program: Program,
     interps: list[Interpretation],
     cfg: LearnConfig,
-    cap: int | None = None,
 ) -> LearnResult:
     """EM loop: expectations / update / log-likelihood until |ΔLL| < eps_ll.
 
@@ -376,7 +373,7 @@ def learn_em(
     nvars = len(program.learnable_indices())
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
-    queries, lower, upper = _bound_polys(program, interps, cap)
+    queries, lower, upper = _bound_polys(program, interps)
     bounds = PolyStack(lower + upper, nvars)
     polys = PolyStack(lower if cfg.target == "lower" else upper, nvars)
 

@@ -24,8 +24,7 @@ from typing import Union
 Term = Union[str, int]
 
 #: Default bound on the number of probabilistic facts for exhaustive
-#: world enumeration; may be overridden via the PASP_WORLD_CAP
-#: environment variable or an explicit ``cap=`` argument.
+#: world enumeration; the PASP_WORLD_CAP environment variable overrides it.
 DEFAULT_WORLD_CAP = 24
 
 
@@ -70,9 +69,6 @@ class Literal:
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
-
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
 
     def substitute(self, binding: dict[str, Term]) -> "Literal":
         return Literal(self.atom.substitute(binding), self.positive)
@@ -162,10 +158,8 @@ class Program:
         return tuple(pf.prob for pf in self.prob_facts if pf.learnable)
 
 
-def world_cap(cap: int | None = None) -> int:
-    """Effective world cap: explicit arg, else PASP_WORLD_CAP, else default."""
-    if cap is not None:
-        return cap
+def world_cap() -> int:
+    """Effective world cap: PASP_WORLD_CAP if set, else the default."""
     env = os.environ.get("PASP_WORLD_CAP")
     if env is not None:
         return int(env)

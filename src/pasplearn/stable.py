@@ -3,12 +3,20 @@
 The solver branches on unassigned atoms with unit propagation over the
 rule completion: a completed body forces its head true, a false head
 with one pending body literal falsifies that literal, and an atom whose
-support rules are all refuted is forced false.  Programs whose positive
-dependency graph is cyclic additionally get an unfounded-set check at
-every node (atoms with no optimistic derivation are forced false), so
-positive loops never turn into fruitless branching.  Every total
-candidate is verified with an independent Gelfond–Lifschitz reduct
-check: compute the least model of the reduct and compare.
+support rules are all refuted is forced false.  Each rule keeps two
+counters: ``block`` counts its refuted body literals and ``negblock``
+its true negated atoms.  Trail entries before ``qhead`` have had their
+counter updates applied completely, so backtracking reverts exactly
+those entries.
+
+One routine, :meth:`StableSolver._derived`, computes the least model of
+the rules whose given counter is zero, from the rules without positive
+body and the true probabilistic atoms upward.  Programs whose positive
+dependency graph is cyclic use it with ``block`` at every node, forcing
+atoms with no optimistic derivation false, so positive loops never turn
+into fruitless branching.  Every total candidate is verified with it
+too, using ``negblock``: that is the least model of the
+Gelfond–Lifschitz reduct, which must equal the candidate.
 
 Constraints are rules whose head is a reserved false atom, pinned false
 up front; any candidate deriving it fails the reduct comparison, so
@@ -17,42 +25,15 @@ constraint violations can never be reported as models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .grounding import GroundProgram
 
 _UNASSIGNED, _FALSE, _TRUE = -1, 0, 1
-
-
-@dataclass(frozen=True)
-class ModelSet:
-    """Stable models as atom-index bit vectors.
-
-    ``masks[k]`` has bit ``n_atoms - 1 - i`` set iff atom ``i`` is in
-    model ``k`` (atom 0 is the most significant bit, so ascending
-    numeric order equals lexicographic order on the bit vectors).
-    Masks are sorted ascending and pairwise distinct.
-    """
-
-    masks: tuple[int, ...]
-    n_atoms: int
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def atom_sets(self, gp: GroundProgram) -> list[frozenset]:
-        n = self.n_atoms
-        return [
-            frozenset(a for i, a in enumerate(gp.atoms) if m >> (n - 1 - i) & 1)
-            for m in self.masks
-        ]
 
 
 class StableSolver:
     """Reusable solver for one ground program across many worlds."""
 
     def __init__(self, gp: GroundProgram):
-        self.gp = gp
         n = gp.n_atoms
         self.n_atoms = n
         self.false_atom = n  # reserved head for constraints, pinned false
@@ -114,8 +95,17 @@ class StableSolver:
 
     # -- solving ---------------------------------------------------------
 
-    def models_for_mask(self, world_mask: int) -> tuple[int, ...]:
-        """Sorted stable-model masks of the program under one total choice."""
+    def models_for_world(self, world: int) -> tuple[int, ...]:
+        """Stable models of the program in one world, as atom masks.
+
+        ``world`` is a world index, the package's one world encoding:
+        with ``n`` probabilistic facts, fact ``j`` (declaration order) is
+        true iff bit ``n - 1 - j`` is set.  A returned mask has bit
+        ``n_atoms - 1 - i`` set iff ground atom ``i`` is in the model
+        (atom 0 is the most significant bit, so ascending masks are in
+        lexicographic order on the bit vectors).  The masks are sorted
+        ascending and pairwise distinct.
+        """
         self.assign = [_UNASSIGNED] * self.n_total
         self.trail: list[int] = []
         self.qhead = 0
@@ -125,21 +115,12 @@ class StableSolver:
         self.models: list[int] = []
         self.assign[self.false_atom] = _FALSE
         self.trail.append(self.false_atom)
-        ok = True
-        for j in self.prob_ids:
-            if not self._set(j, _TRUE if world_mask >> j & 1 else _FALSE):
-                ok = False
-                break
-        if ok:
-            for a in self.never_supported:
-                if not self._set(a, _FALSE):
-                    ok = False
-                    break
-        if ok:
-            for r in self.zero_pos_rules:
-                if not self._examine(r):
-                    ok = False
-                    break
+        top = len(self.prob_ids) - 1
+        ok = (
+            all(self._set(j, _TRUE if world >> (top - j) & 1 else _FALSE) for j in self.prob_ids)
+            and all(self._set(a, _FALSE) for a in self.never_supported)
+            and all(self._examine(r) for r in self.zero_pos_rules)
+        )
         if ok and self._propagate():
             self._search()
         self.models.sort()
@@ -154,6 +135,9 @@ class StableSolver:
         return True
 
     def _undo_to(self, mark: int) -> None:
+        # Entries before qhead are fully applied (see _unit_propagate), so
+        # each popped consumed entry reverts all its counter updates and
+        # an unconsumed one reverts none.
         assign, trail, block, sup = self.assign, self.trail, self.block, self.sup
         negblock = self.negblock
         while len(trail) > mark:
@@ -161,7 +145,6 @@ class StableSolver:
             value = assign[atom]
             assign[atom] = _UNASSIGNED
             if self.qhead > len(trail):
-                # Counters were only updated for consumed trail entries.
                 if value == _FALSE:
                     occ = self.occ_pos[atom]
                 else:
@@ -204,6 +187,9 @@ class StableSolver:
                 return False
 
     def _unit_propagate(self) -> bool:
+        # Invariant: entries before qhead are fully applied.  Consuming an
+        # entry updates every counter it touches before a conflict is
+        # reported, because _undo_to reverts consumed entries wholesale.
         assign = self.assign
         trail = self.trail
         block = self.block
@@ -220,6 +206,7 @@ class StableSolver:
                 blocking, watching = self.occ_neg[atom], self.occ_pos[atom]
                 for r in blocking:
                     negblock[r] += 1
+            lost = False
             for r in blocking:
                 block[r] += 1
                 if block[r] == 1:
@@ -227,9 +214,11 @@ class StableSolver:
                     sup[h] -= 1
                     if sup[h] == 0:
                         if assign[h] == _TRUE:
-                            return False  # true atom lost its last support
-                        if assign[h] == _UNASSIGNED and not self._set(h, _FALSE):
-                            return False
+                            lost = True  # true atom lost its last support
+                        elif assign[h] == _UNASSIGNED:
+                            self._set(h, _FALSE)
+            if lost:
+                return False
             for r in watching:
                 if block[r] == 0 and not self._examine(r):
                     return False
@@ -265,48 +254,56 @@ class StableSolver:
             return self._set(last_atom, _FALSE if last_positive else _TRUE)
         return True
 
+    def _derived(self, counts: list[int]) -> bytearray:
+        """Least model of the rules whose entry in ``counts`` is zero.
+
+        Seeded by those rules with no positive body and by the true
+        probabilistic atoms, then closed over positive bodies.  Entry
+        ``i`` of the result is 1 iff atom ``i`` is derived.
+        """
+        assign = self.assign
+        heads = self.heads
+        occ_pos = self.occ_pos
+        cnt = list(self.base_cnt)
+        derived = bytearray(self.n_total)
+        stack: list[int] = []
+        for r in self.zero_pos_rules:
+            if counts[r] == 0 and not derived[heads[r]]:
+                derived[heads[r]] = 1
+                stack.append(heads[r])
+        for j in self.prob_ids:
+            if assign[j] == _TRUE and not derived[j]:
+                derived[j] = 1
+                stack.append(j)
+        while stack:
+            for r in occ_pos[stack.pop()]:
+                if counts[r] == 0:
+                    cnt[r] -= 1
+                    if cnt[r] == 0:
+                        h = heads[r]
+                        if not derived[h]:
+                            derived[h] = 1
+                            stack.append(h)
+        return derived
+
     def _prune_unfounded(self) -> bool:
         """Force atoms with no optimistic derivation to false.
 
         An atom can belong to a stable extension of the current
         assignment only if it is derivable through rules that are not
-        blocked, from the true probabilistic facts upward.  Assigned-true
-        atoms are not self-justifying here, so this also catches atoms
-        whose truth was decided by branching but whose support has since
-        collapsed into an unfounded loop.
+        blocked.  Assigned-true atoms are not self-justifying here, so
+        this also catches atoms whose truth was decided by branching but
+        whose support has since collapsed into an unfounded loop.
         """
+        derived = self._derived(self.block)
         assign = self.assign
-        block = self.block
-        heads = self.heads
-        cnt = list(self.base_cnt)
-        derivable = bytearray(self.n_total)
-        stack: list[int] = []
-        for r in self.zero_pos_rules:
-            if block[r] == 0 and not derivable[heads[r]]:
-                derivable[heads[r]] = 1
-                stack.append(heads[r])
-        for j in self.prob_ids:
-            if assign[j] == _TRUE and not derivable[j]:
-                derivable[j] = 1
-                stack.append(j)
-        occ_pos = self.occ_pos
-        while stack:
-            atom = stack.pop()
-            for r in occ_pos[atom]:
-                if block[r] == 0:
-                    cnt[r] -= 1
-                    if cnt[r] == 0:
-                        h = heads[r]
-                        if not derivable[h]:
-                            derivable[h] = 1
-                            stack.append(h)
         for atom in range(self.n_atoms):
-            if not derivable[atom]:
+            if not derived[atom]:
                 v = assign[atom]
                 if v == _TRUE:
                     return False
-                if v == _UNASSIGNED and not self._set(atom, _FALSE):
-                    return False
+                if v == _UNASSIGNED:
+                    self._set(atom, _FALSE)
         return True
 
     # -- verification ------------------------------------------------------
@@ -314,61 +311,12 @@ class StableSolver:
     def _check_leaf(self) -> None:
         # Gelfond–Lifschitz check: the least model of the reduct must equal
         # the candidate.  The negblock counters are current at a leaf, so
-        # a rule is in the reduct iff no negated body atom is true.
-        assign = self.assign
-        heads = self.heads
-        negblock = self.negblock
-        cnt = list(self.base_cnt)
-        least = bytearray(self.n_total)
-        stack: list[int] = []
-        for r in self.zero_pos_rules:
-            if negblock[r] == 0:
-                h = heads[r]
-                if not least[h]:
-                    least[h] = 1
-                    stack.append(h)
-        for j in self.prob_ids:
-            if assign[j] == _TRUE and not least[j]:
-                least[j] = 1
-                stack.append(j)
-        occ_pos = self.occ_pos
-        while stack:
-            atom = stack.pop()
-            for r in occ_pos[atom]:
-                if negblock[r] == 0:
-                    cnt[r] -= 1
-                    if cnt[r] == 0:
-                        h = heads[r]
-                        if not least[h]:
-                            least[h] = 1
-                            stack.append(h)
-        if least[self.false_atom]:
+        # a rule is in the reduct iff its negblock is zero.
+        least = self._derived(self.negblock)
+        candidate = bytes(self.assign[: self.n_atoms])  # 0 or 1 at a leaf
+        if least[self.false_atom] or least[: self.n_atoms] != candidate:
             return
-        for i in range(self.n_atoms):
-            if (assign[i] == _TRUE) != least[i]:
-                return
-        self.models.append(self._mask(assign))
-
-    def _mask(self, assign) -> int:
-        n = self.n_atoms
-        m = 0
-        for i in range(n):
-            if assign[i] == _TRUE:
-                m |= 1 << (n - 1 - i)
-        return m
-
-
-def answer_sets(gp: GroundProgram, world_facts) -> ModelSet:
-    """All stable models of ``gp`` with the given probabilistic atoms true.
-
-    ``world_facts`` may contain Atom objects or probabilistic-atom
-    indices.  Models are returned in ascending mask order (lexicographic
-    on bit vectors).
-    """
-    mask = 0
-    for f in world_facts:
-        j = f if isinstance(f, int) else gp.atom_index[f]
-        if not 0 <= j < len(gp.prob_atom_ids):
-            raise ValueError(f"atom index {j} is not a probabilistic atom")
-        mask |= 1 << j
-    return ModelSet(StableSolver(gp).models_for_mask(mask), gp.n_atoms)
+        mask = 0
+        for bit in candidate:  # atom 0 ends up the most significant bit
+            mask = mask << 1 | bit
+        self.models.append(mask)

@@ -207,14 +207,14 @@ def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:
 # -- extraction from world enumeration ---------------------------------
 
 
-def poly_from_world_flags(program: Program, flags, cap: int | None = None) -> SymPoly:
+def poly_from_world_flags(program: Program, flags) -> SymPoly:
     """Polynomial ``Σ_w flags[w] · k_w · Π_{j∈w} π_j · Π_{j∉w} (1−π_j)``.
 
     ``flags[w]`` marks the contributing worlds (by world index); the
     result is over the program's learnable parameters in declaration
     order, in canonical monomial form.
     """
-    wm = world_models(program, cap)
+    wm = world_models(program)
     patterns, k_w = wm.support_arrays()
     nvars = len(program.learnable_indices())
     mask = np.asarray(flags, dtype=bool)
@@ -234,7 +234,7 @@ def poly_from_world_flags(program: Program, flags, cap: int | None = None) -> Sy
     return SymPoly(nvars, coeffs)
 
 
-def extract_poly(program: Program, q: Query, bound: str, cap: int | None = None) -> SymPoly:
+def extract_poly(program: Program, q: Query, bound: str) -> SymPoly:
     """Symbolic lower/upper probability of a query.
 
     ``bound`` is ``"lower"`` or ``"upper"``.  Worlds contribute to the
@@ -244,7 +244,7 @@ def extract_poly(program: Program, q: Query, bound: str, cap: int | None = None)
     """
     if bound not in ("lower", "upper"):
         raise ValueError(f"bound must be 'lower' or 'upper', got {bound!r}")
-    wm = world_models(program, cap)
+    wm = world_models(program)
     all_sat, some_sat = wm.satisfaction(q)
     flags = all_sat if bound == "lower" else some_sat
-    return poly_from_world_flags(program, flags, cap)
+    return poly_from_world_flags(program, flags)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from pasplearn.parsing import parse_interpretations, parse_program
+from pasplearn.stable import StableSolver
 
 settings.register_profile(
     "suite",
@@ -19,6 +20,25 @@ path(X,Y) :- connected(X,Y).
 connected(X,Y) :- edge(X,Y), not nconnected(X,Y).
 nconnected(X,Y) :- edge(X,Y), not connected(X,Y).
 """
+
+
+def stable_models(gp, world_facts=()) -> list[frozenset]:
+    """The package solver's stable models of ``gp`` as atom sets.
+
+    ``world_facts`` are the probabilistic atoms true in the world; the
+    sets come in the solver's ascending mask order.
+    """
+    n = len(gp.prob_atom_ids)
+    world = 0
+    for atom in world_facts:
+        j = gp.atom_index[atom]
+        assert j < n, f"{atom} is not a probabilistic fact"
+        world |= 1 << (n - 1 - j)
+    top = gp.n_atoms - 1
+    return [
+        frozenset(a for k, a in enumerate(gp.atoms) if m >> (top - k) & 1)
+        for m in StableSolver(gp).models_for_world(world)
+    ]
 
 
 @pytest.fixture

@@ -127,7 +127,8 @@ def test_infer_undefined_conditional_exit_3(tmp_path):
 def test_infer_world_cap_env(graph_file, monkeypatch, capsys):
     monkeypatch.setenv("PASP_WORLD_CAP", "2")
     assert main(["infer", "--program", graph_file, "--query", "path(1,4)"]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "PASP_WORLD_CAP" in err
     monkeypatch.setenv("PASP_WORLD_CAP", "3")
     assert main(["infer", "--program", graph_file, "--query", "path(1,4)"]) == 0
 

@@ -99,11 +99,12 @@ def test_conditional_from_joints_clauses():
     assert b.upper == pytest.approx(0.2)
 
 
-def test_world_cap_respected():
+def test_world_cap_respected(monkeypatch):
+    monkeypatch.setenv("PASP_WORLD_CAP", "3")
     facts = "\n".join(f"0.5::f{i}." for i in range(4))
     program = parse_program(facts)
     with pytest.raises(CapExceeded):
-        credal_query(program, q("f0"), cap=3)
+        credal_query(program, q("f0"))
 
 
 def test_conjunction_never_widens_bounds(graph_program):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from pasplearn.errors import HeadIsProbFact, UnsafeRule
 from pasplearn.grounding import ground
 from pasplearn.parsing import parse_program
-from pasplearn.stable import answer_sets
 
+from conftest import stable_models
 from oracles import naive_ground, rule_universe, stable_models_brute, worlds_brute
 from randprog import random_ground_program, random_var_program
 
@@ -69,9 +69,6 @@ def test_ground_models_match_naive_grounding(seed):
     if len(universe) > 10:
         return
     for bits, chosen, _p in worlds_brute(program):
-        fast = {
-            frozenset(m)
-            for m in answer_sets(gp, [pf.atom for pf, b in zip(program.prob_facts, bits) if b]).atom_sets(gp)
-        }
+        fast = set(stable_models(gp, [pf.atom for pf, b in zip(program.prob_facts, bits) if b]))
         brute = {frozenset(m) for m in stable_models_brute(naive_rules, chosen, universe)}
         assert fast == brute
