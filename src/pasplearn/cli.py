@@ -251,8 +251,12 @@ def cmd_bench(args) -> RunReport:
             _int_list(args.seeds),
         )
     )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    # The pool starts all its workers at once, so never more than cells.
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, cells))
     else:
         rows = [_bench_cell(cell) for cell in cells]
@@ -355,7 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", required=True, help="opt-gradient,opt-dfree,em")
     p_bench.add_argument("--seeds", required=True, help="comma-separated ints")
     p_bench.add_argument("--out", help="CSV path (default: stdout)")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per cell"
+    )
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -8,10 +8,14 @@ evaluation fails fast with :class:`InconsistentWorld` on the first
 world violating this (:func:`check_consistency` counts them instead).
 
 The per-world answer sets depend only on the program structure, not on
-the probability values, so they are computed once per program and
-reused across queries, bounds, parameter values, and learning passes.
-Every number then follows from per-world flags: a bound is the dot
-product of the flags with the world weights of :func:`world_weights`.
+the probability values, so one search of the solver computes them once
+per program, and they are reused across queries, bounds, parameter
+values, and learning passes.  They are stored as packed bit rows, one
+per answer set, grouped by world.  A query's per-row truth is one
+column test per literal, and its per-world flags are ``logical_and``
+and ``logical_or`` reductions over each world's rows.  Every number
+then follows from per-world flags: a bound is the dot product of the
+flags with the world weights of :func:`world_weights`.
 """
 
 from __future__ import annotations
@@ -40,21 +44,42 @@ class CredalBounds:
 class WorldModels:
     """All answer sets of all worlds, in world-index order.
 
-    ``model_masks[i]`` holds the stable models of world ``i``, sorted
-    ascending and possibly empty (:meth:`raise_if_inconsistent` fails
-    fast on such a world, :func:`check_consistency` counts them).  A
-    model is an atom mask: ground atom ``k`` of ``gp`` is in it iff bit
-    ``n_atoms - 1 - k`` is set.
+    World ``i`` has ``counts[i]`` answer sets, possibly none
+    (:meth:`raise_if_inconsistent` fails fast on such a world,
+    :func:`check_consistency` counts them).  They are rows
+    ``starts[i]`` to ``starts[i] + counts[i] - 1`` of ``rows``, in
+    ascending order.  A row packs one answer set with ``np.packbits``:
+    ground atom ``k`` of ``gp`` is in it iff bit ``0x80 >> (k & 7)`` of
+    byte ``k >> 3`` is set.
     """
 
     program: Program
     gp: GroundProgram
-    model_masks: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)
     _support: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.starts = np.cumsum(self.counts) - self.counts
 
     @property
     def n_atoms(self) -> int:
         return self.gp.n_atoms
+
+    @property
+    def model_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Every world's answer sets as atom masks, rebuilt on each access.
+
+        Ground atom ``k`` is in a mask iff bit ``n_atoms - 1 - k`` is
+        set.  This is a view for inspection and for counting answer
+        sets; the package itself reads ``counts`` and ``rows``.
+        """
+        shift = 8 * self.rows.shape[1] - self.n_atoms
+        masks = [int.from_bytes(row, "big") >> shift for row in map(bytes, self.rows)]
+        return tuple(
+            tuple(masks[s : s + c]) for s, c in zip(self.starts.tolist(), self.counts.tolist())
+        )
 
     def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Per world: learnable inclusion pattern and fixed-fact product.
@@ -81,34 +106,45 @@ class WorldModels:
 
     def raise_if_inconsistent(self) -> None:
         """Raise :class:`InconsistentWorld` on the first world without answer sets."""
-        try:
-            i = self.model_masks.index(())
-        except ValueError:
+        empty = np.flatnonzero(self.counts == 0)
+        if empty.size == 0:
             return
+        i = int(empty[0])
         n = self.program.n_prob_facts
         raise InconsistentWorld(i, tuple(i >> (n - 1 - j) & 1 for j in range(n)))
 
-    def query_masks(self, query: Query) -> tuple[int, int, bool]:
-        """(positive mask, negative mask, satisfiable) for mask testing.
+    def satisfying_rows(self, query: Query) -> np.ndarray:
+        """Per answer set: does it satisfy the conjunctive query?
 
-        Query atoms outside the relevant ground base are never true in
-        any model: a positive occurrence makes the query unsatisfiable,
-        a negative occurrence is vacuously satisfied and dropped.
+        One column test per literal.  Query atoms outside the relevant
+        ground base are in no answer set: a positive occurrence makes
+        every row fail, a negative one holds in every row.
         """
-        n = self.n_atoms
         idx = self.gp.atom_index
-        pos_mask = 0
+        sat = np.ones(len(self.rows), dtype=bool)
         for atom in query.positives:
-            i = idx.get(atom)
-            if i is None:
-                return 0, 0, False
-            pos_mask |= 1 << (n - 1 - i)
-        neg_mask = 0
+            k = idx.get(atom)
+            if k is None:
+                return np.zeros(len(self.rows), dtype=bool)
+            sat &= (self.rows[:, k >> 3] & (0x80 >> (k & 7))) != 0
         for atom in query.negatives:
-            i = idx.get(atom)
-            if i is not None:
-                neg_mask |= 1 << (n - 1 - i)
-        return pos_mask, neg_mask, True
+            k = idx.get(atom)
+            if k is not None:
+                sat &= (self.rows[:, k >> 3] & (0x80 >> (k & 7))) == 0
+        return sat
+
+    def all_and_some(self, row_flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per world: do all of its rows hold, does some row hold?
+
+        Only for a program whose every world has an answer set: the
+        reduction over an empty world would read the next world's first
+        row, or fail past the last one, so callers check
+        :meth:`raise_if_inconsistent` first.
+        """
+        return (
+            np.logical_and.reduceat(row_flags, self.starts),
+            np.logical_or.reduceat(row_flags, self.starts),
+        )
 
     def satisfaction(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
         """Per-world flags (all answer sets satisfy, some answer set satisfies).
@@ -117,29 +153,16 @@ class WorldModels:
         answer sets.
         """
         self.raise_if_inconsistent()
-        pos_mask, neg_mask, possible = self.query_masks(query)
-        n_worlds = len(self.model_masks)
-        all_sat = bytearray(n_worlds)
-        some_sat = bytearray(n_worlds)
-        if possible:
-            for i, masks in enumerate(self.model_masks):
-                every, some = True, False
-                for m in masks:
-                    if m & pos_mask == pos_mask and m & neg_mask == 0:
-                        some = True
-                    else:
-                        every = False
-                all_sat[i] = every
-                some_sat[i] = some
-        return np.frombuffer(all_sat, dtype=bool), np.frombuffer(some_sat, dtype=bool)
+        return self.all_and_some(self.satisfying_rows(query))
 
 
 @lru_cache(maxsize=8)
 def _world_models(program: Program) -> WorldModels:
     gp = ground(program)
-    solver = StableSolver(gp)
-    masks = tuple(solver.models_for_world(i) for i in range(1 << program.n_prob_facts))
-    return WorldModels(program, gp, masks)
+    counts, rows = StableSolver(gp).all_worlds()
+    counts = np.array(counts, dtype=np.int64)
+    unpacked = np.frombuffer(rows, dtype=np.uint8).reshape(int(counts.sum()), gp.n_atoms)
+    return WorldModels(program, gp, counts, np.packbits(unpacked, axis=1))
 
 
 def world_models(program: Program) -> WorldModels:
@@ -191,33 +214,14 @@ def conditional_flags(
     """Per-world flags (all q∧e, some q∧e, all ¬q∧e, some ¬q∧e).
 
     ¬q of a conjunction is not itself a conjunction, so the complement
-    flags are computed directly from per-model satisfaction.
+    flags come from the per-answer-set rows: e holds and q does not.
+    Raises :class:`InconsistentWorld` on the first world without
+    answer sets.
     """
     wm.raise_if_inconsistent()
-    q_pos, q_neg, q_possible = wm.query_masks(q)
-    e_pos, e_neg, e_possible = wm.query_masks(e)
-    n = len(wm.model_masks)
-    flags = tuple(bytearray(n) for _ in range(4))
-    all_qe_f, some_qe_f, all_nqe_f, some_nqe_f = flags
-    for i, masks in enumerate(wm.model_masks):
-        all_qe = all_nqe = True
-        some_qe = some_nqe = False
-        for m in masks:
-            sat_e = e_possible and m & e_pos == e_pos and m & e_neg == 0
-            sat_q = q_possible and m & q_pos == q_pos and m & q_neg == 0
-            if sat_e and sat_q:
-                some_qe = True
-            else:
-                all_qe = False
-            if sat_e and not sat_q:
-                some_nqe = True
-            else:
-                all_nqe = False
-        all_qe_f[i] = all_qe and some_qe
-        some_qe_f[i] = some_qe
-        all_nqe_f[i] = all_nqe and some_nqe
-        some_nqe_f[i] = some_nqe
-    return tuple(np.frombuffer(f, dtype=bool) for f in flags)
+    sat_e = wm.satisfying_rows(e)
+    sat_q = wm.satisfying_rows(q)
+    return wm.all_and_some(sat_e & sat_q) + wm.all_and_some(sat_e & ~sat_q)
 
 
 def _conditional_joints(
@@ -259,4 +263,4 @@ def credal_conditional(program: Program, q: Query, e: Query, theta=None) -> Cred
 
 def check_consistency(program: Program) -> int:
     """Number of worlds with no answer set (0 = semantics applies)."""
-    return world_models(program).model_masks.count(())
+    return int(np.count_nonzero(world_models(program).counts == 0))

@@ -159,11 +159,21 @@ class Program:
 
 
 def world_cap() -> int:
-    """Effective world cap: PASP_WORLD_CAP if set, else the default."""
+    """Effective world cap: PASP_WORLD_CAP if set, else the default.
+
+    Raises ``ValueError`` naming the variable when it is set to anything
+    but a non-negative integer.
+    """
     env = os.environ.get("PASP_WORLD_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_WORLD_CAP
+    if env is None:
+        return DEFAULT_WORLD_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"PASP_WORLD_CAP must be a non-negative integer, got {env!r}")
+    return cap
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
-"""Stable-model enumeration for ground normal programs.
+"""Stable-model enumeration for ground normal programs, over all worlds.
 
-The solver branches on unassigned atoms with unit propagation over the
-rule completion: a completed body forces its head true, a false head
-with one pending body literal falsifies that literal, and an atom whose
+One depth-first search solves every world: the probabilistic atoms are
+its first decisions, in declaration order and false first, so each
+shared prefix of facts is propagated once and the worlds come out in
+world-index order.  Below a total choice of facts the solver branches
+on the remaining unassigned atoms with unit propagation over the rule
+completion: a completed body forces its head true, a false head with
+one pending body literal falsifies that literal, and an atom whose
 support rules are all refuted is forced false.  Each rule keeps two
 counters: ``block`` counts its refuted body literals and ``negblock``
 its true negated atoms.  Trail entries before ``qhead`` have had their
@@ -11,12 +15,13 @@ those entries.
 
 One routine, :meth:`StableSolver._derived`, computes the least model of
 the rules whose given counter is zero, from the rules without positive
-body and the true probabilistic atoms upward.  Programs whose positive
-dependency graph is cyclic use it with ``block`` at every node, forcing
-atoms with no optimistic derivation false, so positive loops never turn
-into fruitless branching.  Every total candidate is verified with it
-too, using ``negblock``: that is the least model of the
-Gelfond–Lifschitz reduct, which must equal the candidate.
+body and the probabilistic atoms that are not false upward.  Programs
+whose positive dependency graph is cyclic use it with ``block`` at
+every node, forcing atoms with no optimistic derivation false, so
+positive loops never turn into fruitless branching.  Every total
+candidate is verified with it too, using ``negblock``: that is the
+least model of the Gelfond–Lifschitz reduct, which must equal the
+candidate.
 
 Constraints are rules whose head is a reserved false atom, pinned false
 up front; any candidate deriving it fails the reduct comparison, so
@@ -95,16 +100,22 @@ class StableSolver:
 
     # -- solving ---------------------------------------------------------
 
-    def models_for_world(self, world: int) -> tuple[int, ...]:
-        """Stable models of the program in one world, as atom masks.
+    def all_worlds(self) -> tuple[list[int], bytearray]:
+        """Stable models of every world, from one search.
 
-        ``world`` is a world index, the package's one world encoding:
-        with ``n`` probabilistic facts, fact ``j`` (declaration order) is
-        true iff bit ``n - 1 - j`` is set.  A returned mask has bit
-        ``n_atoms - 1 - i`` set iff ground atom ``i`` is in the model
-        (atom 0 is the most significant bit, so ascending masks are in
-        lexicographic order on the bit vectors).  The masks are sorted
-        ascending and pairwise distinct.
+        Returns ``(counts, rows)``.  ``counts[i]`` is the number of
+        stable models of world ``i``, where ``i`` is a world index, the
+        package's one world encoding: with ``n`` probabilistic facts,
+        fact ``j`` (declaration order) is true iff bit ``n - 1 - j`` is
+        set.  ``rows`` holds every model as ``n_atoms`` bytes, byte
+        ``k`` being 1 iff ground atom ``k`` is in it; the models of
+        world 0 come first, then those of world 1, and so on.
+
+        Within a world the rows are ascending and pairwise distinct:
+        every probabilistic atom is assigned before the search below
+        starts, and that search branches false first on the lowest
+        unassigned atom, so two leaves first differ on the atom their
+        paths split on, and the one with it false comes out first.
         """
         self.assign = [_UNASSIGNED] * self.n_total
         self.trail: list[int] = []
@@ -112,19 +123,35 @@ class StableSolver:
         self.block = [0] * len(self.heads)
         self.negblock = [0] * len(self.heads)
         self.sup = list(self.base_sup)
-        self.models: list[int] = []
+        self.counts = [0] * (1 << len(self.prob_ids))
+        self.rows = bytearray()
+        self.world = 0
         self.assign[self.false_atom] = _FALSE
         self.trail.append(self.false_atom)
-        top = len(self.prob_ids) - 1
-        ok = (
-            all(self._set(j, _TRUE if world >> (top - j) & 1 else _FALSE) for j in self.prob_ids)
-            and all(self._set(a, _FALSE) for a in self.never_supported)
-            and all(self._examine(r) for r in self.zero_pos_rules)
+        ok = all(self._set(a, _FALSE) for a in self.never_supported) and all(
+            self._examine(r) for r in self.zero_pos_rules
         )
         if ok and self._propagate():
+            self._branch_worlds(0, 0)
+        return self.counts, self.rows
+
+    def _branch_worlds(self, j: int, world: int) -> None:
+        """Decide probabilistic facts ``j`` onwards, false first.
+
+        Worlds come out in index order, and each shared prefix is
+        propagated once.  A fact that propagation has already fixed
+        leaves the worlds of the other value with no model.
+        """
+        if j == len(self.prob_ids):
+            self.world = world
             self._search()
-        self.models.sort()
-        return tuple(self.models)
+            return
+        atom = self.prob_ids[j]
+        for value in (_FALSE, _TRUE):
+            mark = len(self.trail)
+            if self._set(atom, value) and self._propagate():
+                self._branch_worlds(j + 1, world << 1 | value)
+            self._undo_to(mark)
 
     def _set(self, atom: int, value: int) -> bool:
         cur = self.assign[atom]
@@ -163,7 +190,7 @@ class StableSolver:
         except ValueError:
             self._check_leaf()
             return
-        # False branch first: models come out in ascending mask order.
+        # False branch first: models come out in ascending row order.
         for value in (_FALSE, _TRUE):
             mark = len(self.trail)
             if self._set(branch, value) and self._propagate():
@@ -257,9 +284,12 @@ class StableSolver:
     def _derived(self, counts: list[int]) -> bytearray:
         """Least model of the rules whose entry in ``counts`` is zero.
 
-        Seeded by those rules with no positive body and by the true
-        probabilistic atoms, then closed over positive bodies.  Entry
-        ``i`` of the result is 1 iff atom ``i`` is derived.
+        Seeded by those rules with no positive body and by the
+        probabilistic atoms that are not false, then closed over positive
+        bodies.  Entry ``i`` of the result is 1 iff atom ``i`` is derived.
+        An open probabilistic atom may still be chosen true, so pruning
+        at a node above the leaves must not force it false; at a leaf
+        every such atom is assigned, and the seed is the true ones.
         """
         assign = self.assign
         heads = self.heads
@@ -272,7 +302,7 @@ class StableSolver:
                 derived[heads[r]] = 1
                 stack.append(heads[r])
         for j in self.prob_ids:
-            if assign[j] == _TRUE and not derived[j]:
+            if assign[j] != _FALSE and not derived[j]:
                 derived[j] = 1
                 stack.append(j)
         while stack:
@@ -316,7 +346,5 @@ class StableSolver:
         candidate = bytes(self.assign[: self.n_atoms])  # 0 or 1 at a leaf
         if least[self.false_atom] or least[: self.n_atoms] != candidate:
             return
-        mask = 0
-        for bit in candidate:  # atom 0 ends up the most significant bit
-            mask = mask << 1 | bit
-        self.models.append(mask)
+        self.rows += candidate
+        self.counts[self.world] += 1

@@ -23,10 +23,10 @@ nconnected(X,Y) :- edge(X,Y), not connected(X,Y).
 
 
 def stable_models(gp, world_facts=()) -> list[frozenset]:
-    """The package solver's stable models of ``gp`` as atom sets.
+    """The package solver's stable models of ``gp`` in one world, as atom sets.
 
     ``world_facts`` are the probabilistic atoms true in the world; the
-    sets come in the solver's ascending mask order.
+    sets come in the solver's ascending row order.
     """
     n = len(gp.prob_atom_ids)
     world = 0
@@ -34,11 +34,18 @@ def stable_models(gp, world_facts=()) -> list[frozenset]:
         j = gp.atom_index[atom]
         assert j < n, f"{atom} is not a probabilistic fact"
         world |= 1 << (n - 1 - j)
-    top = gp.n_atoms - 1
+    counts, rows = StableSolver(gp).all_worlds()
+    first = sum(counts[:world])
     return [
-        frozenset(a for k, a in enumerate(gp.atoms) if m >> (top - k) & 1)
-        for m in StableSolver(gp).models_for_world(world)
+        frozenset(a for a, bit in zip(gp.atoms, row) if bit)
+        for row in world_rows(gp, counts, rows)[first : first + counts[world]]
     ]
+
+
+def world_rows(gp, counts, rows) -> list[bytes]:
+    """The solver's ``rows`` buffer cut into one ``bytes`` per model."""
+    n = gp.n_atoms
+    return [bytes(rows[i * n : (i + 1) * n]) for i in range(sum(counts))]
 
 
 @pytest.fixture

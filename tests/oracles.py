@@ -6,6 +6,11 @@ all-subsets reduct checking for stable models, and world-by-world
 summation for credal bounds.  Nothing is shared with the package's
 solver internals.
 
+The flag section keeps the per-answer-set loops that once computed the
+per-world query flags, reading the atom masks of
+``WorldModels.model_masks``; the package's packed-row column tests must
+give the same flags.
+
 The polynomial section at the end keeps the original one-polynomial
 numpy formulas for evaluation, gradient, log-likelihood and the EM
 E-step.  The package's stacked evaluation must reproduce them bit for
@@ -21,7 +26,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from pasplearn.credal import conditional_from_joints
-from pasplearn.errors import UndefinedConditional
+from pasplearn.errors import InconsistentWorld, UndefinedConditional
 from pasplearn.model import Atom, Program, Rule, is_variable
 
 
@@ -147,6 +152,89 @@ def credal_brute(program: Program, pos, neg):
             if all(sat):
                 lower += p
     return lower, upper
+
+
+# -- per-world flags, one answer set at a time ---------------------------
+
+
+def _raise_on_empty_world(wm) -> None:
+    masks = wm.model_masks
+    if () in masks:
+        i = masks.index(())
+        n = wm.program.n_prob_facts
+        raise InconsistentWorld(i, tuple(i >> (n - 1 - j) & 1 for j in range(n)))
+
+
+def query_masks_ref(wm, query):
+    """(positive mask, negative mask, satisfiable) over ``model_masks`` bits.
+
+    Query atoms outside the relevant ground base are never true in any
+    model: a positive occurrence makes the query unsatisfiable, a
+    negative occurrence is vacuously satisfied and dropped.
+    """
+    n = wm.n_atoms
+    idx = wm.gp.atom_index
+    pos_mask = 0
+    for atom in query.positives:
+        i = idx.get(atom)
+        if i is None:
+            return 0, 0, False
+        pos_mask |= 1 << (n - 1 - i)
+    neg_mask = 0
+    for atom in query.negatives:
+        i = idx.get(atom)
+        if i is not None:
+            neg_mask |= 1 << (n - 1 - i)
+    return pos_mask, neg_mask, True
+
+
+def satisfaction_ref(wm, query):
+    """Per-world (all answer sets satisfy, some answer set satisfies)."""
+    _raise_on_empty_world(wm)
+    pos_mask, neg_mask, possible = query_masks_ref(wm, query)
+    masks_per_world = wm.model_masks
+    all_sat = np.zeros(len(masks_per_world), dtype=bool)
+    some_sat = np.zeros(len(masks_per_world), dtype=bool)
+    if possible:
+        for i, masks in enumerate(masks_per_world):
+            every, some = True, False
+            for m in masks:
+                if m & pos_mask == pos_mask and m & neg_mask == 0:
+                    some = True
+                else:
+                    every = False
+            all_sat[i] = every
+            some_sat[i] = some
+    return all_sat, some_sat
+
+
+def conditional_flags_ref(wm, q, e):
+    """Per-world (all q∧e, some q∧e, all ¬q∧e, some ¬q∧e)."""
+    _raise_on_empty_world(wm)
+    q_pos, q_neg, q_possible = query_masks_ref(wm, q)
+    e_pos, e_neg, e_possible = query_masks_ref(wm, e)
+    masks_per_world = wm.model_masks
+    flags = tuple(np.zeros(len(masks_per_world), dtype=bool) for _ in range(4))
+    all_qe_f, some_qe_f, all_nqe_f, some_nqe_f = flags
+    for i, masks in enumerate(masks_per_world):
+        all_qe = all_nqe = True
+        some_qe = some_nqe = False
+        for m in masks:
+            sat_e = e_possible and m & e_pos == e_pos and m & e_neg == 0
+            sat_q = q_possible and m & q_pos == q_pos and m & q_neg == 0
+            if sat_e and sat_q:
+                some_qe = True
+            else:
+                all_qe = False
+            if sat_e and not sat_q:
+                some_nqe = True
+            else:
+                all_nqe = False
+        all_qe_f[i] = all_qe and some_qe
+        some_qe_f[i] = some_qe
+        all_nqe_f[i] = all_nqe and some_nqe
+        some_nqe_f[i] = some_nqe
+    return flags
 
 
 # -- one polynomial at a time ---------------------------------------------

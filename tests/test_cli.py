@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from pasplearn import cli
 from pasplearn.cli import main
 from conftest import EXAMPLE_GRAPH
 
@@ -131,6 +132,15 @@ def test_infer_world_cap_env(graph_file, monkeypatch, capsys):
     assert "error:" in err and "PASP_WORLD_CAP" in err
     monkeypatch.setenv("PASP_WORLD_CAP", "3")
     assert main(["infer", "--program", graph_file, "--query", "path(1,4)"]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_infer_world_cap_env_rejects_bad_values(graph_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("PASP_WORLD_CAP", value)
+    assert main(["infer", "--program", graph_file, "--query", "path(1,4)"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: PASP_WORLD_CAP must be a non-negative integer, got {value!r}\n"
+    )
 
 
 def test_learn_text_output(tmp_path, capsys):
@@ -340,3 +350,43 @@ def test_bench_mean_ll_summary_on_stderr(tmp_path, capsys):
         lls = [float(r[5]) for r in rows if r[3] == method and r[5]]
         assert len(lls) == 2  # the failed size-99 cell is left out
         assert line == f"  shop      {method:<13} {sum(lls) / len(lls): .6f}  (n=2)"
+
+
+def _recording_pool(monkeypatch) -> list[int]:
+    """Replace the bench's process pool by one that records ``max_workers``
+    and runs the cells in this process, starting no worker."""
+    made: list[int] = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    return made
+
+
+def test_bench_jobs_start_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    made = _recording_pool(monkeypatch)
+    out = str(tmp_path / "bench.csv")
+    assert main(bench_argv(out) + ["--jobs", "64"]) == 0  # 2 sizes × 2 methods
+    assert made == [4]
+    assert main(bench_argv(out, sizes="2", methods="em") + ["--jobs", "64"]) == 0
+    assert made == [4]  # one cell runs without a pool
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_exit_1(tmp_path, monkeypatch, capsys, jobs):
+    made = _recording_pool(monkeypatch)
+    out = tmp_path / "bench.csv"
+    assert main(bench_argv(str(out)) + ["--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert made == [] and not out.exists()

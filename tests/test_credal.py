@@ -1,22 +1,29 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pasplearn.credal import (
+    CredalBounds,
     check_consistency,
+    conditional_flags,
     conditional_from_joints,
     credal_conditional,
     credal_query,
+    world_models,
     world_weights,
 )
+from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import CapExceeded, InconsistentWorld, UndefinedConditional
-from pasplearn.model import Query, query_from_literals
+from pasplearn.model import Atom, Query, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
+from pasplearn.sympoly import extract_poly
 
-from oracles import credal_brute
-from randprog import random_ground_program, random_query_literals
+from oracles import conditional_flags_ref, credal_brute, satisfaction_ref
+from randprog import _DERIVED_POOL, random_ground_program, random_query_literals
 
 
 def q(text: str) -> Query:
@@ -144,3 +151,115 @@ def test_agreement_with_naive_implementation(seed):
     got = credal_query(program, query)
     assert got.lower == pytest.approx(expected[0], abs=1e-9)
     assert got.upper == pytest.approx(expected[1], abs=1e-9)
+
+
+# -- packed-row flags against the per-answer-set loops --------------------
+
+_OUTSIDE = Atom("outside_the_base")
+
+
+def _random_queries(rng: random.Random, pool, n: int) -> list[Query]:
+    """``n`` queries of 1–3 literals over ``pool``, then the edge cases:
+    the empty query, a contradictory ``a, not a`` and both signs of an
+    atom outside the ground base."""
+    queries = []
+    for _ in range(n):
+        pos, neg = set(), set()
+        for _ in range(rng.randint(1, 3)):
+            atom = rng.choice(pool)
+            (pos if rng.random() < 0.5 else neg).add(atom)
+        queries.append(Query(tuple(sorted(pos, key=str)), tuple(sorted(neg, key=str))))
+    a = pool[0]
+    queries += [Query(), Query((a,), (a,)), Query((_OUTSIDE,)), Query((), (_OUTSIDE,))]
+    return queries
+
+
+def _assert_flags_match_loops(program, rng: random.Random, n_queries: int) -> bool:
+    """All six flags equal the loops' on every query; False if inconsistent."""
+    wm = world_models(program)
+    pool = list(wm.gp.atoms) + list(_DERIVED_POOL) + [_OUTSIDE]
+    queries = _random_queries(rng, pool, n_queries)
+    try:
+        satisfaction_ref(wm, queries[0])
+    except InconsistentWorld as want:
+        for call in (
+            lambda: wm.satisfaction(queries[0]),
+            lambda: conditional_flags(wm, queries[0], queries[1]),
+        ):
+            with pytest.raises(InconsistentWorld) as got:
+                call()
+            assert got.value.world_index == want.world_index
+            assert got.value.selection == want.selection
+        return False
+    for k, q in enumerate(queries):
+        e = queries[(k + 1) % len(queries)]
+        got = wm.satisfaction(q) + conditional_flags(wm, q, e)
+        want = satisfaction_ref(wm, q) + conditional_flags_ref(wm, q, e)
+        for name, g, w in zip(("all", "some", "all qe", "some qe", "all nqe", "some nqe"), got, want):
+            assert g.dtype == bool and np.array_equal(g, w), f"{name} of {q} | {e}"
+    return True
+
+
+def test_flags_match_per_model_loops_on_random_programs():
+    rng = random.Random(5)
+    consistent = sum(
+        _assert_flags_match_loops(random_ground_program(seed), rng, 6)
+        for seed in range(0, 4000, 10)
+    )
+    assert consistent >= 100  # most draws are consistent, so the flags are compared
+
+
+@pytest.mark.parametrize("family,size", [("path", 8), ("shop", 8), ("smoke", 2), ("coloring", 4)])
+def test_flags_match_per_model_loops_on_generated_cells(family, size):
+    program, _ = generate(DatasetSpec(family, size, 1, 0))
+    assert _assert_flags_match_loops(program, random.Random(size), 30)
+
+
+# -- edge cases of the per-world row layout --------------------------------
+
+
+def test_empty_ground_base():
+    program = parse_program("")
+    assert credal_query(program, q("a")) == CredalBounds(0.0, 0.0)
+    assert credal_query(program, Query()) == CredalBounds(1.0, 1.0)
+    assert credal_conditional(program, q("a"), Query()) == CredalBounds(0.0, 0.0)
+    assert check_consistency(program) == 0
+    assert world_models(program).model_masks == ((0,),)
+
+
+_THREE_FACTS = "0.5::a.\n0.5::b.\n0.5::c.\nd :- a.\n"
+
+
+@pytest.mark.parametrize(
+    "constraint,index",
+    [(":- not a, not b, not c.", 0), (":- not a, b, c.", 3), (":- a, b, c.", 7)],
+    ids=["first", "middle", "last"],
+)
+def test_inconsistent_world_raises_at_any_index(constraint, index):
+    # The per-world reductions need every world to hold a row; an empty
+    # world in the middle or at the end must raise, not yield flags.
+    program = parse_program(_THREE_FACTS + constraint)
+    wm = world_models(program)
+    selection = tuple(index >> (2 - j) & 1 for j in range(3))
+    for call in (
+        lambda: wm.satisfaction(q("d")),
+        lambda: conditional_flags(wm, q("d"), q("b")),
+        lambda: extract_poly(program, q("d"), "lower"),
+        lambda: extract_poly(program, q("d"), "upper"),
+        lambda: credal_query(program, q("d")),
+        lambda: credal_conditional(program, q("d"), q("b")),
+    ):
+        with pytest.raises(InconsistentWorld) as exc:
+            call()
+        assert exc.value.world_index == index
+        assert exc.value.selection == selection
+    assert check_consistency(program) == 1
+
+
+def test_check_consistency_counts_first_middle_and_last_world():
+    constraints = ":- not a, not b, not c.\n:- not a, b, c.\n:- a, b, c.\n"
+    program = parse_program(_THREE_FACTS + constraints)
+    assert check_consistency(program) == 3
+    with pytest.raises(InconsistentWorld) as exc:
+        credal_query(program, q("d"))
+    assert exc.value.world_index == 0

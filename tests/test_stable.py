@@ -5,7 +5,7 @@ from pasplearn.grounding import ground
 from pasplearn.parsing import parse_program
 from pasplearn.stable import StableSolver
 
-from conftest import stable_models
+from conftest import stable_models, world_rows
 from oracles import rule_universe, sorted_key, stable_models_brute, worlds_brute
 from randprog import random_ground_program
 
@@ -60,9 +60,10 @@ def test_world_facts_change_models():
 def test_models_sorted_lexicographically():
     program = parse_program("a :- not b.\nb :- not a.\nc :- a.\nc :- b.")
     gp = ground(program)
-    masks = StableSolver(gp).models_for_world(0)
-    assert len(masks) == 2
-    assert masks == tuple(sorted(masks))
+    counts, rows = StableSolver(gp).all_worlds()
+    assert counts == [2]
+    models = world_rows(gp, counts, rows)
+    assert models == sorted(models)
 
 
 def test_exhaustive_oracle_matches_fast_path():
