@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -53,14 +52,6 @@ _CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    wall_time_seconds: float
-    payload: object
-    tool_version: str = __version__
-
-
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -72,14 +63,13 @@ def _legend(program: Program) -> list[str]:
     ]
 
 
-def cmd_infer(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_infer(args) -> None:
     program = parse_program(_read(args.program))
     q = query_from_literals(parse_query(args.query))
     if args.check:
         world_models(program).raise_if_inconsistent()
     equations: list[str] = []
-    if args.evidence:
+    if args.evidence is not None:
         e = query_from_literals(parse_query(args.evidence))
         if args.show_equations:
             flags = conditional_flags(world_models(program), q, e)
@@ -105,7 +95,6 @@ def cmd_infer(args) -> RunReport:
         for line in equations:
             print(line)
         print(f"lower={bounds.lower:.6f} upper={bounds.upper:.6f}")
-    return RunReport("infer", time.perf_counter() - t0, payload)
 
 
 def _result_payload(program: Program, result: LearnResult) -> dict:
@@ -121,8 +110,7 @@ def _result_payload(program: Program, result: LearnResult) -> dict:
     }
 
 
-def cmd_learn(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_learn(args) -> None:
     program = parse_program(_read(args.program))
     interps = parse_interpretations(_read(args.interpretations))
     cfg = LearnConfig(
@@ -158,11 +146,9 @@ def cmd_learn(args) -> RunReport:
         print(f"finalLL {result.final_ll:.6f}")
         print(f"iterations {result.iterations}")
         print(f"converged {'true' if result.converged else 'false'}")
-    return RunReport("learn", time.perf_counter() - t0, payload)
 
 
-def cmd_gen(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_gen(args) -> None:
     spec = DatasetSpec(
         family=args.family,
         size=args.size,
@@ -179,7 +165,6 @@ def cmd_gen(args) -> RunReport:
     int_path.write_text(interpretations_to_text(interps), encoding="utf-8")
     print(pasp_path)
     print(int_path)
-    return RunReport("gen", time.perf_counter() - t0, (str(pasp_path), str(int_path)))
 
 
 def _bench_cell(cell: tuple[str, int, int, str, int]) -> list[str]:
@@ -230,8 +215,7 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def cmd_bench(args) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_bench(args) -> None:
     families = [f for f in args.families.split(",") if f]
     for fam in families:
         if fam not in FAMILIES:
@@ -279,7 +263,6 @@ def cmd_bench(args) -> RunReport:
             f"  {family:<9} {method:<13} {sum(vals) / len(vals): .6f}  (n={len(vals)})",
             file=sys.stderr,
         )
-    return RunReport("bench", time.perf_counter() - t0, len(rows))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,27 +7,35 @@ world-index order.  Below a total choice of facts the solver branches
 on the remaining unassigned atoms with unit propagation over the rule
 completion: a completed body forces its head true, a false head with
 one pending body literal falsifies that literal, and an atom whose
-support rules are all refuted is forced false.  Each rule keeps two
-counters: ``block`` counts its refuted body literals and ``negblock``
-its true negated atoms.  Trail entries before ``qhead`` have had their
-counter updates applied completely, so backtracking reverts exactly
-those entries.
+support rules are all refuted is forced false.  Each rule keeps one
+counter, ``block``, of its refuted body literals.  Trail entries before
+``qhead`` have had their counter updates applied completely, so
+backtracking reverts exactly those entries.
 
-One routine, :meth:`StableSolver._derived`, computes the least model of
-the rules whose given counter is zero, from the rules without positive
-body and the probabilistic atoms that are not false upward.  Programs
-whose positive dependency graph is cyclic use it with ``block`` at
-every node, forcing atoms with no optimistic derivation false, so
-positive loops never turn into fruitless branching.  Every total
-candidate is verified with it too, using ``negblock``: that is the
-least model of the Gelfond–Lifschitz reduct, which must equal the
-candidate.
+Programs whose positive dependency graph is cyclic also run
+:meth:`StableSolver._prune_unfounded` to a fixpoint at every node: it
+computes the least model of the rules that are not refuted and forces
+the atoms outside it false, so positive loops never turn into
+fruitless branching.
+
+A total assignment that propagation leaves without conflict is a stable
+model, so leaves are not checked again:
+
+- For a tight program (no positive cycle) it is a model of Clark's
+  completion, that is a supported model, and a supported model of a
+  tight program is stable (Fages 1994; Erdem & Lifschitz, "Tight logic
+  programs", TPLP 2003).
+- For a cyclic program it is also a model of the completion, and the
+  unfounded-set pruning that ran after the last assignment left no
+  true atom unfounded; a model of the completion with no unfounded set
+  is stable (Lee, "A model-theoretic counterpart of loop formulas",
+  IJCAI 2005).
 
 Constraints are rules whose head is a reserved false atom, pinned false
-up front; any candidate deriving it fails the reduct comparison, so
-constraint violations can never be reported as models.
+up front.  A constraint whose body completes would force that atom
+true, and one with a single pending literal falsifies it, so a violated
+constraint is a conflict inside propagation and no leaf is reached.
 """
-
 from __future__ import annotations
 
 from .grounding import GroundProgram
@@ -121,7 +129,6 @@ class StableSolver:
         self.trail: list[int] = []
         self.qhead = 0
         self.block = [0] * len(self.heads)
-        self.negblock = [0] * len(self.heads)
         self.sup = list(self.base_sup)
         self.counts = [0] * (1 << len(self.prob_ids))
         self.rows = bytearray()
@@ -166,18 +173,12 @@ class StableSolver:
         # each popped consumed entry reverts all its counter updates and
         # an unconsumed one reverts none.
         assign, trail, block, sup = self.assign, self.trail, self.block, self.sup
-        negblock = self.negblock
         while len(trail) > mark:
             atom = trail.pop()
             value = assign[atom]
             assign[atom] = _UNASSIGNED
             if self.qhead > len(trail):
-                if value == _FALSE:
-                    occ = self.occ_pos[atom]
-                else:
-                    occ = self.occ_neg[atom]
-                    for r in occ:
-                        negblock[r] -= 1
+                occ = self.occ_pos[atom] if value == _FALSE else self.occ_neg[atom]
                 for r in occ:
                     block[r] -= 1
                     if block[r] == 0:
@@ -188,7 +189,9 @@ class StableSolver:
         try:
             branch = self.assign.index(_UNASSIGNED)
         except ValueError:
-            self._check_leaf()
+            # A conflict-free total assignment is stable (module docstring).
+            self.rows += bytes(self.assign[: self.n_atoms])
+            self.counts[self.world] += 1
             return
         # False branch first: models come out in ascending row order.
         for value in (_FALSE, _TRUE):
@@ -222,7 +225,6 @@ class StableSolver:
         block = self.block
         sup = self.sup
         heads = self.heads
-        negblock = self.negblock
         while self.qhead < len(trail):
             atom = trail[self.qhead]
             self.qhead += 1
@@ -231,8 +233,6 @@ class StableSolver:
                 blocking, watching = self.occ_pos[atom], self.occ_neg[atom]
             else:
                 blocking, watching = self.occ_neg[atom], self.occ_pos[atom]
-                for r in blocking:
-                    negblock[r] += 1
             lost = False
             for r in blocking:
                 block[r] += 1
@@ -281,24 +281,29 @@ class StableSolver:
             return self._set(last_atom, _FALSE if last_positive else _TRUE)
         return True
 
-    def _derived(self, counts: list[int]) -> bytearray:
-        """Least model of the rules whose entry in ``counts`` is zero.
+    def _prune_unfounded(self) -> bool:
+        """Force atoms with no optimistic derivation to false.
 
-        Seeded by those rules with no positive body and by the
-        probabilistic atoms that are not false, then closed over positive
-        bodies.  Entry ``i`` of the result is 1 iff atom ``i`` is derived.
-        An open probabilistic atom may still be chosen true, so pruning
-        at a node above the leaves must not force it false; at a leaf
-        every such atom is assigned, and the seed is the true ones.
+        The optimistic derivation is the least model of the rules that
+        are not refuted (``block`` zero), seeded by those with no
+        positive body and by the probabilistic atoms that are not false:
+        an open one may still be chosen true.  An atom outside that
+        model is unfounded: no stable model extending the assignment
+        holds it.  Assigned-true
+        atoms do not justify themselves, so a true atom whose support
+        has collapsed into an unfounded loop is a conflict.  Run to a
+        fixpoint after the last assignment, this leaves no unfounded
+        true atom at a leaf, which is what makes the leaf stable.
         """
         assign = self.assign
         heads = self.heads
         occ_pos = self.occ_pos
+        block = self.block
         cnt = list(self.base_cnt)
         derived = bytearray(self.n_total)
         stack: list[int] = []
         for r in self.zero_pos_rules:
-            if counts[r] == 0 and not derived[heads[r]]:
+            if block[r] == 0 and not derived[heads[r]]:
                 derived[heads[r]] = 1
                 stack.append(heads[r])
         for j in self.prob_ids:
@@ -307,26 +312,13 @@ class StableSolver:
                 stack.append(j)
         while stack:
             for r in occ_pos[stack.pop()]:
-                if counts[r] == 0:
+                if block[r] == 0:
                     cnt[r] -= 1
                     if cnt[r] == 0:
                         h = heads[r]
                         if not derived[h]:
                             derived[h] = 1
                             stack.append(h)
-        return derived
-
-    def _prune_unfounded(self) -> bool:
-        """Force atoms with no optimistic derivation to false.
-
-        An atom can belong to a stable extension of the current
-        assignment only if it is derivable through rules that are not
-        blocked.  Assigned-true atoms are not self-justifying here, so
-        this also catches atoms whose truth was decided by branching but
-        whose support has since collapsed into an unfounded loop.
-        """
-        derived = self._derived(self.block)
-        assign = self.assign
         for atom in range(self.n_atoms):
             if not derived[atom]:
                 v = assign[atom]
@@ -335,16 +327,3 @@ class StableSolver:
                 if v == _UNASSIGNED:
                     self._set(atom, _FALSE)
         return True
-
-    # -- verification ------------------------------------------------------
-
-    def _check_leaf(self) -> None:
-        # Gelfond–Lifschitz check: the least model of the reduct must equal
-        # the candidate.  The negblock counters are current at a leaf, so
-        # a rule is in the reduct iff its negblock is zero.
-        least = self._derived(self.negblock)
-        candidate = bytes(self.assign[: self.n_atoms])  # 0 or 1 at a leaf
-        if least[self.false_atom] or least[: self.n_atoms] != candidate:
-            return
-        self.rows += candidate
-        self.counts[self.world] += 1

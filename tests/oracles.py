@@ -4,7 +4,10 @@ Everything here works directly on ``Atom``/``Rule`` objects with
 brute-force enumeration: full Herbrand instantiation for grounding,
 all-subsets reduct checking for stable models, and world-by-world
 summation for credal bounds.  Nothing is shared with the package's
-solver internals.
+solver internals.  :func:`is_stable` is the one Gelfond–Lifschitz
+check: ``stable_models_brute`` filters candidates with it, and the
+stable-model tests check every row the package's solver reports
+against it, since the solver itself does not recheck its leaves.
 
 The flag section keeps the per-answer-set loops that once computed the
 per-world query flags, reading the atom masks of
@@ -75,6 +78,24 @@ def _least_model(positive_rules, facts: frozenset) -> frozenset:
     return frozenset(model)
 
 
+def is_stable(rules: list[Rule], chosen: frozenset, m: frozenset) -> bool:
+    """Gelfond–Lifschitz check: ``m`` is a stable model of ``rules`` with
+    the world's included probabilistic atoms ``chosen`` as facts.
+
+    ``m`` must equal the least model of the reduct, and no integrity
+    constraint of the reduct may fire in it.
+    """
+    reduct = [
+        (r.head, [l.atom for l in r.body if l.positive])
+        for r in rules
+        if all(l.atom not in m for l in r.body if not l.positive)
+    ]
+    least = _least_model([(h, pos) for h, pos in reduct if h is not None], chosen)
+    if least != m:
+        return False
+    return not any(h is None and all(p in least for p in pos) for h, pos in reduct)
+
+
 def stable_models_brute(
     rules: list[Rule], chosen: frozenset, universe: list[Atom]
 ) -> list[frozenset]:
@@ -86,23 +107,9 @@ def stable_models_brute(
     models = []
     n = len(universe)
     for bits in range(1 << n):
-        extra = frozenset(universe[i] for i in range(n) if bits >> i & 1)
-        m = chosen | extra
-        reduct = [
-            (r.head, [l.atom for l in r.body if l.positive])
-            for r in rules
-            if all(l.atom not in m for l in r.body if not l.positive)
-        ]
-        least = _least_model(
-            [(h, pos) for h, pos in reduct if h is not None], chosen
-        )
-        if least != m:
-            continue
-        if any(
-            h is None and all(p in least for p in pos) for h, pos in reduct
-        ):
-            continue  # an integrity constraint fires
-        models.append(m)
+        m = chosen | frozenset(universe[i] for i in range(n) if bits >> i & 1)
+        if is_stable(rules, chosen, m):
+            models.append(m)
     models.sort(key=sorted_key)
     return models
 

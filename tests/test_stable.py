@@ -1,12 +1,20 @@
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.grounding import ground
 from pasplearn.parsing import parse_program
 from pasplearn.stable import StableSolver
 
 from conftest import stable_models, world_rows
-from oracles import rule_universe, sorted_key, stable_models_brute, worlds_brute
+from oracles import (
+    is_stable,
+    rule_universe,
+    sorted_key,
+    stable_models_brute,
+    worlds_brute,
+)
 from randprog import random_ground_program
 
 
@@ -46,6 +54,26 @@ def test_constraint_filters_models():
 
 def test_constraint_can_wipe_all_models():
     assert _models("a.\n:- a.") == []
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # Cyclic: the loop a/b loses its outside support c only at the
+        # last decision, so unfounded-set pruning must run on the total
+        # assignment or {a, b, d} is reported too.
+        (
+            "a :- b.\nb :- a.\na :- c.\nc :- not d.\nd :- not c.",
+            [{"d"}, {"a", "b", "c"}],
+        ),
+        # Tight: the true atom a loses its last support when c turns
+        # false; without that conflict {a, d} is reported too.
+        ("a :- c.\nc :- not d.\nd :- not c.", [{"d"}, {"a", "c"}]),
+    ],
+    ids=["cyclic", "tight"],
+)
+def test_propagation_alone_proves_stability(text, expected):
+    assert _models(text) == expected
 
 
 def test_world_facts_change_models():
@@ -95,3 +123,24 @@ def test_solver_matches_brute_force_oracle(seed):
             frozenset(m) for m in stable_models_brute(rules, chosen, universe)
         }
         assert fast == brute, f"world {bits}"
+
+
+@pytest.mark.parametrize(
+    "family,size", [("path", 8), ("shop", 8), ("smoke", 2), ("coloring", 4)]
+)
+def test_every_row_is_stable_on_generated_cells(family, size):
+    # The solver does not recheck its leaves; the oracle's reduct does.
+    program, _ = generate(DatasetSpec(family, size, 1, 0))
+    gp = ground(program)
+    rules = list(gp.rules)
+    prob = frozenset(gp.atoms[j] for j in gp.prob_atom_ids)
+    counts, rows = StableSolver(gp).all_worlds()
+    models = world_rows(gp, counts, rows)
+    first = 0
+    for count in counts:
+        world = models[first : first + count]
+        first += count
+        assert all(x < y for x, y in zip(world, world[1:]))
+        for row in world:
+            m = frozenset(a for a, bit in zip(gp.atoms, row) if bit)
+            assert is_stable(rules, m & prob, m), sorted(map(str, m))
