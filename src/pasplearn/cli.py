@@ -63,14 +63,22 @@ def _legend(program: Program) -> list[str]:
     ]
 
 
+def _option_query(option: str, text: str):
+    """Parse a ``--query`` or ``--evidence`` string; errors name the option."""
+    try:
+        return query_from_literals(parse_query(text))
+    except PaspSyntaxError as exc:
+        raise PaspSyntaxError(f"{option}: {exc}") from exc
+
+
 def cmd_infer(args) -> None:
     program = parse_program(_read(args.program))
-    q = query_from_literals(parse_query(args.query))
+    q = _option_query("--query", args.query)
     if args.check:
         world_models(program).raise_if_inconsistent()
     equations: list[str] = []
     if args.evidence is not None:
-        e = query_from_literals(parse_query(args.evidence))
+        e = _option_query("--evidence", args.evidence)
         if args.show_equations:
             flags = conditional_flags(world_models(program), q, e)
             names = ("low(q,e)", "up(q,e)", "low(not q,e)", "up(not q,e)")

@@ -13,10 +13,14 @@ counter, ``block``, of its refuted body literals.  Trail entries before
 backtracking reverts exactly those entries.
 
 Programs whose positive dependency graph is cyclic also run
-:meth:`StableSolver._prune_unfounded` to a fixpoint at every node: it
-computes the least model of the rules that are not refuted and forces
-the atoms outside it false, so positive loops never turn into
-fruitless branching.
+:meth:`StableSolver._prune_unfounded` to a fixpoint at every node.  It
+covers only the loop atoms: those in a strongly connected component of
+that graph with a positive cycle, found once per program.  It computes
+the least model of the unrefuted rules with a loop head and forces the
+loop atoms outside it false, so positive loops never turn into
+fruitless branching.  An atom outside every loop needs no such check:
+once all its support rules are refuted, its support counter falsifies
+it.
 
 A total assignment that propagation leaves without conflict is a stable
 model, so leaves are not checked again:
@@ -25,11 +29,14 @@ model, so leaves are not checked again:
   completion, that is a supported model, and a supported model of a
   tight program is stable (Fages 1994; Erdem & Lifschitz, "Tight logic
   programs", TPLP 2003).
-- For a cyclic program it is also a model of the completion, and the
-  unfounded-set pruning that ran after the last assignment left no
-  true atom unfounded; a model of the completion with no unfounded set
-  is stable (Lee, "A model-theoretic counterpart of loop formulas",
-  IJCAI 2005).
+- For a cyclic program it is also a model of the completion, and it
+  satisfies every loop formula: a loop lies inside one strongly
+  connected component, so a true loop with no external support would
+  hold an atom the restricted check left underived, a conflict.  A
+  model of the completion and of every loop formula is stable (Lin &
+  Zhao, "ASSAT: computing answer sets of a logic program by SAT
+  solvers", AIJ 2004); equivalently, it has no unfounded true atom
+  (Lee, "A model-theoretic counterpart of loop formulas", IJCAI 2005).
 
 Constraints are rules whose head is a reserved false atom, pinned false
 up front.  A constraint whose body completes would force that atom
@@ -69,7 +76,6 @@ class StableSolver:
             for a in self.neg[r]:
                 self.occ_neg[a].append(r)
             self.occ_head[self.heads[r]].append(r)
-        self.base_cnt = [len(p) for p in self.pos]
         self.zero_pos_rules = [r for r in range(nr) if not self.pos[r]]
         self.base_sup = [len(self.occ_head[a]) for a in range(self.n_total)]
         self.prob_ids = list(gp.prob_atom_ids)
@@ -78,33 +84,43 @@ class StableSolver:
             a for a in range(self.n_atoms)
             if not self.occ_head[a] and a not in prob_set
         ]
-        self.cyclic = self._has_positive_cycle()
+        self._find_loops()
 
-    def _has_positive_cycle(self) -> bool:
-        succs: list[set[int]] = [set() for _ in range(self.n_total)]
+    def _find_loops(self) -> None:
+        """Precompute the unfounded-set check's share of the program.
+
+        Loop atoms are those in a strongly connected component of the
+        positive dependency graph (head to positive body atom) with more
+        than one atom, or with a positive self-edge.  Every positive loop
+        lies inside one component (Lin & Zhao 2004); an atom outside
+        every loop is left to its support counter (see
+        :meth:`_prune_unfounded`).  For each rule with a loop head,
+        ``loop_cnt`` counts its positive body atoms in the head's
+        component, and ``loop_occ`` lists the rule under each of them;
+        ``loop_seeds`` are the rules with none.
+        """
+        succs: list[list[int]] = [[] for _ in range(self.n_total)]
         for r, h in enumerate(self.heads):
-            succs[h].update(self.pos[r])
-        color = [0] * self.n_total  # 0 unvisited, 1 on stack, 2 done
-        for start in range(self.n_total):
-            if color[start]:
+            succs[h].extend(self.pos[r])
+        comp = _components(succs)
+        size = [0] * self.n_total
+        for c in comp:
+            size[c] += 1
+        loop = [size[comp[a]] > 1 or a in succs[a] for a in range(self.n_total)]
+        self.loop_atoms = [a for a in range(self.n_total) if loop[a]]
+        self.cyclic = bool(self.loop_atoms)
+        self.loop_cnt = [0] * len(self.heads)
+        self.loop_occ: list[list[int]] = [[] for _ in range(self.n_total)]
+        self.loop_seeds: list[int] = []
+        for r, h in enumerate(self.heads):
+            if not loop[h]:
                 continue
-            stack = [(start, iter(succs[start]))]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == 1:
-                        return True
-                    if color[nxt] == 0:
-                        color[nxt] = 1
-                        stack.append((nxt, iter(succs[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-        return False
+            for a in self.pos[r]:
+                if comp[a] == comp[h]:
+                    self.loop_cnt[r] += 1
+                    self.loop_occ[a].append(r)
+            if not self.loop_cnt[r]:
+                self.loop_seeds.append(r)
 
     # -- solving ---------------------------------------------------------
 
@@ -282,36 +298,43 @@ class StableSolver:
         return True
 
     def _prune_unfounded(self) -> bool:
-        """Force atoms with no optimistic derivation to false.
+        """Force loop atoms with no optimistic derivation to false.
 
-        The optimistic derivation is the least model of the rules that
-        are not refuted (``block`` zero), seeded by those with no
-        positive body and by the probabilistic atoms that are not false:
-        an open one may still be chosen true.  An atom outside that
-        model is unfounded: no stable model extending the assignment
-        holds it.  Assigned-true
-        atoms do not justify themselves, so a true atom whose support
-        has collapsed into an unfounded loop is a conflict.  Run to a
-        fixpoint after the last assignment, this leaves no unfounded
-        true atom at a leaf, which is what makes the leaf stable.
+        The optimistic derivation is the least model of the rules with a
+        loop head that are not refuted (``block`` zero), reading only
+        their positive body atoms in the head's own component: one
+        outside it is not false, since the rule is not refuted, and is
+        taken as derivable.  Its seeds are the unrefuted rules with no
+        positive body atom in their head's component.  Probabilistic
+        atoms head no rule, so none is a loop atom, and an open one
+        counts as derivable like any other atom outside the loop.  A
+        loop atom outside that model is unfounded: no stable model
+        extending the assignment holds it.  Assigned-true atoms do not
+        justify themselves, so a true atom whose support has collapsed
+        into an unfounded loop is a conflict.
+
+        Other atoms need no check here.  At the fixpoint of
+        :meth:`_propagate`, take a lowest component holding an unfounded
+        atom that is not false: every unrefuted rule for that atom has
+        an unfounded positive body atom in the same component.  Outside
+        a loop no rule can, so the support counter has falsified the
+        atom; inside one, this check has.  So the fixpoint is the one a
+        check over every atom reaches, and it leaves no unfounded true
+        atom at a leaf, which is what makes the leaf stable.
         """
         assign = self.assign
         heads = self.heads
-        occ_pos = self.occ_pos
+        loop_occ = self.loop_occ
         block = self.block
-        cnt = list(self.base_cnt)
+        cnt = list(self.loop_cnt)
         derived = bytearray(self.n_total)
         stack: list[int] = []
-        for r in self.zero_pos_rules:
+        for r in self.loop_seeds:
             if block[r] == 0 and not derived[heads[r]]:
                 derived[heads[r]] = 1
                 stack.append(heads[r])
-        for j in self.prob_ids:
-            if assign[j] != _FALSE and not derived[j]:
-                derived[j] = 1
-                stack.append(j)
         while stack:
-            for r in occ_pos[stack.pop()]:
+            for r in loop_occ[stack.pop()]:
                 if block[r] == 0:
                     cnt[r] -= 1
                     if cnt[r] == 0:
@@ -319,7 +342,7 @@ class StableSolver:
                         if not derived[h]:
                             derived[h] = 1
                             stack.append(h)
-        for atom in range(self.n_atoms):
+        for atom in self.loop_atoms:
             if not derived[atom]:
                 v = assign[atom]
                 if v == _TRUE:
@@ -327,3 +350,44 @@ class StableSolver:
                 if v == _UNASSIGNED:
                     self._set(atom, _FALSE)
         return True
+
+
+def _components(succs: list[list[int]]) -> list[int]:
+    """Strongly connected component id of every node (iterative Tarjan)."""
+    n = len(succs)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succs[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succs[w])))
+                    break
+                if comp[w] < 0:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+    return comp

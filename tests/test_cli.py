@@ -122,10 +122,9 @@ def test_infer_check_flag(tmp_path, capsys):
 def test_infer_empty_evidence_exit_1_like_empty_query(tmp_path, capsys):
     prog = write(tmp_path, "ab.pasp", "0.4::a.\nlearnable::b.\nc :- a, b.\n")
     assert main(["infer", "--program", prog, "--query", "", "--evidence", "c"]) == 1
-    empty_query = capsys.readouterr()
+    assert capsys.readouterr().err == "error: --query: 1:1: empty query\n"
     assert main(["infer", "--program", prog, "--query", "c", "--evidence", ""]) == 1
-    assert capsys.readouterr() == empty_query
-    assert empty_query.err == "error: 1:1: empty query\n"
+    assert capsys.readouterr().err == "error: --evidence: 1:1: empty query\n"
 
 
 def test_infer_undefined_conditional_exit_3(tmp_path):
