@@ -50,7 +50,10 @@ class WorldModels:
     ``starts[i]`` to ``starts[i] + counts[i] - 1`` of ``rows``, in
     ascending order.  A row packs one answer set with ``np.packbits``:
     ground atom ``k`` of ``gp`` is in it iff bit ``0x80 >> (k & 7)`` of
-    byte ``k >> 3`` is set.
+    byte ``k >> 3`` is set.  Only the answer sets live here; the
+    per-world learnable patterns and fixed-fact weights that
+    polynomial extraction needs are a table of
+    :mod:`pasplearn.sympoly`, which owns the monomial layout.
     """
 
     program: Program
@@ -58,7 +61,6 @@ class WorldModels:
     counts: np.ndarray
     rows: np.ndarray
     starts: np.ndarray = field(init=False, repr=False)
-    _support: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.starts = np.cumsum(self.counts) - self.counts
@@ -80,29 +82,6 @@ class WorldModels:
         return tuple(
             tuple(masks[s : s + c]) for s, c in zip(self.starts.tolist(), self.counts.tolist())
         )
-
-    def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per world: learnable inclusion pattern and fixed-fact product.
-
-        ``patterns[i]`` packs the learnable facts included in world ``i``
-        (bit k = learnable k, declaration order); ``k_w[i]`` is the
-        product of the fixed facts' probability factors.
-        """
-        if self._support is None:
-            facts = self.program.prob_facts
-            n = len(facts)
-            idx = np.arange(1 << n, dtype=np.int64)
-            patterns = np.zeros(1 << n, dtype=np.int64)
-            k = 0
-            for j, pf in enumerate(facts):
-                if pf.learnable:
-                    patterns |= ((idx >> (n - 1 - j)) & 1) << k
-                    k += 1
-            k_w = world_weights(
-                [(1.0, 1.0) if pf.learnable else (1.0 - pf.prob, pf.prob) for pf in facts]
-            )
-            self._support = (patterns, k_w)
-        return self._support
 
     def raise_if_inconsistent(self) -> None:
         """Raise :class:`InconsistentWorld` on the first world without answer sets."""

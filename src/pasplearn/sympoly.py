@@ -10,10 +10,11 @@ coefficient of monomial ``t`` is ``Σ_{b⊆t} (−1)^{|t|−|b|} c_b`` where
 pattern ``b`` (a signed subset-sum a.k.a. Möbius transform, computed
 with a butterfly over the 2^L table of patterns).
 
-Polynomials are immutable after construction and cache flat numpy
-arrays: a coefficient per monomial and a segment of variable indices
-per monomial.  :class:`PolyStack` concatenates those arrays for several
-polynomials over the same variables, so that one gather and one
+A polynomial is an array of monomial bit patterns (bit ``j`` for
+variable ``j``, a layout only this module knows) and an array of
+coefficients, in canonical order: one gather out of the Möbius table.
+:class:`PolyStack` concatenates them for several polynomials over the
+same variables, so that one gather and one
 ``np.multiply.reduceat`` give every monomial product of all of them at
 a point.  Each polynomial's value is then the dot product of its own
 coefficients and products, and all gradients come from one
@@ -28,11 +29,13 @@ differentiate correctly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .credal import world_models
+from .credal import world_models, world_weights
 from .model import Program, Query
 
 #: Coefficients smaller than this in absolute value are dropped when
@@ -40,39 +43,29 @@ from .model import Program, Query
 COEFF_EPS = 1e-15
 
 
-@dataclass
+@dataclass(eq=False)
 class SymPoly:
-    """Multilinear polynomial in canonical (expanded monomial) form."""
+    """Multilinear polynomial ``Σ_i coeffs[i] · Π_{j : bit j of patterns[i]} π_j``.
+
+    The constant monomial has pattern 0.  Monomials are distinct and in
+    canonical order: fewer variables first, then ascending sorted
+    variable lists (``1, p0, p1, p0*p1, p0*p2, p1*p2``).  Every sum over
+    them, alone or in a :class:`PolyStack`, runs in that order, which
+    fixes the last bits of every value, gradient and learned parameter.
+    """
 
     nvars: int
-    coeffs: dict[frozenset, float]
-    _cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    patterns: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        for mono in self.coeffs:
-            for j in mono:
-                if not 0 <= j < self.nvars:
-                    raise ValueError(f"variable {j} out of range for {self.nvars} vars")
-
-    def _arrays(self):
-        """(coefs, flat var indices, segment lengths), monomials in canonical order."""
-        if self._cache is None:
-            order = sorted((len(m), sorted(m), c) for m, c in self.coeffs.items())
-            coefs = np.array([c for _, _, c in order], dtype=float)
-            flat: list[int] = []
-            lengths: list[int] = []
-            for _, segment, _ in order:
-                # Sentinel index nvars (value pinned to 1.0) keeps the
-                # constant monomial's segment non-empty for reduceat.
-                segment = segment or [self.nvars]
-                flat.extend(segment)
-                lengths.append(len(segment))
-            self._cache = (
-                coefs,
-                np.array(flat, dtype=np.intp),
-                np.array(lengths, dtype=np.intp),
-            )
-        return self._cache
+        self.patterns = np.asarray(self.patterns, dtype=np.int64)
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        if self.patterns.ndim != 1 or self.patterns.shape != self.coeffs.shape:
+            raise ValueError(f"{self.patterns.shape} patterns for {self.coeffs.shape} coeffs")
+        # A bit at or above nvars (or a sign bit) would read the stack's sentinel 1.0.
+        if np.any(self.patterns >> self.nvars):
+            raise ValueError(f"monomial pattern out of range for {self.nvars} vars")
 
     def __str__(self) -> str:
         return poly_to_text(self)
@@ -99,21 +92,20 @@ class PolyStack:
             if p.nvars != nvars:
                 raise ValueError(f"polynomial over {p.nvars} vars in a stack of {nvars}")
         self.nvars = nvars
-        parts = [p._arrays() for p in polys]
+        sizes = [len(p.coeffs) for p in polys]
         # The leading empty arrays keep a stack of no monomials well-typed.
-        empty = np.zeros(0, dtype=np.intp)
-        self.coefs = np.concatenate([np.zeros(0)] + [c for c, _, _ in parts])
-        self.flat = np.concatenate([empty] + [f for _, f, _ in parts])
-        self.lengths = np.concatenate([empty] + [n for _, _, n in parts])
+        self.coefs = np.concatenate([np.zeros(0)] + [p.coeffs for p in polys])
+        patterns = np.concatenate([np.zeros(0, dtype=np.int64)] + [p.patterns for p in polys])
+        # The constant monomial reads the sentinel variable nvars (value
+        # pinned to 1.0), which keeps its segment non-empty for reduceat.
+        patterns = np.where(patterns == 0, 1 << nvars, patterns)
+        rows, self.flat = np.nonzero(patterns[:, None] & (1 << np.arange(nvars + 1)) != 0)
+        self.lengths = np.bincount(rows, minlength=len(patterns))
         self.offsets = np.cumsum(self.lengths) - self.lengths
-        owner = np.repeat(np.arange(len(polys)), [len(f) for _, f, _ in parts])
-        self._grad_index = owner * (nvars + 1) + self.flat
-        self._el_coef = np.repeat(self.coefs, self.lengths)
-        self._spans = []
-        start = 0
-        for coefs, _, _ in parts:
-            self._spans.append((start, start + len(coefs)))
-            start += len(coefs)
+        owner = np.repeat(np.arange(len(polys)), sizes)
+        self._grad_index = owner[rows] * (nvars + 1) + self.flat
+        self._el_coef = self.coefs[rows]
+        self._spans = [(e - n, e) for e, n in zip(accumulate(sizes), sizes)]
         self._coef_slices = [self.coefs[s:e] for s, e in self._spans]
 
     def __len__(self) -> int:
@@ -185,13 +177,12 @@ def poly_grad(p: SymPoly, theta) -> np.ndarray:
 
 
 def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:
-    """Human-readable rendering with sorted monomials, e.g. ``0.4*p1 + 0.6*p0*p1``."""
-    if not p.coeffs:
+    """Human-readable rendering in canonical order, e.g. ``0.4*p1 + 0.6*p0*p1``."""
+    if not len(p.coeffs):
         return "0"
     parts: list[str] = []
-    for mono in sorted(p.coeffs, key=lambda m: (len(m), sorted(m))):
-        c = p.coeffs[mono]
-        factors = [f"{var_prefix}{j}" for j in sorted(mono)]
+    for pattern, c in zip(p.patterns.tolist(), p.coeffs.tolist()):
+        factors = [f"{var_prefix}{j}" for j in range(p.nvars) if pattern >> j & 1]
         magnitude = repr(abs(c))
         if factors and abs(c) == 1.0:
             term = "*".join(factors)
@@ -207,6 +198,31 @@ def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:
 # -- extraction from world enumeration ---------------------------------
 
 
+@lru_cache(maxsize=8)
+def _support(program: Program) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pattern per world, ``k_w`` per world, the 2^L patterns in canonical order).
+
+    ``patterns[i]`` packs the learnable facts included in world ``i``
+    (bit k = learnable k, declaration order); ``k_w[i]`` is the product
+    of the fixed facts' probability factors.
+    """
+    facts = program.prob_facts
+    n = len(facts)
+    idx = np.arange(1 << n, dtype=np.int64)
+    patterns = np.zeros(1 << n, dtype=np.int64)
+    learnable = program.learnable_indices()
+    for k, j in enumerate(learnable):
+        patterns |= ((idx >> (n - 1 - j)) & 1) << k
+    k_w = world_weights(
+        [(1.0, 1.0) if pf.learnable else (1.0 - pf.prob, pf.prob) for pf in facts]
+    )
+    # combinations yields each size's variable lists in ascending order.
+    nvars = len(learnable)
+    lists = (c for size in range(nvars + 1) for c in combinations(range(nvars), size))
+    order = np.fromiter((sum(1 << j for j in c) for c in lists), np.int64, 1 << nvars)
+    return patterns, k_w, order
+
+
 def poly_from_world_flags(program: Program, flags) -> SymPoly:
     """Polynomial ``Σ_w flags[w] · k_w · Π_{j∈w} π_j · Π_{j∉w} (1−π_j)``.
 
@@ -214,24 +230,21 @@ def poly_from_world_flags(program: Program, flags) -> SymPoly:
     result is over the program's learnable parameters in declaration
     order, in canonical monomial form.
     """
-    wm = world_models(program)
-    patterns, k_w = wm.support_arrays()
-    nvars = len(program.learnable_indices())
     mask = np.asarray(flags, dtype=bool)
-    if mask.shape != patterns.shape:
-        raise ValueError(f"expected {patterns.shape[0]} world flags, got {mask.shape}")
+    n_worlds = 1 << program.n_prob_facts
+    if mask.shape != (n_worlds,):
+        raise ValueError(f"expected {n_worlds} world flags, got {mask.shape}")
+    patterns, k_w, order = _support(program)
+    nvars = len(program.learnable_indices())
 
     arr = np.zeros(1 << nvars)
     np.add.at(arr, patterns[mask], k_w[mask])
     for k in range(nvars):
         arr = arr.reshape(-1, 2, 1 << k)
         arr[:, 1, :] -= arr[:, 0, :]
-    arr = arr.reshape(-1)
-    coeffs: dict[frozenset, float] = {}
-    for t in np.nonzero(np.abs(arr) >= COEFF_EPS)[0]:
-        mono = frozenset(k for k in range(nvars) if t >> k & 1)
-        coeffs[mono] = float(arr[t])
-    return SymPoly(nvars, coeffs)
+    coeffs = arr.reshape(-1)[order]
+    keep = np.abs(coeffs) >= COEFF_EPS
+    return SymPoly(nvars, order[keep], coeffs[keep])
 
 
 def extract_poly(program: Program, q: Query, bound: str) -> SymPoly:

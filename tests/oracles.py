@@ -14,11 +14,13 @@ per-world query flags, reading the atom masks of
 ``WorldModels.model_masks``; the package's packed-row column tests must
 give the same flags.
 
-The polynomial section at the end keeps the original one-polynomial
-numpy formulas for evaluation, gradient, log-likelihood and the EM
-E-step.  The package's stacked evaluation must reproduce them bit for
-bit, because the optimizer's path on a flat likelihood ridge follows
-the last bits of these numbers.
+The polynomial section at the end converts between the package's
+bit-pattern polynomials and ``{frozenset of variables: coefficient}``
+dicts, and keeps the original one-polynomial numpy formulas for
+evaluation, gradient, log-likelihood and the EM E-step.  The package's
+stacked evaluation must reproduce them bit for bit, because the
+optimizer's path on a flat likelihood ridge follows the last bits of
+these numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from pasplearn.credal import conditional_from_joints
 from pasplearn.errors import InconsistentWorld, UndefinedConditional
 from pasplearn.model import Atom, Program, Rule, is_variable
+from pasplearn.sympoly import SymPoly
 
 
 def herbrand_constants(program: Program) -> list:
@@ -247,10 +250,27 @@ def conditional_flags_ref(wm, q, e):
 # -- one polynomial at a time ---------------------------------------------
 
 
+def poly_from_dict(nvars: int, coeffs: dict) -> SymPoly:
+    """SymPoly from ``{frozenset of variables: coefficient}``, in canonical order."""
+    order = sorted(coeffs, key=lambda m: (len(m), sorted(m)))
+    return SymPoly(
+        nvars, [sum(1 << j for j in m) for m in order], [coeffs[m] for m in order]
+    )
+
+
+def poly_as_dict(p: SymPoly) -> dict:
+    """``{frozenset of variables: coefficient}`` of a SymPoly."""
+    return {
+        frozenset(j for j in range(p.nvars) if pattern >> j & 1): c
+        for pattern, c in zip(p.patterns.tolist(), p.coeffs.tolist())
+    }
+
+
 def _poly_arrays(p):
     """(coefs, flat var indices, segment offsets, segment lengths)."""
-    order = sorted(p.coeffs, key=lambda m: (len(m), sorted(m)))
-    coefs = np.array([p.coeffs[m] for m in order], dtype=float)
+    coeffs = poly_as_dict(p)
+    order = sorted(coeffs, key=lambda m: (len(m), sorted(m)))
+    coefs = np.array([coeffs[m] for m in order], dtype=float)
     flat: list[int] = []
     offsets: list[int] = []
     for mono in order:
@@ -263,7 +283,7 @@ def _poly_arrays(p):
 def poly_eval_ref(p, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     assert theta.shape == (p.nvars,)
-    if not p.coeffs:
+    if not len(p.coeffs):
         return 0.0
     coefs, flat, offsets, _ = _poly_arrays(p)
     ext = np.append(theta, 1.0)
@@ -275,7 +295,7 @@ def poly_grad_ref(p, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     assert theta.shape == (p.nvars,)
     grad = np.zeros(p.nvars + 1)
-    if not p.coeffs:
+    if not len(p.coeffs):
         return grad[: p.nvars]
     coefs, flat, offsets, lengths = _poly_arrays(p)
     ext = np.append(theta, 1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -27,14 +28,16 @@ from pasplearn.model import (
 )
 from pasplearn.parsing import parse_interpretations, parse_program, parse_query
 from pasplearn.rng import SplitMix64
-from pasplearn.sympoly import PolyStack, SymPoly, extract_poly, poly_eval, poly_grad
+from pasplearn.sympoly import PolyStack, extract_poly, poly_eval, poly_grad, poly_to_text
 
 from oracles import (
     credal_brute,
     expectations_ref,
     ll_gradient_ref,
     ll_objective_ref,
+    poly_as_dict,
     poly_eval_ref,
+    poly_from_dict,
     poly_grad_ref,
 )
 from randprog import random_ground_program, random_query_literals
@@ -350,7 +353,7 @@ def _assert_same_numbers(program, data, seed, seen):
     queries = [query_from_literals(i.literals) for i in data]
     lower = [extract_poly(program, q, "lower") for q in queries]
     upper = [extract_poly(program, q, "upper") for q in queries]
-    empty = SymPoly(nvars, {})
+    empty = poly_from_dict(nvars, {})
     poly_sets = [lower, upper, upper + [empty] + lower, [empty] * 3]
     for theta in _theta_cases(nvars, seed):
         seen["zero"] += 0.0 in theta
@@ -367,7 +370,7 @@ def _assert_same_numbers(program, data, seed, seen):
                 assert value == poly_eval_ref(p, theta)
                 assert poly_grad(p, theta).tolist() == poly_grad_ref(p, theta).tolist()
                 seen["floored"] += value <= 1e-12
-                seen["empty"] += not p.coeffs
+                seen["empty"] += not poly_as_dict(p)
         for target in ("lower", "upper"):
             for skip in (False, True):
                 try:
@@ -413,3 +416,33 @@ def test_stacked_numbers_equal_one_polynomial_formulas_on_generated_cells(family
     seen = {"zero": 0, "floored": 0, "empty": 0, "estep": 0}
     _assert_same_numbers(program, data, 0, seen)
     assert seen["zero"] and seen["floored"] and seen["estep"], seen
+
+
+# SHA-256 of every interpretation's lower and upper poly_to_text, then
+# repr of the default upper-target learn_opt and learn_em results, one
+# per line (10 interpretations, generator seed 0).  A change to
+# extraction, stacking or the learners must leave every number
+# bit-for-bit as it is.
+_LEARN_DIGESTS = {
+    ("path", 8): "640c07104aadb1f58cf6eec5ecb8ecc4f92f9974378c576c19cbbd76fc2ae206",
+    ("shop", 8): "dc8f7ef5e7575469dfb52f7f24b316e73cfba73a191e006a0c349a91173ec014",
+    ("smoke", 2): "bc544dc3949b21cab78ed67a2ba6ea221ae2c438de793dc77c747e6211e3bab2",
+    ("coloring", 4): "e49d3a60730e8c989374325aea1a050da92f2ec97d636c9cc65bf0fea3820f29",
+}
+
+
+@pytest.mark.parametrize(
+    "family,size", list(_LEARN_DIGESTS), ids=[f"{f}-{n}" for f, n in _LEARN_DIGESTS]
+)
+def test_learning_matches_parent_digest(family, size):
+    program, data = generate(
+        DatasetSpec(family=family, size=size, num_interpretations=10, seed=0)
+    )
+    lines = []
+    for interp in data:
+        q = query_from_literals(interp.literals)
+        lines += [poly_to_text(extract_poly(program, q, b)) for b in ("lower", "upper")]
+    lines.append(repr(learn_opt(program, data, LearnConfig(method="opt"))))
+    lines.append(repr(learn_em(program, data, LearnConfig(method="em"))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _LEARN_DIGESTS[family, size]

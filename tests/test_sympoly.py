@@ -8,13 +8,22 @@ from pasplearn.errors import InconsistentWorld
 from pasplearn.model import Query, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 from pasplearn.rng import SplitMix64
-from pasplearn.sympoly import SymPoly, extract_poly, poly_eval, poly_grad, poly_to_text
+from pasplearn.sympoly import (
+    PolyStack,
+    SymPoly,
+    extract_poly,
+    poly_eval,
+    poly_from_world_flags,
+    poly_grad,
+    poly_to_text,
+)
 
+from oracles import poly_as_dict, poly_from_dict
 from randprog import random_ground_program, random_query_literals
 
 
 def mono(nvars, items):
-    return SymPoly(nvars, {frozenset(k): v for k, v in items})
+    return poly_from_dict(nvars, {frozenset(k): v for k, v in items})
 
 
 def test_eval_constant_and_var():
@@ -28,10 +37,25 @@ def test_eval_multilinear_combination():
     assert poly_eval(p, [0.5, 0.25]) == pytest.approx(0.5 - 0.5 + 2 * 0.125)
 
 
+def test_malformed_input_raises_value_error():
+    for pattern in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            SymPoly(2, [pattern], [1.0])
+    with pytest.raises(ValueError, match="patterns for"):
+        SymPoly(2, [1, 2], [1.0])
+    with pytest.raises(ValueError, match="stack of 2"):
+        PolyStack([mono(2, [((0,), 1.0)]), mono(3, [((2,), 1.0)])], 2)
+    with pytest.raises(ValueError, match="theta of length 2"):
+        poly_eval(mono(2, [((1,), 1.0)]), [0.5])
+    program = parse_program("learnable(0.5)::a.\n0.2::b.\nq :- a, b.")
+    with pytest.raises(ValueError, match="expected 4 world flags"):
+        poly_from_world_flags(program, [True, False])
+
+
 def test_rendering_style():
     p = mono(2, [((1,), 0.4), ((0, 1), 0.6)])
     assert poly_to_text(p) == "0.4*p1 + 0.6*p0*p1"
-    assert poly_to_text(SymPoly(2, {})) == "0"
+    assert poly_to_text(poly_from_dict(2, {})) == "0"
     assert poly_to_text(mono(2, [((0,), 1.0), ((1,), -0.25)])) == "p0 - 0.25*p1"
 
 
@@ -47,7 +71,7 @@ def polys(draw):
         coeffs[support] = draw(
             st.floats(min_value=-3, max_value=3, allow_nan=False)
         )
-    return SymPoly(nvars, coeffs)
+    return poly_from_dict(nvars, coeffs)
 
 
 @settings(max_examples=150)
@@ -76,7 +100,7 @@ def test_gradient_exact_at_boundary_thetas(p):
             partial = sum(
                 c
                 * np.prod([corner[i] for i in s if i != j])
-                for s, c in p.coeffs.items()
+                for s, c in poly_as_dict(p).items()
                 if j in s
             )
             assert grad[j] == pytest.approx(float(partial), abs=1e-12)
@@ -85,15 +109,15 @@ def test_gradient_exact_at_boundary_thetas(p):
 def test_extracted_poly_for_graph_upper(learnable_graph_program):
     q = query_from_literals(parse_query("path(1,4)"))
     up = extract_poly(learnable_graph_program, q, "upper")
-    assert up.coeffs == {frozenset({0, 1}): pytest.approx(1.0)}
+    assert poly_as_dict(up) == {frozenset({0, 1}): pytest.approx(1.0)}
     lo = extract_poly(learnable_graph_program, q, "lower")
-    assert lo.coeffs == {}
+    assert poly_as_dict(lo) == {}
 
 
 def test_extraction_folds_fixed_facts():
     program = parse_program("0.2::a.\nlearnable(0.5)::b.\nq :- a, b.")
     up = extract_poly(program, query_from_literals(parse_query("q")), "upper")
-    assert up.coeffs == {frozenset({0}): pytest.approx(0.2)}
+    assert poly_as_dict(up) == {frozenset({0}): pytest.approx(0.2)}
 
 
 @settings(max_examples=60)
@@ -123,5 +147,5 @@ def test_coefficients_below_epsilon_dropped():
         "learnable(0.5)::a.\n0.06::b.\n0.3::c.\n0.2::d.\nq :- a, b.\nq :- not a, c, d."
     )
     up = extract_poly(program, query_from_literals(parse_query("q")), "upper")
-    assert list(up.coeffs) == [frozenset()]
-    assert up.coeffs[frozenset()] == pytest.approx(0.06, abs=1e-15)
+    assert list(poly_as_dict(up)) == [frozenset()]
+    assert poly_as_dict(up)[frozenset()] == pytest.approx(0.06, abs=1e-15)
