@@ -247,13 +247,14 @@ def cmd_bench(args) -> None:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     # The pool starts all its workers at once, so never more than cells.
     workers = min(args.jobs, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_cell, cells))
-    else:
-        rows = [_bench_cell(cell) for cell in cells]
+    # Opened before the sweep, so an unwritable path fails before any cell runs.
     sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_bench_cell, cells))
+        else:
+            rows = [_bench_cell(cell) for cell in cells]
         writer = csv.writer(sink)
         writer.writerow(_CSV_HEADER.split(","))
         writer.writerows(rows)

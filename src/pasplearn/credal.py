@@ -172,11 +172,18 @@ def world_weights(factors) -> np.ndarray:
 
 
 def _probability_weights(program: Program, theta=None) -> np.ndarray:
-    """P(w) for every world; ``theta`` overrides the learnable probabilities."""
+    """P(w) for every world; ``theta`` overrides the learnable probabilities.
+
+    Raises ``ValueError`` unless ``theta`` has one entry per learnable fact.
+    """
     probs = [pf.prob for pf in program.prob_facts]
     if theta is not None:
-        for t, j in zip(theta, program.learnable_indices()):
-            probs[j] = float(t)
+        learnable = program.learnable_indices()
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (len(learnable),):
+            raise ValueError(f"expected theta of length {len(learnable)}, got {theta.shape}")
+        for t, j in zip(theta.tolist(), learnable):
+            probs[j] = t
     return world_weights([(1.0 - p, p) for p in probs])
 
 

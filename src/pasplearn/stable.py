@@ -1,16 +1,16 @@
 """Stable-model enumeration for ground normal programs, over all worlds.
 
-One depth-first search solves every world: the probabilistic atoms are
-its first decisions, in declaration order and false first, so each
-shared prefix of facts is propagated once and the worlds come out in
-world-index order.  Below a total choice of facts the solver branches
-on the remaining unassigned atoms with unit propagation over the rule
-completion: a completed body forces its head true, a false head with
-one pending body literal falsifies that literal, and an atom whose
-support rules are all refuted is forced false.  Each rule keeps one
-counter, ``block``, of its refuted body literals.  Trail entries before
-``qhead`` have had their counter updates applied completely, so
-backtracking reverts exactly those entries.
+One depth-first search solves every world.  It branches false first on
+the lowest unassigned atom, and grounding numbers the probabilistic
+atoms 0 to n - 1 in declaration order, so they are its first decisions
+and each shared prefix of facts is propagated once.  Below a total
+choice of facts it branches on the remaining unassigned atoms with unit
+propagation over the rule completion: a completed body forces its head
+true, a false head with one pending body literal falsifies that
+literal, and an atom whose support rules are all refuted is forced
+false.  Each rule keeps one counter, ``block``, of its refuted body
+literals.  Trail entries before ``qhead`` have had their counter updates
+applied completely, so backtracking reverts exactly those entries.
 
 Programs whose positive dependency graph is cyclic also run
 :meth:`StableSolver._prune_unfounded` to a fixpoint at every node.  It
@@ -45,6 +45,8 @@ constraint is a conflict inside propagation and no leaf is reached.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .grounding import GroundProgram
 
 _UNASSIGNED, _FALSE, _TRUE = -1, 0, 1
@@ -78,12 +80,9 @@ class StableSolver:
             self.occ_head[self.heads[r]].append(r)
         self.zero_pos_rules = [r for r in range(nr) if not self.pos[r]]
         self.base_sup = [len(self.occ_head[a]) for a in range(self.n_total)]
-        self.prob_ids = list(gp.prob_atom_ids)
-        prob_set = set(self.prob_ids)
-        self.never_supported = [
-            a for a in range(self.n_atoms)
-            if not self.occ_head[a] and a not in prob_set
-        ]
+        # Probabilistic atoms are 0 to n_facts - 1 and head no rule.
+        self.n_facts = len(gp.prob_atom_ids)
+        self.never_supported = [a for a in range(self.n_facts, n) if not self.occ_head[a]]
         self._find_loops()
 
     def _find_loops(self) -> None:
@@ -127,54 +126,42 @@ class StableSolver:
     def all_worlds(self) -> tuple[list[int], bytearray]:
         """Stable models of every world, from one search.
 
-        Returns ``(counts, rows)``.  ``counts[i]`` is the number of
-        stable models of world ``i``, where ``i`` is a world index, the
-        package's one world encoding: with ``n`` probabilistic facts,
-        fact ``j`` (declaration order) is true iff bit ``n - 1 - j`` is
-        set.  ``rows`` holds every model as ``n_atoms`` bytes, byte
-        ``k`` being 1 iff ground atom ``k`` is in it; the models of
-        world 0 come first, then those of world 1, and so on.
+        Returns ``(counts, rows)``.  ``rows`` holds every model as
+        ``n_atoms`` bytes, byte ``k`` being 1 iff ground atom ``k`` is in
+        it.  ``counts[i]`` is the number of models of world ``i``, where
+        ``i`` is a world index, the package's one world encoding: with
+        ``n`` probabilistic facts, fact ``j`` (declaration order) is true
+        iff bit ``n - 1 - j`` is set.  A row's first ``n`` bytes are its
+        facts, so they spell its world index, fact 0 most significant.
 
-        Within a world the rows are ascending and pairwise distinct:
-        every probabilistic atom is assigned before the search below
-        starts, and that search branches false first on the lowest
-        unassigned atom, so two leaves first differ on the atom their
-        paths split on, and the one with it false comes out first.
+        The rows are ascending and pairwise distinct: the search branches
+        false first on the lowest unassigned atom, so two leaves first
+        differ on the atom their paths split on, and the one with it
+        false comes out first.  Ascending rows have ascending world
+        indices, so the models of world 0 come first, then those of
+        world 1, and so on.  A fact that propagation has fixed is not
+        decided, and the worlds of its other value have no model.
         """
         self.assign = [_UNASSIGNED] * self.n_total
         self.trail: list[int] = []
         self.qhead = 0
         self.block = [0] * len(self.heads)
         self.sup = list(self.base_sup)
-        self.counts = [0] * (1 << len(self.prob_ids))
         self.rows = bytearray()
-        self.world = 0
+        self.n_models = 0
         self.assign[self.false_atom] = _FALSE
         self.trail.append(self.false_atom)
         ok = all(self._set(a, _FALSE) for a in self.never_supported) and all(
             self._examine(r) for r in self.zero_pos_rules
         )
         if ok and self._propagate():
-            self._branch_worlds(0, 0)
-        return self.counts, self.rows
-
-    def _branch_worlds(self, j: int, world: int) -> None:
-        """Decide probabilistic facts ``j`` onwards, false first.
-
-        Worlds come out in index order, and each shared prefix is
-        propagated once.  A fact that propagation has already fixed
-        leaves the worlds of the other value with no model.
-        """
-        if j == len(self.prob_ids):
-            self.world = world
             self._search()
-            return
-        atom = self.prob_ids[j]
-        for value in (_FALSE, _TRUE):
-            mark = len(self.trail)
-            if self._set(atom, value) and self._propagate():
-                self._branch_worlds(j + 1, world << 1 | value)
-            self._undo_to(mark)
+        # The model count, not the buffer, gives the number of rows: with
+        # no ground atoms every row is zero bytes long.
+        n = self.n_facts
+        facts = np.frombuffer(self.rows, dtype=np.uint8).reshape(self.n_models, self.n_atoms)
+        worlds = facts[:, :n] @ (1 << np.arange(n - 1, -1, -1))
+        return np.bincount(worlds, minlength=1 << n).tolist(), self.rows
 
     def _set(self, atom: int, value: int) -> bool:
         cur = self.assign[atom]
@@ -207,7 +194,7 @@ class StableSolver:
         except ValueError:
             # A conflict-free total assignment is stable (module docstring).
             self.rows += bytes(self.assign[: self.n_atoms])
-            self.counts[self.world] += 1
+            self.n_models += 1
             return
         # False branch first: models come out in ascending row order.
         for value in (_FALSE, _TRUE):

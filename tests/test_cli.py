@@ -398,3 +398,12 @@ def test_bench_jobs_below_one_exit_1(tmp_path, monkeypatch, capsys, jobs):
     assert main(bench_argv(str(out)) + ["--jobs", jobs]) == 1
     assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
     assert made == [] and not out.exists()
+
+
+def test_bench_unwritable_out_fails_before_any_cell(tmp_path, monkeypatch, capsys):
+    ran: list[tuple] = []
+    monkeypatch.setattr(cli, "_bench_cell", lambda cell: ran.append(cell) or [])
+    out = tmp_path / "missing" / "bench.csv"
+    assert main(bench_argv(str(out))) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert ran == []

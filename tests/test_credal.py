@@ -263,3 +263,18 @@ def test_check_consistency_counts_first_middle_and_last_world():
     with pytest.raises(InconsistentWorld) as exc:
         credal_query(program, q("d"))
     assert exc.value.world_index == 0
+
+
+@pytest.mark.parametrize("theta", [[1.0], [1.0, 1.0, 0.0]], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        lambda program, theta: credal_query(program, q("c"), theta=theta),
+        lambda program, theta: credal_conditional(program, q("c"), q("a"), theta=theta),
+    ],
+    ids=["query", "conditional"],
+)
+def test_theta_of_wrong_length_rejected(bounds, theta):
+    program = parse_program("learnable(0.5)::a.\nlearnable(0.5)::b.\nc :- a, b.")
+    with pytest.raises(ValueError, match="expected theta of length 2"):
+        bounds(program, theta)

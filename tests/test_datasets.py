@@ -3,15 +3,20 @@ import pytest
 from pasplearn.credal import check_consistency, credal_query
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import SpecOutOfRange
+from pasplearn.grounding import ground
 from pasplearn.model import query_from_literals
 
 LENGTH_RANGES = {"coloring": (3, 4), "path": (1, 3), "shop": (1, 10), "smoke": (1, 3)}
-OBSERVABLES = {
-    "coloring": {"red", "green", "blue", "valid"},
-    "path": {"path"},
-    "shop": {"bought"},
-    "smoke": {"ill"},
+OBSERVABLES = {  # (functor, arity)
+    "coloring": {("red", 1), ("green", 1), ("blue", 1), ("valid", 0)},
+    "path": {("path", 2)},
+    "shop": {("bought", 1)},
+    "smoke": {("ill", 1)},
 }
+
+
+def _signature(atom):
+    return atom.functor, len(atom.args)
 
 
 def spec(family, size, n=5, seed=0, init=0.5):
@@ -89,10 +94,12 @@ def test_interpretation_lengths_and_observables():
     for family, size in (("coloring", 4), ("path", 8), ("shop", 5), ("smoke", 4)):
         program, interps = generate(spec(family, size, n=8, seed=11))
         lo, hi = LENGTH_RANGES[family]
+        # generate clips the range to the number of observable ground atoms.
+        observable = [a for a in ground(program).atoms if _signature(a) in OBSERVABLES[family]]
+        h = min(hi, len(observable))
         for interp in interps:
-            assert lo <= len(interp.literals) or len(interp.literals) >= 1
-            assert len(interp.literals) <= hi
-            assert {l.atom.functor for l in interp.literals} <= OBSERVABLES[family]
+            assert min(lo, h) <= len(interp.literals) <= h
+            assert {_signature(l.atom) for l in interp.literals} <= OBSERVABLES[family]
             atoms = [l.atom for l in interp.literals]
             assert len(set(atoms)) == len(atoms)  # no contradictions possible
 

@@ -146,6 +146,31 @@ def test_all_worlds_rows_match_parent_digest(family, size):
     assert digest == _ROW_DIGESTS[family, size]
 
 
+# Programs where propagation fixes a probabilistic fact, so the search
+# never decides it and the worlds of its other value get no model: at the
+# root, and below the decision on another fact.  SHA-256 as above.
+_FIXED_FACT_DIGESTS = {
+    "at-root": (
+        "0.5::a.\n0.5::b.\nc :- a, not d.\nd :- not c.\ne :- b.\n:- not a.\n",
+        "938e023e8b400eb4bb2ac7b82638ae6fa45810742a06f798b7317f5dc8255cb3",
+    ),
+    "below-decision": (
+        "0.5::a.\n0.5::b.\n0.5::c.\nx :- b, not y.\ny :- not x.\n"
+        "p :- q.\nq :- p.\np :- c, x.\n:- a, not b.\n",
+        "c68f23dfe61960787c861784649f635d0ce0211740e11efc42553ff39995a936",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIXED_FACT_DIGESTS))
+def test_fixed_fact_rows_match_recorded_digest(name):
+    text, expected = _FIXED_FACT_DIGESTS[name]
+    counts, rows = StableSolver(ground(parse_program(text))).all_worlds()
+    assert 0 in counts
+    digest = hashlib.sha256(repr(counts).encode() + bytes(rows)).hexdigest()
+    assert digest == expected
+
+
 def test_world_facts_change_models():
     text = "0.5::f.\na :- f, not b.\nb :- f, not a.\n"
     program = parse_program(text)
