@@ -191,32 +191,23 @@ def _bench_cell(cell: tuple[str, int, int, str, int]) -> list[str]:
         )
         run = learn_opt if kind == "opt" else learn_em
         result = run(program, interps, cfg)
-        wall = time.perf_counter() - t0
-        return [
-            family,
-            str(size),
-            str(n_interps),
-            method,
-            str(seed),
-            repr(result.final_ll),
-            str(result.iterations),
-            f"{wall:.3f}",
-            "true" if result.converged else "false",
-        ]
+        ll, iterations = repr(result.final_ll), str(result.iterations)
+        status = "true" if result.converged else "false"
     except PaspError as exc:
-        wall = time.perf_counter() - t0
         # Result columns stay empty; the status lands in `converged`.
-        return [
-            family,
-            str(size),
-            str(n_interps),
-            method,
-            str(seed),
-            "",
-            "",
-            f"{wall:.3f}",
-            type(exc).__name__,
-        ]
+        ll, iterations, status = "", "", type(exc).__name__
+    wall = time.perf_counter() - t0
+    return [
+        family,
+        str(size),
+        str(n_interps),
+        method,
+        str(seed),
+        ll,
+        iterations,
+        f"{wall:.3f}",
+        status,
+    ]
 
 
 def _int_list(text: str) -> list[int]:

@@ -192,22 +192,24 @@ class _Parser:
             and self._peek_kind(4) == "DCOLON"
         )
 
+    def _prob_fact(self, prob: float, span: SourceSpan, learnable: bool) -> ProbFact:
+        """The ``:: atom.`` tail of a probabilistic fact; errors point at ``span``."""
+        self._expect("DCOLON", "'::'")
+        atom = self._parse_atom()
+        self._expect("DOT", "'.'")
+        if not (0.0 <= prob <= 1.0):
+            raise ProbOutOfRange(f"probability {prob} outside [0,1]", span)
+        if not atom.is_ground:
+            raise PaspSyntaxError(f"probabilistic fact {atom} must be ground", span)
+        return ProbFact(atom, prob, learnable=learnable)
+
     def parse_statement(self):
         """One statement: returns a ProbFact or a Rule."""
         tok = self._peek()
         assert tok is not None
         if tok.kind == "NUMBER":
             prob, span = self._parse_number("probability")
-            self._expect("DCOLON", "'::'")
-            atom = self._parse_atom()
-            self._expect("DOT", "'.'")
-            if not (0.0 <= prob <= 1.0):
-                raise ProbOutOfRange(f"probability {prob} outside [0,1]", span)
-            if not atom.is_ground:
-                raise PaspSyntaxError(
-                    f"probabilistic fact {atom} must be ground", span
-                )
-            return ProbFact(atom, prob, learnable=False)
+            return self._prob_fact(prob, span, learnable=False)
         if self._at_learnable_decl():
             span = self._advance().span  # 'learnable'
             prob = 0.5
@@ -215,16 +217,7 @@ class _Parser:
                 self._advance()
                 prob, span = self._parse_number("initial probability")
                 self._expect("RPAREN", "')'")
-            self._expect("DCOLON", "'::'")
-            atom = self._parse_atom()
-            self._expect("DOT", "'.'")
-            if not (0.0 <= prob <= 1.0):
-                raise ProbOutOfRange(f"probability {prob} outside [0,1]", span)
-            if not atom.is_ground:
-                raise PaspSyntaxError(
-                    f"probabilistic fact {atom} must be ground", span
-                )
-            return ProbFact(atom, prob, learnable=True)
+            return self._prob_fact(prob, span, learnable=True)
         if tok.kind == "IMPL":
             self._advance()
             body = self._parse_body()

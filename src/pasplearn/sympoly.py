@@ -22,9 +22,10 @@ coefficients and products, and all gradients come from one
 one-polynomial case.  The stack keeps each polynomial's floating-point
 operations in the order of evaluating it alone, so its numbers do not
 depend on which polynomials share the stack.  Gradients are exact: each
-partial is the polynomial with its variable removed, handled with
-explicit zero accounting so that θ components equal to 0 still
-differentiate correctly.
+partial is the polynomial with its variable removed, by one path for
+every θ.  A θ component equal to 0 is read as 1.0 in the products, and
+a mask test on the patterns then zeroes the monomials and partials that
+still hold a zero factor.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ class PolyStack:
         patterns = np.concatenate([np.zeros(0, dtype=np.int64)] + [p.patterns for p in polys])
         # The constant monomial reads the sentinel variable nvars (value
         # pinned to 1.0), which keeps its segment non-empty for reduceat.
-        patterns = np.where(patterns == 0, 1 << nvars, patterns)
-        rows, self.flat = np.nonzero(patterns[:, None] & (1 << np.arange(nvars + 1)) != 0)
-        self.lengths = np.bincount(rows, minlength=len(patterns))
+        self.patterns = np.where(patterns == 0, 1 << nvars, patterns)
+        rows, self.flat = np.nonzero(self.patterns[:, None] & (1 << np.arange(nvars + 1)) != 0)
+        self.lengths = np.bincount(rows, minlength=len(self.patterns))
         self.offsets = np.cumsum(self.lengths) - self.lengths
         owner = np.repeat(np.arange(len(polys)), sizes)
         self._grad_index = owner[rows] * (nvars + 1) + self.flat
@@ -132,33 +133,23 @@ class PolyStack:
     def gradients(self, theta) -> tuple[list[float], np.ndarray]:
         """Values and exact gradients (one row per polynomial) at theta.
 
-        Each partial is the polynomial with its variable removed; a θ
-        component equal to 0 is handled with explicit zero accounting
-        so that it still differentiates correctly.
+        Each partial is the polynomial with its variable removed.  A θ
+        component equal to 0 is read as 1.0 so that every quotient is
+        defined; the patterns then zero each monomial with a zero factor
+        and each partial with a zero factor other than its own variable.
         """
         ext = self._ext(theta)
-        vals = ext[self.flat]
-        if ext.all():
-            # No zero factor: the zero-accounting formulas below reduce
-            # to these, operation for operation.
-            prods = np.multiply.reduceat(vals, self.offsets)
-            others = np.repeat(prods, self.lengths) / vals
-        else:
-            zero = vals == 0.0
-            nz_vals = np.where(zero, 1.0, vals)
-            seg_nz_prod = np.multiply.reduceat(nz_vals, self.offsets)
-            seg_zeros = np.add.reduceat(zero.astype(np.int64), self.offsets)
-            # Per flat element: product of its monomial's *other* variables.
-            el_nz_prod = np.repeat(seg_nz_prod, self.lengths)
-            el_zeros = np.repeat(seg_zeros, self.lengths)
-            others = np.where(
-                el_zeros == 0,
-                el_nz_prod / nz_vals,
-                np.where((el_zeros == 1) & zero, el_nz_prod, 0.0),
-            )
-            # A monomial with a zero factor is 0; the rest are products
-            # of the same factors in the same order as in values().
-            prods = np.where(seg_zeros == 0, seg_nz_prod, 0.0)
+        zero = ext == 0.0
+        vals = np.where(zero, 1.0, ext)[self.flat]
+        prods = np.multiply.reduceat(vals, self.offsets)
+        # Per flat element: product of its monomial's *other* variables.
+        others = np.repeat(prods, self.lengths) / vals
+        if zero.any():
+            # Each monomial's zero factors (never the sentinel).  A lone
+            # zero factor's partial is the rest's product over 1.0 and stays.
+            hit = self.patterns & np.bitwise_or.reduce(1 << np.flatnonzero(zero))
+            prods[hit != 0] = 0.0
+            others[np.repeat(hit, self.lengths) & ~(1 << self.flat) != 0] = 0.0
         width = self.nvars + 1
         grads = np.bincount(
             self._grad_index, weights=self._el_coef * others, minlength=len(self) * width

@@ -338,13 +338,15 @@ def test_opt_meets_or_beats_em_on_random_programs(seed):
 
 
 def _theta_cases(nvars, seed):
-    """Random θ in (0, 1); θ of exact 0s and 1s; a mix; θ whose terms floor."""
+    """Random θ in (0, 1); θ of exact 0s and 1s; a mix; θ whose terms floor;
+    θ with −0.0 at every even index (a zero like +0.0)."""
     rng = SplitMix64(seed).split(7)
     rand = [rng.random() for _ in range(nvars)]
     corners = [float(rng.randint(0, 1)) for _ in range(nvars)]
     mixed = [c if k % 2 else r for k, (r, c) in enumerate(zip(rand, corners))]
     tiny = [r * 1e-6 for r in rand]
-    return [rand, corners, mixed, tiny]
+    negzero = [r if k % 2 else -0.0 for k, r in enumerate(rand)]
+    return [rand, corners, mixed, tiny, negzero]
 
 
 def _assert_same_numbers(program, data, seed, seen):

@@ -9,6 +9,7 @@ from pasplearn.errors import (
     NonGroundInterpretation,
     PaspSyntaxError,
     ProbOutOfRange,
+    SourceSpan,
 )
 from pasplearn.model import Atom, Literal, format_prob
 from pasplearn.parsing import (
@@ -53,10 +54,12 @@ def test_duplicate_prob_fact_rejected():
 
 
 def test_prob_out_of_range_rejected():
-    with pytest.raises(ProbOutOfRange):
+    with pytest.raises(ProbOutOfRange) as exc:
         parse_program("1.5::a.")
-    with pytest.raises(ProbOutOfRange):
+    assert exc.value.span == SourceSpan(1, 1)
+    with pytest.raises(ProbOutOfRange) as exc:
         parse_program("learnable(1.01)::a.")
+    assert exc.value.span == SourceSpan(1, 11)
 
 
 def test_boundary_probabilities_accepted():
@@ -70,8 +73,14 @@ def test_prob_fact_as_head_rejected():
 
 
 def test_nonground_prob_fact_rejected():
-    with pytest.raises(PaspSyntaxError):
-        parse_program("0.4::f(X).")
+    for text, column in [
+        ("0.4::f(X).", 1),
+        ("learnable::f(X).", 1),
+        ("learnable(0.3)::f(X).", 11),
+    ]:
+        with pytest.raises(PaspSyntaxError, match="must be ground") as exc:
+            parse_program(text)
+        assert exc.value.span == SourceSpan(1, column)
 
 
 def test_syntax_error_carries_position():
