@@ -1,8 +1,16 @@
 """Command-line interface: ``infer``, ``learn``, ``gen``, ``bench``.
 
+``infer`` prints a query's credal bounds, or a conditional's with
+``--evidence``; ``learn`` fits the learnable probabilities to
+interpretations; ``gen`` writes a benchmark instance and ``bench``
+sweeps families × sizes × methods into a CSV.  ``infer`` and ``learn``
+print through one routine: text lines, or with ``--json`` one JSON
+payload on stdout and any ``--show-equations`` lines on stderr.
+
 Exit codes: 0 success, 1 parse/spec/usage errors, 2 inconsistent
-program, 3 undefined conditional, 4 no learnable facts.  Probabilities
-are printed with 6 decimals; ``--json`` payloads carry full doubles.
+program, 3 undefined conditional, 4 no learnable facts; one table maps
+each error class to its code.  Probabilities are printed with 6
+decimals; ``--json`` payloads carry full doubles.
 """
 
 from __future__ import annotations
@@ -25,15 +33,11 @@ from .credal import (
 )
 from .datasets import FAMILIES, DatasetSpec, generate
 from .errors import (
-    CapExceeded,
-    GenerationError,
     InconsistentWorld,
     NoLearnableFacts,
     PaspError,
     PaspSyntaxError,
-    SpecOutOfRange,
     UndefinedConditional,
-    UnsafeRule,
 )
 from .learning import BACKENDS, LearnConfig, LearnResult, learn_em, learn_opt
 from .model import Program, interpretation_query, query_from_literals
@@ -46,7 +50,10 @@ from .parsing import (
 )
 from .sympoly import extract_poly, poly_from_world_flags, poly_to_text
 
+_LEARNERS = {"opt": learn_opt, "em": learn_em}
 _BENCH_METHODS = ("opt-gradient", "opt-dfree", "em")
+#: Exit code per error class; a subclass maps like its base, any other error is 1.
+_EXIT_CODES = {InconsistentWorld: 2, UndefinedConditional: 3, NoLearnableFacts: 4}
 _CSV_HEADER = (
     "family,size,n_interps,method,seed,final_ll,iterations,wall_seconds,converged"
 )
@@ -71,38 +78,39 @@ def _option_query(option: str, text: str):
         raise PaspSyntaxError(f"{option}: {exc}") from exc
 
 
+def _emit(args, equations: list[str], payload: dict, lines: list[str]) -> None:
+    """Print the equations and text lines, or with ``--json`` the payload
+    on stdout and the equations on stderr."""
+    for line in equations:
+        print(line, file=sys.stderr if args.json else sys.stdout)
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+
+
 def cmd_infer(args) -> None:
     program = parse_program(_read(args.program))
     q = _option_query("--query", args.query)
     if args.check:
         world_models(program).raise_if_inconsistent()
+    e = None if args.evidence is None else _option_query("--evidence", args.evidence)
     equations: list[str] = []
-    if args.evidence is not None:
-        e = _option_query("--evidence", args.evidence)
-        if args.show_equations:
-            flags = conditional_flags(world_models(program), q, e)
+    if args.show_equations:
+        wm = world_models(program)
+        if e is None:
+            names, flags = ("low(q)", "up(q)"), wm.satisfaction(q)
+        else:
             names = ("low(q,e)", "up(q,e)", "low(not q,e)", "up(not q,e)")
-            equations = _legend(program) + [
-                f"{name} = {poly_to_text(poly_from_world_flags(program, fl))}"
-                for name, fl in zip(names, flags)
-            ]
-        bounds = credal_conditional(program, q, e)
-    else:
-        if args.show_equations:
-            equations = _legend(program) + [
-                f"low(q) = {poly_to_text(extract_poly(program, q, 'lower'))}",
-                f"up(q) = {poly_to_text(extract_poly(program, q, 'upper'))}",
-            ]
-        bounds = credal_query(program, q)
-    payload = {"lower": bounds.lower, "upper": bounds.upper}
-    if args.json:
-        for line in equations:
-            print(line, file=sys.stderr)
-        print(json.dumps(payload))
-    else:
-        for line in equations:
-            print(line)
-        print(f"lower={bounds.lower:.6f} upper={bounds.upper:.6f}")
+            flags = conditional_flags(wm, q, e)
+        equations = _legend(program) + [
+            f"{name} = {poly_to_text(poly_from_world_flags(program, fl))}"
+            for name, fl in zip(names, flags)
+        ]
+    bounds = credal_query(program, q) if e is None else credal_conditional(program, q, e)
+    _emit(
+        args,
+        equations,
+        {"lower": bounds.lower, "upper": bounds.upper},
+        [f"lower={bounds.lower:.6f} upper={bounds.upper:.6f}"],
+    )
 
 
 def _result_payload(program: Program, result: LearnResult) -> dict:
@@ -139,21 +147,19 @@ def cmd_learn(args) -> None:
             + poly_to_text(extract_poly(program, interpretation_query(i), cfg.target))
             for k, i in enumerate(interps)
         ]
-    run = learn_opt if args.method == "opt" else learn_em
-    result = run(program, interps, cfg)
+    result = _LEARNERS[args.method](program, interps, cfg)
     payload = _result_payload(program, result)
-    if args.json:
-        for line in equations:
-            print(line, file=sys.stderr)
-        print(json.dumps(payload))
-    else:
-        for line in equations:
-            print(line)
-        for entry in payload["params"]:
-            print(f"{entry['atom']} {entry['prob']:.6f}")
-        print(f"finalLL {result.final_ll:.6f}")
-        print(f"iterations {result.iterations}")
-        print(f"converged {'true' if result.converged else 'false'}")
+    _emit(
+        args,
+        equations,
+        payload,
+        [f"{entry['atom']} {entry['prob']:.6f}" for entry in payload["params"]]
+        + [
+            f"finalLL {result.final_ll:.6f}",
+            f"iterations {result.iterations}",
+            f"converged {'true' if result.converged else 'false'}",
+        ],
+    )
 
 
 def cmd_gen(args) -> None:
@@ -189,8 +195,7 @@ def _bench_cell(cell: tuple[str, int, int, str, int]) -> list[str]:
             seed=seed,
             opt_backend=BACKENDS[backend or "gradient"],
         )
-        run = learn_opt if kind == "opt" else learn_em
-        result = run(program, interps, cfg)
+        result = _LEARNERS[kind](program, interps, cfg)
         ll, iterations = repr(result.final_ll), str(result.iterations)
         status = "true" if result.converged else "false"
     except PaspError as exc:
@@ -290,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_learn = sub.add_parser("learn", help="fit learnable probabilities")
     p_learn.add_argument("--program", required=True)
     p_learn.add_argument("--interpretations", required=True, help=".int data file")
-    p_learn.add_argument("--method", choices=("opt", "em"), default="opt")
+    p_learn.add_argument("--method", choices=tuple(_LEARNERS), default="opt")
     p_learn.add_argument("--target", choices=("lower", "upper"), default="upper")
     p_learn.add_argument(
         "--backend",
@@ -354,26 +359,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (
-        PaspSyntaxError,
-        UnsafeRule,
-        SpecOutOfRange,
-        GenerationError,
-        CapExceeded,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (PaspError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InconsistentWorld as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UndefinedConditional as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoLearnableFacts as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next((code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)), 1)
     return 0
 
 

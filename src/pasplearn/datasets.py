@@ -10,6 +10,10 @@ attempts each; satisfiability is certified constructively per family
 enumerate worlds — essential for the larger smoke instances whose
 probabilistic-fact count exceeds any enumerable cap.
 
+Everything known about a family is one :class:`_Family` row of the
+``_FAMILIES`` table: sizes, interpretation lengths, observables,
+builder and certifier.
+
 Generation is deterministic: all randomness flows from SplitMix64
 streams split off the spec seed (stream 1 = graph structure, stream 2 =
 interpretations).
@@ -18,34 +22,13 @@ interpretations).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import GenerationError, SpecOutOfRange
 from .grounding import ground
 from .model import Atom, Interpretation, Literal, ProbFact, Program, Rule
+from .parsing import parse_program
 from .rng import SplitMix64
-
-FAMILIES = ("coloring", "path", "shop", "smoke")
-
-_SIZE_BOUNDS = {
-    "coloring": (3, 6),   # nodes of a complete graph
-    "path": (5, 20),      # edges of a random connected graph
-    "shop": (2, 12),      # people
-    "smoke": (2, 6),      # people
-}
-
-_LENGTH_RANGE = {
-    "coloring": (3, 4),
-    "path": (1, 3),
-    "shop": (1, 10),
-    "smoke": (1, 3),
-}
-
-_OBSERVABLES = {
-    "coloring": {("red", 1), ("green", 1), ("blue", 1), ("valid", 0)},
-    "path": {("path", 2)},
-    "shop": {("bought", 1)},
-    "smoke": {("ill", 1)},
-}
 
 _MAX_ATTEMPTS = 100
 
@@ -59,9 +42,9 @@ class DatasetSpec:
     init_prob: float = 0.5
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise SpecOutOfRange(f"unknown family {self.family!r}")
-        lo, hi = _SIZE_BOUNDS[self.family]
+        lo, hi = _FAMILIES[self.family].sizes
         if not lo <= self.size <= hi:
             raise SpecOutOfRange(
                 f"{self.family} size must be in [{lo}, {hi}], got {self.size}"
@@ -72,12 +55,6 @@ class DatasetSpec:
             )
         if not 0.0 <= self.init_prob <= 1.0:
             raise SpecOutOfRange(f"init_prob must be in [0,1], got {self.init_prob}")
-
-
-def _parse_rules(text: str) -> tuple[Rule, ...]:
-    from .parsing import parse_program
-
-    return parse_program(text).rules
 
 
 # -- coloring ----------------------------------------------------------
@@ -102,7 +79,7 @@ def _build_coloring(size: int, init_prob: float, rng: SplitMix64) -> Program:
         for j in range(i + 1, size + 1)
     ]
     rules = [Rule(Atom("node", (i,))) for i in range(1, size + 1)]
-    rules.extend(_parse_rules(_COLORING_RULES))
+    rules.extend(parse_program(_COLORING_RULES).rules)
     return Program(tuple(facts), tuple(rules))
 
 
@@ -183,7 +160,7 @@ def _build_path(size: int, init_prob: float, rng: SplitMix64) -> Program:
     facts = [
         ProbFact(Atom("edge", pair), init_prob, learnable=True) for pair in edges
     ]
-    return Program(tuple(facts), _parse_rules(_PATH_RULES))
+    return Program(tuple(facts), parse_program(_PATH_RULES).rules)
 
 
 def _reachable(adj: dict[int, list[int]], src: int) -> set[int]:
@@ -198,7 +175,7 @@ def _reachable(adj: dict[int, list[int]], src: int) -> set[int]:
     return seen
 
 
-def _path_satisfiable(program: Program, interp: Interpretation) -> bool:
+def _path_satisfiable(program: Program, interp: Interpretation, size: int) -> bool:
     """Witness search: pick the connected-edge subset directly.
 
     In any world, each included edge independently ends up connected or
@@ -307,7 +284,7 @@ def _build_shop(size: int, init_prob: float, rng: SplitMix64) -> Program:
     return Program(tuple(facts), tuple(rules))
 
 
-def _shop_satisfiable(program: Program, interp: Interpretation) -> bool:
+def _shop_satisfiable(program: Program, interp: Interpretation, size: int) -> bool:
     """Exact: realizable bought/1 sets are those without both conflict
     products; a witness has one shopper per required product."""
     pos = {l.atom.args[0] for l in interp.literals if l.positive}
@@ -342,10 +319,10 @@ def _build_smoke(size: int, init_prob: float, rng: SplitMix64) -> Program:
                 facts.append(
                     ProbFact(Atom("influences", (i, j)), init_prob, learnable=True)
                 )
-    return Program(tuple(facts), _parse_rules(_SMOKE_RULES))
+    return Program(tuple(facts), parse_program(_SMOKE_RULES).rules)
 
 
-def _smoke_satisfiable(program: Program, interp: Interpretation) -> bool:
+def _smoke_satisfiable(program: Program, interp: Interpretation, size: int) -> bool:
     # Persons are independent once no influences fact is included:
     # ill(i) is forced by {stress(i), asthma_f(i)} without predisposition
     # and impossible without smokes(i), so every sign pattern over
@@ -353,23 +330,32 @@ def _smoke_satisfiable(program: Program, interp: Interpretation) -> bool:
     return True
 
 
-# -- shared driver -------------------------------------------------------
+# -- the family table ----------------------------------------------------
 
 
-def _observable_atoms(program: Program, family: str) -> list[Atom]:
-    gp = ground(program)
-    keys = _OBSERVABLES[family]
-    return [a for a in gp.atoms if (a.functor, len(a.args)) in keys]
+@dataclass(frozen=True)
+class _Family:
+    sizes: tuple[int, int]  # accepted sizes, inclusive
+    lengths: tuple[int, int]  # interpretation lengths, clipped to the observables
+    observables: frozenset[tuple[str, int]]  # (functor, arity) of observable atoms
+    build: Callable[[int, float, SplitMix64], Program]  # (size, init_prob, rng)
+    satisfiable: Callable[[Program, Interpretation, int], bool]  # (program, interp, size)
 
 
-def _satisfiable(family: str, program: Program, interp: Interpretation, size: int) -> bool:
-    if family == "coloring":
-        return _coloring_satisfiable(program, interp, size)
-    if family == "path":
-        return _path_satisfiable(program, interp)
-    if family == "shop":
-        return _shop_satisfiable(program, interp)
-    return _smoke_satisfiable(program, interp)
+# Size counts coloring's complete-graph nodes, path's edges, shop's and smoke's people.
+_FAMILIES = {
+    "coloring": _Family(
+        (3, 6),
+        (3, 4),
+        frozenset({("red", 1), ("green", 1), ("blue", 1), ("valid", 0)}),
+        _build_coloring,
+        _coloring_satisfiable,
+    ),
+    "path": _Family((5, 20), (1, 3), frozenset({("path", 2)}), _build_path, _path_satisfiable),
+    "shop": _Family((2, 12), (1, 10), frozenset({("bought", 1)}), _build_shop, _shop_satisfiable),
+    "smoke": _Family((2, 6), (1, 3), frozenset({("ill", 1)}), _build_smoke, _smoke_satisfiable),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def generate(spec: DatasetSpec) -> tuple[Program, list[Interpretation]]:
@@ -378,16 +364,13 @@ def generate(spec: DatasetSpec) -> tuple[Program, list[Interpretation]]:
     rng_structure = root.split(1)
     rng_interp = root.split(2)
 
-    builder = {
-        "coloring": _build_coloring,
-        "path": _build_path,
-        "shop": _build_shop,
-        "smoke": _build_smoke,
-    }[spec.family]
-    program = builder(spec.size, spec.init_prob, rng_structure)
+    family = _FAMILIES[spec.family]
+    program = family.build(spec.size, spec.init_prob, rng_structure)
 
-    observables = _observable_atoms(program, spec.family)
-    lo, hi = _LENGTH_RANGE[spec.family]
+    observables = [
+        a for a in ground(program).atoms if (a.functor, len(a.args)) in family.observables
+    ]
+    lo, hi = family.lengths
     hi = min(hi, len(observables))
     lo = min(lo, hi)
 
@@ -400,7 +383,7 @@ def generate(spec: DatasetSpec) -> tuple[Program, list[Interpretation]]:
                 Literal(a, positive=rng_interp.randint(0, 1) == 0) for a in atoms
             )
             interp = Interpretation(literals)
-            if _satisfiable(spec.family, program, interp, spec.size):
+            if family.satisfiable(program, interp, spec.size):
                 interps.append(interp)
                 break
         else:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 import numpy as np
 
@@ -207,11 +207,18 @@ def _support(program: Program) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_w = world_weights(
         [(1.0, 1.0) if pf.learnable else (1.0 - pf.prob, pf.prob) for pf in facts]
     )
-    # combinations yields each size's variable lists in ascending order.
+    # Canonical order sorts by popcount, then by ascending variable list:
+    # the list whose lowest differing variable is smaller comes first,
+    # which is the larger pattern once bit j is moved to bit nvars-1-j.
     nvars = len(learnable)
-    lists = (c for size in range(nvars + 1) for c in combinations(range(nvars), size))
-    order = np.fromiter((sum(1 << j for j in c) for c in lists), np.int64, 1 << nvars)
-    return patterns, k_w, order
+    every = np.arange(1 << nvars, dtype=np.int64)
+    popcount = np.zeros_like(every)
+    reversed_bits = np.zeros_like(every)
+    for j in range(nvars):
+        bit = every >> j & 1
+        popcount += bit
+        reversed_bits |= bit << (nvars - 1 - j)
+    return patterns, k_w, every[np.lexsort((-reversed_bits, popcount))]
 
 
 def poly_from_world_flags(program: Program, flags) -> SymPoly:

@@ -6,6 +6,21 @@ import pytest
 
 from pasplearn import cli
 from pasplearn.cli import main
+from pasplearn.errors import (
+    CapExceeded,
+    ContradictoryInterpretation,
+    DuplicateProbFact,
+    GenerationError,
+    HeadIsProbFact,
+    InconsistentWorld,
+    NoLearnableFacts,
+    NonGroundInterpretation,
+    PaspSyntaxError,
+    ProbOutOfRange,
+    SpecOutOfRange,
+    UndefinedConditional,
+    UnsafeRule,
+)
 from conftest import EXAMPLE_GRAPH
 
 COIN = "learnable(0.3)::heads.\n"
@@ -64,6 +79,22 @@ def test_infer_equations_text(tmp_path, capsys):
     assert "# p0 = edge(1,2)" in lines
     assert "up(q) = 0.3*p0" in lines  # fixed edge(2,4) folded, edge(1,2) symbolic
     assert lines[-1] == "lower=0.000000 upper=0.060000"
+
+
+def test_infer_conditional_equations_text(tmp_path, capsys):
+    learnable = write(
+        tmp_path, "lg.pasp", EXAMPLE_GRAPH.replace("0.2::", "learnable(0.2)::")
+    )
+    argv = ["infer", "--program", learnable, "--query", "path(1,4)"]
+    assert main(argv + ["--evidence", "edge(2,4)", "--show-equations"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "# p0 = edge(1,2)",
+        "low(q,e) = 0",
+        "up(q,e) = 0.3*p0",
+        "low(not q,e) = 0.3 - 0.3*p0",
+        "up(not q,e) = 0.3",
+        "lower=0.000000 upper=0.200000",
+    ]
 
 
 def test_infer_equations_constant_without_learnables(graph_file, capsys):
@@ -125,6 +156,37 @@ def test_infer_empty_evidence_exit_1_like_empty_query(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --query: 1:1: empty query\n"
     assert main(["infer", "--program", prog, "--query", "c", "--evidence", ""]) == 1
     assert capsys.readouterr().err == "error: --evidence: 1:1: empty query\n"
+
+
+_ERRORS = [
+    (PaspSyntaxError("syntax"), 1),
+    (DuplicateProbFact("duplicate"), 1),
+    (ProbOutOfRange("range"), 1),
+    (HeadIsProbFact("head"), 1),
+    (NonGroundInterpretation("ground"), 1),
+    (ContradictoryInterpretation("contradiction"), 1),
+    (UnsafeRule("a(X) :- not b(X).", "X"), 1),
+    (CapExceeded(40, 20), 1),
+    (SpecOutOfRange("size"), 1),
+    (GenerationError("attempts"), 1),
+    (OSError("disk"), 1),
+    (ValueError("value"), 1),
+    (InconsistentWorld(1, (1,)), 2),
+    (UndefinedConditional("q | e"), 3),
+    (NoLearnableFacts("none"), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "exc,code", _ERRORS, ids=[type(exc).__name__ for exc, _ in _ERRORS]
+)
+def test_error_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_infer", fail)
+    assert main(["infer", "--program", "p.pasp", "--query", "q"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_infer_undefined_conditional_exit_3(tmp_path):

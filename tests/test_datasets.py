@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pasplearn.credal import check_consistency, credal_query
@@ -5,6 +7,7 @@ from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import SpecOutOfRange
 from pasplearn.grounding import ground
 from pasplearn.model import query_from_literals
+from pasplearn.parsing import interpretations_to_text, program_to_text
 
 LENGTH_RANGES = {"coloring": (3, 4), "path": (1, 3), "shop": (1, 10), "smoke": (1, 3)}
 OBSERVABLES = {  # (functor, arity)
@@ -131,3 +134,35 @@ def test_generated_interpretations_possible():
         for interp in interps:
             q = query_from_literals(interp.literals)
             assert credal_query(program, q).upper > 0.0, f"{family}: {interp}"
+
+
+# SHA-256 of program_to_text + interpretations_to_text, 10 interpretations,
+# at each family's smallest and largest size.  A change to the generator
+# must leave every dataset byte-for-byte as it is.
+_DATASET_DIGESTS = {
+    ("coloring", 3, 0): "5ca610e1707e320a9c41ba0a46da743c3f945c67758d045247eeacac1b33b12a",
+    ("coloring", 3, 1): "8e66f24c71c2819160cf1cf6ef09837f6274548e6b0120ad2e5e8afdf5113154",
+    ("coloring", 6, 0): "71561c1ad566dcb564e8be367f49a5536732855dac8cf7c0b00f1aad29093406",
+    ("coloring", 6, 1): "fa0db80bae3a0fd611577701cb982739f3195302df781934042444ecdfda7e30",
+    ("path", 5, 0): "c20f5bd690531e511fa4e98b1b750882d80d0cdcc063a2c3c71b915f9c78ffc9",
+    ("path", 5, 1): "98528204b797e5cb24562ebd88159f6db78157c21a4d01bab4d37e1819b3cfc9",
+    ("path", 20, 0): "feb76efa42711704d2cf27ce1ea35212817d61d5fb8abaa1756f440ac047ae63",
+    ("path", 20, 1): "2efd98834c956bb45de0d1540e162f7556a75bb47d7f5f0b5f6b7408c71ca4c1",
+    ("shop", 2, 0): "6f794ef1c93823512fe201925fb04a23b95252723bb5d4f9812910e3043c559a",
+    ("shop", 2, 1): "2d01607cf0ccbc8bb7bf560d9c729efa1dd9237afc2b86572c166c8c5baf4184",
+    ("shop", 12, 0): "7aa48d893bdeb031dc380a64ea303745d61da4268d5b35224e5799460db43788",
+    ("shop", 12, 1): "ac2018122bc29cfbfc275b98887dddb203208c776540397b0decba67c897fd3a",
+    ("smoke", 2, 0): "f10438c546f371836fb9caaf3433f68d832e2aa792f2942d4cda19ae5ccf6e16",
+    ("smoke", 2, 1): "4c40e92988d61c216f0560443db8ac7fa6d1f62b455d1d919f92f8d70d4d64e6",
+    ("smoke", 6, 0): "2d9f3ae630a07abfdb6428b4ceb121188a86c7805b641dda96cda62c6a58b0d6",
+    ("smoke", 6, 1): "2452aabd404f363ada7c34c41270f82828f0e90373f37d36d0174d4cc4b10639",
+}
+
+
+@pytest.mark.parametrize(
+    "family,size,seed", list(_DATASET_DIGESTS), ids=[f"{f}{n}-s{s}" for f, n, s in _DATASET_DIGESTS]
+)
+def test_generated_datasets_match_digest(family, size, seed):
+    program, interps = generate(spec(family, size, n=10, seed=seed))
+    text = program_to_text(program) + interpretations_to_text(interps)
+    assert hashlib.sha256(text.encode()).hexdigest() == _DATASET_DIGESTS[family, size, seed]

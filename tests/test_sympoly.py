@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from pasplearn.rng import SplitMix64
 from pasplearn.sympoly import (
     PolyStack,
     SymPoly,
+    _support,
     extract_poly,
     poly_eval,
     poly_from_world_flags,
@@ -149,3 +152,19 @@ def test_coefficients_below_epsilon_dropped():
     up = extract_poly(program, query_from_literals(parse_query("q")), "upper")
     assert list(poly_as_dict(up)) == [frozenset()]
     assert poly_as_dict(up)[frozenset()] == pytest.approx(0.06, abs=1e-15)
+
+
+@pytest.mark.parametrize("nvars", range(13))
+def test_support_order_matches_combinations(nvars):
+    # Canonical order: each size's variable lists in ascending order.
+    program = parse_program(
+        "".join(f"learnable(0.5)::f{j}.\n" for j in range(nvars)) + "0.3::g.\n"
+    )
+    expected = [
+        sum(1 << j for j in c)
+        for size in range(nvars + 1)
+        for c in combinations(range(nvars), size)
+    ]
+    order = _support(program)[2]
+    assert order.dtype == np.int64
+    assert order.tolist() == expected
