@@ -8,7 +8,7 @@ evaluation fails fast with :class:`InconsistentWorld` on the first
 world violating this (:func:`check_consistency` counts them instead).
 
 The per-world answer sets depend only on the program structure, not on
-the probability values, so one search of the solver computes them once
+the probability values, so one pass of the solver computes them once
 per program, and they are reused across queries, bounds, parameter
 values, and learning passes.  They are stored as packed bit rows, one
 per answer set, grouped by world.  A query's per-row truth is one

@@ -133,10 +133,27 @@ class ProbFact:
 
 @dataclass(frozen=True)
 class Program:
-    """Probabilistic facts (declaration order) plus normal rules."""
+    """Probabilistic facts (declaration order) plus normal rules.
+
+    The hash is computed once per object: the world-pass and polynomial
+    caches look a program up on every query, and hashing every rule,
+    literal and atom again would cost more than a warm query.
+    """
 
     prob_facts: tuple[ProbFact, ...]
     rules: tuple[Rule, ...]
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.prob_facts, self.rules))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # String hashes differ between interpreters; a copy rehashes.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __str__(self) -> str:
         lines = [str(pf) for pf in self.prob_facts]

@@ -1,26 +1,39 @@
 """Stable-model enumeration for ground normal programs, over all worlds.
 
-One depth-first search solves every world.  It branches false first on
-the lowest unassigned atom, and grounding numbers the probabilistic
-atoms 0 to n - 1 in declaration order, so they are its first decisions
-and each shared prefix of facts is propagated once.  Below a total
-choice of facts it branches on the remaining unassigned atoms with unit
-propagation over the rule completion: a completed body forces its head
-true, a false head with one pending body literal falsifies that
-literal, and an atom whose support rules are all refuted is forced
-false.  Each rule keeps one counter, ``block``, of its refuted body
-literals.  Trail entries before ``qhead`` have had their counter updates
-applied completely, so backtracking reverts exactly those entries.
+The solver keeps a frontier of partial assignments, one *lane* each,
+and applies every propagation step to all lanes at once.  A state holds
+two bits per atom and lane, packed eight lanes to a byte
+(``np.packbits``) and propagated 64 lanes to a 64-bit word: row ``a``
+has a lane's bit set when atom ``a`` is true in it, row ``n_total + a``
+when it is false.  Two sentinel rows, one set and one clear in every
+lane, pad rule bodies to a fixed width.
+
+Every world starts as a lane with its probabilistic facts set; grounding
+numbers them 0 to n - 1, so the lanes are in world-index order.  Then
+the solver takes each remaining atom in index order and splits every
+lane where it is unassigned, the false child right before the true one.
+So the lanes always spell distinct prefixes in ascending order, the
+leaves come out in the order of a depth-first search that branches
+false first on the lowest unassigned atom, and the rows need no sort.
+At most :data:`_LANES` lanes live at once: a split that would exceed
+that solves the two halves of the frontier one after the other, and the
+worlds start in blocks of that size.
+
+After every split the lanes are closed under unit propagation over the
+rule completion: a completed body forces its head true, a false head
+with one pending body literal refutes that literal, and an atom whose
+rules are all refuted is false.  A lane where an atom turns both true
+and false conflicts; it is set all ones, which no rule changes, and
+the next split drops it.
 
 Programs whose positive dependency graph is cyclic also run
-:meth:`StableSolver._prune_unfounded` to a fixpoint at every node.  It
-covers only the loop atoms: those in a strongly connected component of
-that graph with a positive cycle, found once per program.  It computes
-the least model of the unrefuted rules with a loop head and forces the
-loop atoms outside it false, so positive loops never turn into
-fruitless branching.  An atom outside every loop needs no such check:
-once all its support rules are refuted, its support counter falsifies
-it.
+:meth:`StableSolver._unfounded` at each fixpoint of unit propagation.
+It covers only the loop atoms: those in a strongly connected component
+of that graph with a positive cycle, found once per program.  It
+computes the least model of the unrefuted rules with a loop head and
+forces the loop atoms outside it false, so positive loops never turn
+into fruitless branching.  An atom outside every loop needs no such
+check: once all its rules are refuted, unit propagation falsifies it.
 
 A total assignment that propagation leaves without conflict is a stable
 model, so leaves are not checked again:
@@ -38,9 +51,12 @@ model, so leaves are not checked again:
   solvers", AIJ 2004); equivalently, it has no unfounded true atom
   (Lee, "A model-theoretic counterpart of loop formulas", IJCAI 2005).
 
+Propagation never removes a stable model, so the leaves are exactly the
+stable models of every world, in ascending order.
+
 Constraints are rules whose head is a reserved false atom, pinned false
-up front.  A constraint whose body completes would force that atom
-true, and one with a single pending literal falsifies it, so a violated
+in every lane.  A constraint whose body completes would force that atom
+true, and one with a single pending literal refutes it, so a violated
 constraint is a conflict inside propagation and no leaf is reached.
 """
 from __future__ import annotations
@@ -49,7 +65,9 @@ import numpy as np
 
 from .grounding import GroundProgram
 
-_UNASSIGNED, _FALSE, _TRUE = -1, 0, 1
+#: Most lanes alive at once, and the size of a block of starting worlds.
+#: It bounds the frontier's memory for every fact count up to the world cap.
+_LANES = 1 << 12
 
 
 class StableSolver:
@@ -61,29 +79,64 @@ class StableSolver:
         self.false_atom = n  # reserved head for constraints, pinned false
         self.n_total = n + 1
         idx = gp.atom_index
-        self.heads: list[int] = []
-        self.pos: list[tuple[int, ...]] = []
-        self.neg: list[tuple[int, ...]] = []
+        rules = []
         for rule in gp.rules:
-            self.heads.append(self.false_atom if rule.head is None else idx[rule.head])
-            self.pos.append(tuple(idx[l.atom] for l in rule.body if l.positive))
-            self.neg.append(tuple(idx[l.atom] for l in rule.body if not l.positive))
-        nr = len(self.heads)
-        self.occ_pos: list[list[int]] = [[] for _ in range(self.n_total)]
-        self.occ_neg: list[list[int]] = [[] for _ in range(self.n_total)]
-        self.occ_head: list[list[int]] = [[] for _ in range(self.n_total)]
-        for r in range(nr):
-            for a in self.pos[r]:
-                self.occ_pos[a].append(r)
-            for a in self.neg[r]:
-                self.occ_neg[a].append(r)
-            self.occ_head[self.heads[r]].append(r)
-        self.zero_pos_rules = [r for r in range(nr) if not self.pos[r]]
-        self.base_sup = [len(self.occ_head[a]) for a in range(self.n_total)]
+            rules.append((
+                self.false_atom if rule.head is None else idx[rule.head],
+                tuple(idx[l.atom] for l in rule.body if l.positive),
+                tuple(idx[l.atom] for l in rule.body if not l.positive),
+            ))
+        # Rules sorted by head, so each atom's rules are one run.
+        rules.sort(key=lambda rule: rule[0])
+        self.heads = [h for h, _, _ in rules]
+        self.pos = [p for _, p, _ in rules]
+        self.neg = [q for _, _, q in rules]
         # Probabilistic atoms are 0 to n_facts - 1 and head no rule.
         self.n_facts = len(gp.prob_atom_ids)
-        self.never_supported = [a for a in range(self.n_facts, n) if not self.occ_head[a]]
+        headed = set(self.heads)
+        self.unsupported = [self.false_atom] + [
+            a for a in range(self.n_facts, n) if a not in headed
+        ]
+        self._rule_tables()
         self._find_loops()
+
+    def _rule_tables(self) -> None:
+        """Index tables of unit propagation, into the rows of a state.
+
+        ``true_lit[j, r]`` is the row whose bit says that body literal
+        ``j`` of rule ``r`` is true, ``false_lit[j, r]`` the row that says
+        it is false; short bodies are padded with the sentinel rows.
+        ``head_starts`` starts each head's run of rules.
+
+        One entry per body literal, grouped by the row ``pair_rows`` that
+        refuting the literal sets, serves the refutation of a pending
+        literal: ``pair_others[:, i]`` are the true-rows of the other
+        literals of its rule, padded, and ``pair_head_false[i]`` is the
+        false-row of that rule's head.
+        """
+        A = self.n_total
+        ones, zeros = 2 * A, 2 * A + 1
+        bodies = [
+            [(a, A + a) for a in p] + [(A + a, a) for a in q]
+            for p, q in zip(self.pos, self.neg)
+        ]
+        width = max([len(body) for body in bodies] + [1])
+        padded = [body + [(ones, zeros)] * (width - len(body)) for body in bodies]
+        lits = np.array(padded, dtype=np.intp).reshape(len(bodies), width, 2)
+        self.true_lit, self.false_lit = lits[:, :, 0].T, lits[:, :, 1].T
+        heads = np.array(self.heads, dtype=np.intp)
+        self.head_starts = _run_starts(self.heads)
+        self.head_rows = heads[self.head_starts]
+        pairs = sorted(
+            (f, r, j) for r, body in enumerate(bodies) for j, (_, f) in enumerate(body)
+        )
+        rules = np.array([r for _, r, _ in pairs], dtype=np.intp)
+        others = np.arange(width) != np.array([j for _, _, j in pairs], dtype=np.intp)[:, None]
+        self.pair_others = lits[rules, :, 0][others].reshape(len(pairs), width - 1).T
+        self.pair_head_false = A + heads[rules]
+        rows = [f for f, _, _ in pairs]
+        self.pair_starts = _run_starts(rows)
+        self.pair_rows = np.array(rows, dtype=np.intp)[self.pair_starts]
 
     def _find_loops(self) -> None:
         """Precompute the unfounded-set check's share of the program.
@@ -92,11 +145,13 @@ class StableSolver:
         positive dependency graph (head to positive body atom) with more
         than one atom, or with a positive self-edge.  Every positive loop
         lies inside one component (Lin & Zhao 2004); an atom outside
-        every loop is left to its support counter (see
-        :meth:`_prune_unfounded`).  For each rule with a loop head,
-        ``loop_cnt`` counts its positive body atoms in the head's
-        component, and ``loop_occ`` lists the rule under each of them;
-        ``loop_seeds`` are the rules with none.
+        every loop is left to unit propagation (see :meth:`_unfounded`).
+        Each loop atom heads a rule with a positive body atom in its
+        component, so the rules with a loop head, ``loop_rules``, form
+        one run per loop atom, in order.  ``loop_body[i]`` lists the
+        positive body atoms of loop rule ``i`` that lie in its head's
+        component, as indices into ``loop_atoms``, padded with
+        ``len(loop_atoms)``; it is stored transposed, body position first.
         """
         succs: list[list[int]] = [[] for _ in range(self.n_total)]
         for r, h in enumerate(self.heads):
@@ -108,23 +163,26 @@ class StableSolver:
         loop = [size[comp[a]] > 1 or a in succs[a] for a in range(self.n_total)]
         self.loop_atoms = [a for a in range(self.n_total) if loop[a]]
         self.cyclic = bool(self.loop_atoms)
-        self.loop_cnt = [0] * len(self.heads)
-        self.loop_occ: list[list[int]] = [[] for _ in range(self.n_total)]
-        self.loop_seeds: list[int] = []
-        for r, h in enumerate(self.heads):
-            if not loop[h]:
-                continue
-            for a in self.pos[r]:
-                if comp[a] == comp[h]:
-                    self.loop_cnt[r] += 1
-                    self.loop_occ[a].append(r)
-            if not self.loop_cnt[r]:
-                self.loop_seeds.append(r)
+        if not self.cyclic:
+            return
+        at = {a: i for i, a in enumerate(self.loop_atoms)}
+        rules = [r for r, h in enumerate(self.heads) if loop[h]]
+        bodies = [
+            [at[a] for a in self.pos[r] if comp[a] == comp[self.heads[r]]] for r in rules
+        ]
+        self.loop_rules = np.array(rules, dtype=np.intp)
+        self.loop_body = np.full(
+            (max(map(len, bodies)), len(rules)), len(self.loop_atoms), dtype=np.intp
+        )
+        for i, body in enumerate(bodies):
+            self.loop_body[: len(body), i] = body
+        self.loop_starts = _run_starts([self.heads[r] for r in rules])
+        self.loop_false_rows = self.n_total + np.array(self.loop_atoms, dtype=np.intp)
 
     # -- solving ---------------------------------------------------------
 
     def all_worlds(self) -> tuple[list[int], bytearray]:
-        """Stable models of every world, from one search.
+        """Stable models of every world, from one frontier.
 
         Returns ``(counts, rows)``.  ``rows`` holds every model as
         ``n_atoms`` bytes, byte ``k`` being 1 iff ground atom ``k`` is in
@@ -134,209 +192,169 @@ class StableSolver:
         iff bit ``n - 1 - j`` is set.  A row's first ``n`` bytes are its
         facts, so they spell its world index, fact 0 most significant.
 
-        The rows are ascending and pairwise distinct: the search branches
-        false first on the lowest unassigned atom, so two leaves first
-        differ on the atom their paths split on, and the one with it
-        false comes out first.  Ascending rows have ascending world
-        indices, so the models of world 0 come first, then those of
-        world 1, and so on.  A fact that propagation has fixed is not
-        decided, and the worlds of its other value have no model.
+        The rows are ascending and pairwise distinct, so the models of
+        world 0 come first, then those of world 1, and so on (module
+        docstring).  A world whose facts propagation refutes has no
+        model.
         """
-        self.assign = [_UNASSIGNED] * self.n_total
-        self.trail: list[int] = []
-        self.qhead = 0
-        self.block = [0] * len(self.heads)
-        self.sup = list(self.base_sup)
-        self.rows = bytearray()
-        self.n_models = 0
-        self.assign[self.false_atom] = _FALSE
-        self.trail.append(self.false_atom)
-        ok = all(self._set(a, _FALSE) for a in self.never_supported) and all(
-            self._examine(r) for r in self.zero_pos_rules
-        )
-        if ok and self._propagate():
-            self._search()
-        # The model count, not the buffer, gives the number of rows: with
-        # no ground atoms every row is zero bytes long.
-        n = self.n_facts
-        facts = np.frombuffer(self.rows, dtype=np.uint8).reshape(self.n_models, self.n_atoms)
-        worlds = facts[:, :n] @ (1 << np.arange(n - 1, -1, -1))
-        return np.bincount(worlds, minlength=1 << n).tolist(), self.rows
+        A, n = self.n_total, self.n_facts
+        counts = np.zeros(1 << n, dtype=np.int64)
+        rows = bytearray()
+        shifts = np.arange(n - 1, -1, -1)[:, None]
+        for first in range(0, 1 << n, _LANES):
+            worlds = np.arange(first, min(first + _LANES, 1 << n))
+            bits = np.zeros((2 * A, len(worlds)), dtype=np.uint8)
+            bits[:n] = worlds >> shifts & 1
+            bits[A : A + n] = 1 - bits[:n]
+            bits[A + np.array(self.unsupported)] = 1
+            state = self._pack(bits)
+            self._propagate(state)
+            self._descend(state, len(worlds), rows, counts)
+        return counts.tolist(), rows
 
-    def _set(self, atom: int, value: int) -> bool:
-        cur = self.assign[atom]
-        if cur != _UNASSIGNED:
-            return cur == value
-        self.assign[atom] = value
-        self.trail.append(atom)
-        return True
+    def _descend(
+        self, state: np.ndarray, lanes: int, rows: bytearray, counts: np.ndarray
+    ) -> None:
+        """Split a propagated frontier down to its leaves.
 
-    def _undo_to(self, mark: int) -> None:
-        # Entries before qhead are fully applied (see _unit_propagate), so
-        # each popped consumed entry reverts all its counter updates and
-        # an unconsumed one reverts none.
-        assign, trail, block, sup = self.assign, self.trail, self.block, self.sup
-        while len(trail) > mark:
-            atom = trail.pop()
-            value = assign[atom]
-            assign[atom] = _UNASSIGNED
-            if self.qhead > len(trail):
-                occ = self.occ_pos[atom] if value == _FALSE else self.occ_neg[atom]
-                for r in occ:
-                    block[r] -= 1
-                    if block[r] == 0:
-                        sup[self.heads[r]] += 1
-        self.qhead = mark
+        Appends the leaves' rows to ``rows`` and counts them by world in
+        ``counts``: a leaf's fact bits spell its world index.
+        """
+        A, n = self.n_total, self.n_facts
+        powers = 1 << np.arange(n - 1, -1, -1)
+        work = [(state, lanes, n)]
+        while work:
+            state, lanes, k = work.pop()
+            while k < self.n_atoms:
+                if (state[self.false_atom] == 0xFF).all():
+                    break  # every lane conflicted
+                if not (~(state[k] | state[A + k])).any():
+                    k += 1
+                    continue
+                bits = np.unpackbits(state[: 2 * A], axis=1, count=lanes)
+                split = (bits[k] | bits[A + k]) == 0
+                reps = (bits[self.false_atom] == 0).astype(np.intp) + split
+                total = int(reps.sum())
+                if total > _LANES:
+                    half = lanes // 2
+                    work.append((self._pack(bits[:, half:]), lanes - half, k))
+                    work.append((self._pack(bits[:, :half]), half, k))
+                    break
+                src = np.repeat(np.arange(lanes), reps)
+                bits = np.take(bits, src, axis=1)
+                true_child = np.flatnonzero(src[1:] == src[:-1]) + 1
+                bits[k, true_child] = 1
+                bits[A + k, true_child - 1] = 1
+                state, lanes = self._pack(bits), total
+                self._propagate(state)
+                k += 1
+            else:
+                bits = np.unpackbits(state[:A], axis=1, count=lanes)
+                leaves = bits[: self.n_atoms, bits[self.false_atom] == 0]
+                rows += leaves.T.tobytes()
+                worlds = powers @ leaves[:n]  # ascending, as the rows are
+                if worlds.size:
+                    counts[worlds[0] : worlds[-1] + 1] += np.bincount(worlds - worlds[0])
 
-    def _search(self) -> None:
-        try:
-            branch = self.assign.index(_UNASSIGNED)
-        except ValueError:
-            # A conflict-free total assignment is stable (module docstring).
-            self.rows += bytes(self.assign[: self.n_atoms])
-            self.n_models += 1
-            return
-        # False branch first: models come out in ascending row order.
-        for value in (_FALSE, _TRUE):
-            mark = len(self.trail)
-            if self._set(branch, value) and self._propagate():
-                self._search()
-            self._undo_to(mark)
+    def _pack(self, bits: np.ndarray) -> np.ndarray:
+        """A state from one row of lane bits per true and false atom row.
+
+        The lanes are padded to whole 64-bit words.  Padding lanes are
+        set all ones, as if they had conflicted, so no rule changes them.
+        """
+        A = self.n_total
+        lanes = bits.shape[1]
+        state = np.full((2 * A + 2, -(-lanes // 64) * 8), 0xFF, dtype=np.uint8)
+        state[: 2 * A, : (lanes + 7) // 8] = np.packbits(bits, axis=1)
+        if lanes % 8:
+            state[: 2 * A, lanes // 8] |= 0xFF >> lanes % 8
+        state[2 * A + 1] = 0
+        return state
 
     # -- propagation -------------------------------------------------------
 
-    def _propagate(self) -> bool:
-        if not self._unit_propagate():
-            return False
-        if not self.cyclic:
-            return True
+    def _propagate(self, state: np.ndarray) -> None:
         while True:
-            before = len(self.trail)
-            if not self._prune_unfounded():
-                return False
-            if len(self.trail) == before:
-                return True
-            if not self._unit_propagate():
-                return False
+            refuted = self._unit_propagate(state)
+            if not (self.cyclic and self._unfounded(state, refuted)):
+                return
 
-    def _unit_propagate(self) -> bool:
-        # Invariant: entries before qhead are fully applied.  Consuming an
-        # entry updates every counter it touches before a conflict is
-        # reported, because _undo_to reverts consumed entries wholesale.
-        assign = self.assign
-        trail = self.trail
-        block = self.block
-        sup = self.sup
-        heads = self.heads
-        while self.qhead < len(trail):
-            atom = trail[self.qhead]
-            self.qhead += 1
-            value = assign[atom]
-            if value == _FALSE:
-                blocking, watching = self.occ_pos[atom], self.occ_neg[atom]
-            else:
-                blocking, watching = self.occ_neg[atom], self.occ_pos[atom]
-            lost = False
-            for r in blocking:
-                block[r] += 1
-                if block[r] == 1:
-                    h = heads[r]
-                    sup[h] -= 1
-                    if sup[h] == 0:
-                        if assign[h] == _TRUE:
-                            lost = True  # true atom lost its last support
-                        elif assign[h] == _UNASSIGNED:
-                            self._set(h, _FALSE)
-            if lost:
-                return False
-            for r in watching:
-                if block[r] == 0 and not self._examine(r):
-                    return False
-            if value == _FALSE:
-                for r in self.occ_head[atom]:
-                    if block[r] == 0 and not self._examine(r):
-                        return False
-        return True
+    def _unit_propagate(self, state: np.ndarray) -> np.ndarray:
+        """Close every lane under the completion rules, in place.
 
-    def _examine(self, r: int) -> bool:
-        """Completion propagation for one non-refuted rule."""
-        assign = self.assign
-        unassigned = 0
-        last_atom = -1
-        last_positive = True
-        for a in self.pos[r]:
-            if assign[a] != _TRUE:
-                unassigned += 1
-                if unassigned > 1:
-                    return True
-                last_atom, last_positive = a, True
-        for a in self.neg[r]:
-            if assign[a] != _FALSE:
-                unassigned += 1
-                if unassigned > 1:
-                    return True
-                last_atom, last_positive = a, False
-        head = self.heads[r]
-        if unassigned == 0:
-            return self._set(head, _TRUE)
-        if assign[head] == _FALSE:
-            # Last pending literal must not complete the body.
-            return self._set(last_atom, _FALSE if last_positive else _TRUE)
-        return True
+        Works on 64 lanes per word.  Returns the lanes where each rule's
+        body is refuted, at the fixpoint.  A conflicting lane is set all
+        ones.
+        """
+        A = self.n_total
+        words = state.view(np.uint64)
+        if not self.heads:
+            return words[:0]
+        while True:
+            before = words.copy()
+            complete = np.bitwise_and.reduce(words[self.true_lit], axis=0)
+            refuted = np.bitwise_or.reduce(words[self.false_lit], axis=0)
+            heads = self.head_rows
+            words[heads] |= np.bitwise_or.reduceat(complete, self.head_starts)
+            words[A + heads] |= np.bitwise_and.reduceat(refuted, self.head_starts)
+            if len(self.pair_rows):
+                # Every other body literal is true and the head is false:
+                # this literal must not be true too.
+                force = np.bitwise_and.reduce(words[self.pair_others], axis=0)
+                force &= words[self.pair_head_false]
+                words[self.pair_rows] |= np.bitwise_or.reduceat(force, self.pair_starts)
+            words[: 2 * A] |= np.bitwise_or.reduce(words[:A] & words[A : 2 * A], axis=0)
+            if np.array_equal(before, words):
+                return refuted
 
-    def _prune_unfounded(self) -> bool:
+    def _unfounded(self, state: np.ndarray, refuted: np.ndarray) -> bool:
         """Force loop atoms with no optimistic derivation to false.
 
-        The optimistic derivation is the least model of the rules with a
-        loop head that are not refuted (``block`` zero), reading only
-        their positive body atoms in the head's own component: one
-        outside it is not false, since the rule is not refuted, and is
-        taken as derivable.  Its seeds are the unrefuted rules with no
-        positive body atom in their head's component.  Probabilistic
-        atoms head no rule, so none is a loop atom, and an open one
-        counts as derivable like any other atom outside the loop.  A
-        loop atom outside that model is unfounded: no stable model
-        extending the assignment holds it.  Assigned-true atoms do not
-        justify themselves, so a true atom whose support has collapsed
-        into an unfounded loop is a conflict.
+        Returns whether any lane changed.  The optimistic derivation is
+        the least model of the rules with a loop head that are not
+        refuted, reading only their positive body atoms in the head's
+        own component: one outside it is not false, since the rule is
+        not refuted, and is taken as derivable.  Probabilistic atoms head
+        no rule, so none is a loop atom, and an open one counts as
+        derivable like any other atom outside the loop.  A loop atom
+        outside that model is unfounded: no stable model extending the
+        lane holds it.  Assigned-true atoms do not justify themselves,
+        so a true atom whose support has collapsed into an unfounded
+        loop conflicts.
 
         Other atoms need no check here.  At the fixpoint of
         :meth:`_propagate`, take a lowest component holding an unfounded
         atom that is not false: every unrefuted rule for that atom has
         an unfounded positive body atom in the same component.  Outside
-        a loop no rule can, so the support counter has falsified the
-        atom; inside one, this check has.  So the fixpoint is the one a
-        check over every atom reaches, and it leaves no unfounded true
-        atom at a leaf, which is what makes the leaf stable.
+        a loop no rule can, so unit propagation has falsified the atom;
+        inside one, this check has.  So the fixpoint is the one a check
+        over every atom reaches, and it leaves no unfounded true atom at
+        a leaf, which is what makes the leaf stable.
         """
-        assign = self.assign
-        heads = self.heads
-        loop_occ = self.loop_occ
-        block = self.block
-        cnt = list(self.loop_cnt)
-        derived = bytearray(self.n_total)
-        stack: list[int] = []
-        for r in self.loop_seeds:
-            if block[r] == 0 and not derived[heads[r]]:
-                derived[heads[r]] = 1
-                stack.append(heads[r])
-        while stack:
-            for r in loop_occ[stack.pop()]:
-                if block[r] == 0:
-                    cnt[r] -= 1
-                    if cnt[r] == 0:
-                        h = heads[r]
-                        if not derived[h]:
-                            derived[h] = 1
-                            stack.append(h)
-        for atom in self.loop_atoms:
-            if not derived[atom]:
-                v = assign[atom]
-                if v == _TRUE:
-                    return False
-                if v == _UNASSIGNED:
-                    self._set(atom, _FALSE)
+        words = state.view(np.uint64)
+        n_loop = len(self.loop_atoms)
+        derived = np.zeros((n_loop + 1, words.shape[1]), dtype=np.uint64)
+        derived[n_loop] = words[2 * self.n_total]  # pads loop bodies
+        open_rules = ~refuted[self.loop_rules]
+        while True:
+            fire = np.bitwise_and.reduce(derived[self.loop_body], axis=0) & open_rules
+            step = np.bitwise_or.reduceat(fire, self.loop_starts)
+            if np.array_equal(step, derived[:n_loop]):
+                break
+            derived[:n_loop] = step
+        before = words[self.loop_false_rows]
+        after = before | ~derived[:n_loop]
+        if np.array_equal(before, after):
+            return False
+        words[self.loop_false_rows] = after
         return True
+
+
+def _run_starts(keys: list[int]) -> np.ndarray:
+    """Start index of every run of equal keys in a sorted list."""
+    return np.array(
+        [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]], dtype=np.intp
+    )
 
 
 def _components(succs: list[list[int]]) -> list[int]:

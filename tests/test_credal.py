@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pasplearn.credal import (
     CredalBounds,
+    _world_models,
     check_consistency,
     conditional_flags,
     conditional_from_joints,
@@ -18,7 +19,7 @@ from pasplearn.credal import (
 )
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import CapExceeded, InconsistentWorld, UndefinedConditional
-from pasplearn.model import Atom, Query, query_from_literals
+from pasplearn.model import Atom, Query, Rule, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 from pasplearn.sympoly import extract_poly
 
@@ -34,6 +35,24 @@ def test_graph_query_bounds(graph_program):
     b = credal_query(graph_program, q("path(1,4)"))
     assert b.lower == pytest.approx(0.0, abs=1e-12)
     assert b.upper == pytest.approx(0.06, abs=1e-12)
+
+
+def test_equal_programs_share_one_world_cache_entry(monkeypatch):
+    text = "0.3::e.\nlearnable(0.5)::f.\na :- e, not b.\nb :- f, not a.\n"
+    first, second = parse_program(text), parse_program(text)
+    assert first is not second and first == second
+    assert hash(first) == hash((first.prob_facts, first.rules))
+    _world_models.cache_clear()
+    assert world_models(first) is world_models(second)
+    info = _world_models.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    # Each program hashed its rules once; a lookup does not hash them again.
+    def refuse(rule):
+        raise AssertionError("a program's rules were hashed again")
+
+    monkeypatch.setattr(Rule, "__hash__", refuse)
+    assert world_models(second) is world_models(first)
 
 
 def test_graph_conditional_bounds(graph_program):

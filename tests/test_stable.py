@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pasplearn import stable
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.grounding import ground
 from pasplearn.parsing import parse_program
@@ -115,15 +116,32 @@ def test_unfounded_loops(text, expected):
     "family,size", [("path", 8), ("shop", 8), ("coloring", 4)]
 )
 def test_tight_cells_skip_unfounded_check(family, size, monkeypatch):
-    def refuse(self):
+    def refuse(self, state, refuted):
         raise AssertionError("unfounded-set check ran on a tight program")
 
-    monkeypatch.setattr(StableSolver, "_prune_unfounded", refuse)
+    monkeypatch.setattr(StableSolver, "_unfounded", refuse)
     program, _ = generate(DatasetSpec(family, size, 1, 0))
     solver = StableSolver(ground(program))
     assert not solver.cyclic
     counts, _rows = solver.all_worlds()
     assert sum(counts) > 0
+
+
+def test_cyclic_cell_runs_unfounded_check(monkeypatch):
+    # The patch point above is live: a cyclic program goes through it.
+    calls = []
+    check = StableSolver._unfounded
+
+    def counted(self, state, refuted):
+        calls.append(1)
+        return check(self, state, refuted)
+
+    monkeypatch.setattr(StableSolver, "_unfounded", counted)
+    program, _ = generate(DatasetSpec("smoke", 2, 1, 0))
+    solver = StableSolver(ground(program))
+    assert solver.cyclic
+    counts, _rows = solver.all_worlds()
+    assert calls and sum(counts) > 0
 
 
 # SHA-256 of repr(counts) + bytes(rows), generator seed 0.  Any change to
@@ -133,6 +151,8 @@ _ROW_DIGESTS = {
     ("shop", 8): "ff524fdf0608c196f4e9643f49b8d94c899ed3941f609033b45c32796521c564",
     ("smoke", 2): "f2d4b3a555309e2524dfed2daeb4be01420b2f695ee9b94167602d3d6b65d0a2",
     ("coloring", 4): "e953b889783c1629449cd5daf437afa43267c2c16108b221de1f7b3a822bb42a",
+    # 65,536 worlds and 165,328 rows: the frontier crosses many lane caps.
+    ("smoke", 3): "dddf918f5625ae933d3b1fa99a3c8b00865238d0f8d50fc248eb9bf5c54d6fcd",
 }
 
 
@@ -171,6 +191,13 @@ def test_fixed_fact_rows_match_recorded_digest(name):
     assert digest == expected
 
 
+@pytest.mark.parametrize("name", list(_FIXED_FACT_DIGESTS))
+def test_fixed_fact_rows_match_recorded_digest_across_chunks(name, monkeypatch):
+    # With two lanes every split overflows the cap and runs in halves.
+    monkeypatch.setattr(stable, "_LANES", 2)
+    test_fixed_fact_rows_match_recorded_digest(name)
+
+
 def test_world_facts_change_models():
     text = "0.5::f.\na :- f, not b.\nb :- f, not a.\n"
     program = parse_program(text)
@@ -206,6 +233,20 @@ def test_exhaustive_oracle_matches_fast_path():
 @given(st.integers(min_value=0, max_value=50_000))
 @example(4742)  # lost {b, c, d} when a conflict left rule counters half-applied
 def test_solver_matches_brute_force_oracle(seed):
+    _check_against_brute_force_oracle(seed)
+
+
+@settings(max_examples=120)
+@given(st.integers(min_value=0, max_value=50_000))
+@example(4742)
+def test_solver_matches_brute_force_oracle_across_chunks(seed):
+    # With two lanes every split overflows the cap and runs in halves.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stable, "_LANES", 2)
+        _check_against_brute_force_oracle(seed)
+
+
+def _check_against_brute_force_oracle(seed):
     program = random_ground_program(seed)
     gp = ground(program)
     rules = list(program.rules)
