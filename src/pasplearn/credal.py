@@ -44,15 +44,19 @@ class CredalBounds:
 class WorldModels:
     """All answer sets of all worlds, in world-index order.
 
-    World ``i`` has ``counts[i]`` answer sets, possibly none
+    ``counts`` and ``rows`` are exactly what
+    :meth:`pasplearn.stable.StableSolver.all_worlds` returns; nothing
+    converts them.  ``counts`` is an int64 array with one entry per
+    world: world ``i`` has ``counts[i]`` answer sets, possibly none
     (:meth:`raise_if_inconsistent` fails fast on such a world,
-    :func:`check_consistency` counts them).  They are rows
-    ``starts[i]`` to ``starts[i] + counts[i] - 1`` of ``rows``, in
-    ascending order.  A row packs one answer set with ``np.packbits``:
-    ground atom ``k`` of ``gp`` is in it iff bit ``0x80 >> (k & 7)`` of
-    byte ``k >> 3`` is set.  Only the answer sets live here; the
-    per-world learnable patterns and fixed-fact weights that
-    polynomial extraction needs are a table of
+    :func:`check_consistency` counts them).  ``rows`` is a C-contiguous
+    uint8 array of shape ``(counts.sum(), ceil(n_atoms / 8))``, one row
+    per answer set.  World ``i``'s are rows ``starts[i]`` to
+    ``starts[i] + counts[i] - 1``, in ascending order.  A row packs one
+    answer set with ``np.packbits``: ground atom ``k`` of ``gp`` is in
+    it iff bit ``0x80 >> (k & 7)`` of byte ``k >> 3`` is set.  Only the
+    answer sets live here; the per-world learnable patterns and
+    fixed-fact weights that polynomial extraction needs are a table of
     :mod:`pasplearn.sympoly`, which owns the monomial layout.
     """
 
@@ -138,10 +142,7 @@ class WorldModels:
 @lru_cache(maxsize=8)
 def _world_models(program: Program) -> WorldModels:
     gp = ground(program)
-    counts, rows = StableSolver(gp).all_worlds()
-    counts = np.array(counts, dtype=np.int64)
-    unpacked = np.frombuffer(rows, dtype=np.uint8).reshape(int(counts.sum()), gp.n_atoms)
-    return WorldModels(program, gp, counts, np.packbits(unpacked, axis=1))
+    return WorldModels(program, gp, *StableSolver(gp).all_worlds())
 
 
 def world_models(program: Program) -> WorldModels:

@@ -15,6 +15,9 @@ lane where it is unassigned, the false child right before the true one.
 So the lanes always spell distinct prefixes in ascending order, the
 leaves come out in the order of a depth-first search that branches
 false first on the lowest unassigned atom, and the rows need no sort.
+Each block of leaves is packed straight into the rows that
+:class:`pasplearn.credal.WorldModels` stores, one bit per atom, so
+nothing converts them after the pass.
 At most :data:`_LANES` lanes live at once: a split that would exceed
 that solves the two halves of the frontier one after the other, and the
 worlds start in blocks of that size.
@@ -181,15 +184,15 @@ class StableSolver:
 
     # -- solving ---------------------------------------------------------
 
-    def all_worlds(self) -> tuple[list[int], bytearray]:
+    def all_worlds(self) -> tuple[np.ndarray, np.ndarray]:
         """Stable models of every world, from one frontier.
 
-        Returns ``(counts, rows)``.  ``rows`` holds every model as
-        ``n_atoms`` bytes, byte ``k`` being 1 iff ground atom ``k`` is in
-        it.  ``counts[i]`` is the number of models of world ``i``, where
-        ``i`` is a world index, the package's one world encoding: with
+        Returns ``(counts, rows)`` in the layout that
+        :class:`pasplearn.credal.WorldModels` stores and documents:
+        ``counts[i]`` models of world ``i``, and one packed row per
+        model.  A world index is the package's one world encoding: with
         ``n`` probabilistic facts, fact ``j`` (declaration order) is true
-        iff bit ``n - 1 - j`` is set.  A row's first ``n`` bytes are its
+        iff bit ``n - 1 - j`` is set.  A row's first ``n`` bits are its
         facts, so they spell its world index, fact 0 most significant.
 
         The rows are ascending and pairwise distinct, so the models of
@@ -199,7 +202,9 @@ class StableSolver:
         """
         A, n = self.n_total, self.n_facts
         counts = np.zeros(1 << n, dtype=np.int64)
-        rows = bytearray()
+        # The empty C-ordered head gives a program without models its
+        # (0, width) shape and keeps the concatenation C-ordered.
+        rows = [np.zeros((0, (self.n_atoms + 7) // 8), dtype=np.uint8)]
         shifts = np.arange(n - 1, -1, -1)[:, None]
         for first in range(0, 1 << n, _LANES):
             worlds = np.arange(first, min(first + _LANES, 1 << n))
@@ -210,15 +215,15 @@ class StableSolver:
             state = self._pack(bits)
             self._propagate(state)
             self._descend(state, len(worlds), rows, counts)
-        return counts.tolist(), rows
+        return counts, np.concatenate(rows)
 
     def _descend(
-        self, state: np.ndarray, lanes: int, rows: bytearray, counts: np.ndarray
+        self, state: np.ndarray, lanes: int, rows: list[np.ndarray], counts: np.ndarray
     ) -> None:
         """Split a propagated frontier down to its leaves.
 
-        Appends the leaves' rows to ``rows`` and counts them by world in
-        ``counts``: a leaf's fact bits spell its world index.
+        Appends the leaves' packed rows to ``rows`` and counts them by
+        world in ``counts``: a leaf's fact bits spell its world index.
         """
         A, n = self.n_total, self.n_facts
         powers = 1 << np.arange(n - 1, -1, -1)
@@ -251,7 +256,9 @@ class StableSolver:
             else:
                 bits = np.unpackbits(state[:A], axis=1, count=lanes)
                 leaves = bits[: self.n_atoms, bits[self.false_atom] == 0]
-                rows += leaves.T.tobytes()
+                # Packed along the atom axis: packing ``leaves.T`` row-wise
+                # reads F-ordered input, which ``np.packbits`` does slowly.
+                rows.append(np.packbits(leaves, axis=0).T)
                 worlds = powers @ leaves[:n]  # ascending, as the rows are
                 if worlds.size:
                     counts[worlds[0] : worlds[-1] + 1] += np.bincount(worlds - worlds[0])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -35,17 +36,16 @@ def stable_models(gp, world_facts=()) -> list[frozenset]:
         assert j < n, f"{atom} is not a probabilistic fact"
         world |= 1 << (n - 1 - j)
     counts, rows = StableSolver(gp).all_worlds()
-    first = sum(counts[:world])
+    first = int(counts[:world].sum())
     return [
         frozenset(a for a, bit in zip(gp.atoms, row) if bit)
-        for row in world_rows(gp, counts, rows)[first : first + counts[world]]
+        for row in world_rows(gp, rows)[first : first + counts[world]]
     ]
 
 
-def world_rows(gp, counts, rows) -> list[bytes]:
-    """The solver's ``rows`` buffer cut into one ``bytes`` per model."""
-    n = gp.n_atoms
-    return [bytes(rows[i * n : (i + 1) * n]) for i in range(sum(counts))]
+def world_rows(gp, rows) -> list[bytes]:
+    """The solver's packed ``rows`` as one byte per atom, one ``bytes`` per model."""
+    return [row.tobytes() for row in np.unpackbits(rows, axis=1, count=gp.n_atoms)]
 
 
 @pytest.fixture

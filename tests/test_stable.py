@@ -1,10 +1,12 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pasplearn import stable
+from pasplearn.credal import world_models
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.grounding import ground
 from pasplearn.parsing import parse_program
@@ -144,8 +146,14 @@ def test_cyclic_cell_runs_unfounded_check(monkeypatch):
     assert calls and sum(counts) > 0
 
 
-# SHA-256 of repr(counts) + bytes(rows), generator seed 0.  Any change to
-# the solver must leave every row byte-identical.
+def _digest(gp, counts, rows) -> str:
+    """SHA-256 of the counts and of the rows at one byte per atom."""
+    unpacked = np.unpackbits(rows, axis=1, count=gp.n_atoms)
+    return hashlib.sha256(repr(counts.tolist()).encode() + unpacked.tobytes()).hexdigest()
+
+
+# _digest at generator seed 0.  Any change to the solver must leave every
+# row bit-identical.
 _ROW_DIGESTS = {
     ("path", 8): "562292a52345402fe1eaf4132a8ed85149ee9668f736bb0556ab481d63a5dc95",
     ("shop", 8): "ff524fdf0608c196f4e9643f49b8d94c899ed3941f609033b45c32796521c564",
@@ -161,14 +169,22 @@ _ROW_DIGESTS = {
 )
 def test_all_worlds_rows_match_parent_digest(family, size):
     program, _ = generate(DatasetSpec(family, size, 1, 0))
-    counts, rows = StableSolver(ground(program)).all_worlds()
-    digest = hashlib.sha256(repr(counts).encode() + bytes(rows)).hexdigest()
-    assert digest == _ROW_DIGESTS[family, size]
+    gp = ground(program)
+    assert _digest(gp, *StableSolver(gp).all_worlds()) == _ROW_DIGESTS[family, size]
+
+
+@pytest.mark.parametrize(
+    "family,size", [("path", 8), ("shop", 8), ("smoke", 2), ("coloring", 4)]
+)
+def test_all_worlds_rows_match_parent_digest_across_chunks(family, size, monkeypatch):
+    # Eight lanes: every cell packs its rows in many small blocks.
+    monkeypatch.setattr(stable, "_LANES", 8)
+    test_all_worlds_rows_match_parent_digest(family, size)
 
 
 # Programs where propagation fixes a probabilistic fact, so the search
 # never decides it and the worlds of its other value get no model: at the
-# root, and below the decision on another fact.  SHA-256 as above.
+# root, and below the decision on another fact.  _digest as above.
 _FIXED_FACT_DIGESTS = {
     "at-root": (
         "0.5::a.\n0.5::b.\nc :- a, not d.\nd :- not c.\ne :- b.\n:- not a.\n",
@@ -185,10 +201,10 @@ _FIXED_FACT_DIGESTS = {
 @pytest.mark.parametrize("name", list(_FIXED_FACT_DIGESTS))
 def test_fixed_fact_rows_match_recorded_digest(name):
     text, expected = _FIXED_FACT_DIGESTS[name]
-    counts, rows = StableSolver(ground(parse_program(text))).all_worlds()
+    gp = ground(parse_program(text))
+    counts, rows = StableSolver(gp).all_worlds()
     assert 0 in counts
-    digest = hashlib.sha256(repr(counts).encode() + bytes(rows)).hexdigest()
-    assert digest == expected
+    assert _digest(gp, counts, rows) == expected
 
 
 @pytest.mark.parametrize("name", list(_FIXED_FACT_DIGESTS))
@@ -196,6 +212,37 @@ def test_fixed_fact_rows_match_recorded_digest_across_chunks(name, monkeypatch):
     # With two lanes every split overflows the cap and runs in halves.
     monkeypatch.setattr(stable, "_LANES", 2)
     test_fixed_fact_rows_match_recorded_digest(name)
+
+
+@pytest.mark.parametrize(
+    "make,shape",
+    [
+        pytest.param(lambda: parse_program(""), (1, 0), id="empty"),
+        pytest.param(
+            lambda: parse_program(
+                "0.5::f.\na :- f, not b.\nb :- f, not a.\nc :- a.\nd :- b.\n"
+                "e :- c.\ng :- d.\nh :- e, g.\n"
+            ),
+            (3, 1),
+            id="eight-atoms",
+        ),
+        pytest.param(
+            lambda: parse_program("0.5::f.\na :- not a.\n"), (0, 1), id="all-inconsistent"
+        ),
+        pytest.param(
+            lambda: generate(DatasetSpec("path", 8, 1, 0))[0], (6561, 5), id="path-8"
+        ),
+    ],
+)
+def test_all_worlds_returns_world_models_arrays(make, shape):
+    program = make()
+    gp = ground(program)
+    counts, rows = StableSolver(gp).all_worlds()
+    assert counts.dtype == np.int64 and counts.shape == (1 << len(gp.prob_atom_ids),)
+    assert rows.dtype == np.uint8 and rows.flags.c_contiguous
+    assert rows.shape == shape == (counts.sum(), -(-gp.n_atoms // 8))
+    wm = world_models(program)
+    assert np.array_equal(wm.counts, counts) and np.array_equal(wm.rows, rows)
 
 
 def test_world_facts_change_models():
@@ -211,8 +258,8 @@ def test_models_sorted_lexicographically():
     program = parse_program("a :- not b.\nb :- not a.\nc :- a.\nc :- b.")
     gp = ground(program)
     counts, rows = StableSolver(gp).all_worlds()
-    assert counts == [2]
-    models = world_rows(gp, counts, rows)
+    assert counts.tolist() == [2]
+    models = world_rows(gp, rows)
     assert models == sorted(models)
 
 
@@ -271,7 +318,7 @@ def test_every_row_is_stable_on_generated_cells(family, size):
     rules = list(gp.rules)
     prob = frozenset(gp.atoms[j] for j in gp.prob_atom_ids)
     counts, rows = StableSolver(gp).all_worlds()
-    models = world_rows(gp, counts, rows)
+    models = world_rows(gp, rows)
     first = 0
     for count in counts:
         world = models[first : first + count]
