@@ -13,16 +13,21 @@ credal bound (lower or upper) of its interpretation query:
   and the update is the closed-form ratio e1/(e0+e1).
 
 All query bounds are extracted once as multilinear polynomials (one
-world pass per program, cached), so iterations only evaluate
-polynomials and never re-enumerate answer sets.  Each learner stacks
-its polynomials once into a :class:`~pasplearn.sympoly.PolyStack`: the
-objective is one gather and one ``reduceat`` over every monomial plus a
-dot product per polynomial, and the gradient adds one ``bincount``.
+world pass per program, cached; one extraction per distinct
+interpretation query), so iterations only evaluate polynomials and
+never re-enumerate answer sets.  Each learner stacks its polynomials
+once into a :class:`~pasplearn.sympoly.PolyStack`, which keeps each
+distinct polynomial once: the objective is one gather and one
+``reduceat`` over the distinct monomials plus a dot product and a
+logarithm per distinct polynomial, and the gradient adds one
+``bincount`` and one division per distinct polynomial.  The
+per-interpretation terms are then summed in interpretation order.
 EM needs no further polynomials: a bound P of an interpretation q is
 linear in each θ_j, so the joint bounds of fact j with q are
 θ_j·P[θ_j=1] for a_j ∧ q and (1−θ_j)·P[θ_j=0] for ¬a_j ∧ q.  An E-step
 evaluates the stack of every lower and upper polynomial once at each of
-the 2·L points with one θ_j pinned to 1 or to 0.
+the 2·L points with one θ_j pinned to 1 or to 0, and forms the
+conditionals once per distinct pair of lower and upper polynomials.
 
 The stacked numbers are bit-for-bit those of evaluating one polynomial
 at a time.  This matters: on a flat likelihood ridge, changes in the
@@ -37,11 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credal import conditional_from_joints
+from .credal import conditional_from_joints, world_models
 from .errors import NoLearnableFacts, UndefinedConditional
 from .model import Interpretation, Program, interpretation_query
 from .rng import SplitMix64
-from .sympoly import PolyStack, extract_poly
+from .sympoly import PolyStack, SymPoly, poly_from_world_flags
 
 _TARGETS = ("lower", "upper")
 _METHODS = ("opt", "em")
@@ -135,18 +140,28 @@ def ll_objective(polys, theta, floor_prob: float = 1e-12) -> float:
     """Σ_k log(max(polys[k](theta), floor_prob)); at most 0 when values ≤ 1.
 
     ``polys`` is a :class:`PolyStack` or a list of :class:`SymPoly`.
+    The logarithm is taken once per distinct polynomial.
     """
-    return sum(math.log(max(v, floor_prob)) for v in _stacked(polys, theta).values(theta))
+    stack = _stacked(polys, theta)
+    logs = [math.log(max(v, floor_prob)) for v in stack.distinct_values(theta)]
+    return sum(logs[k] for k in stack.index.tolist())
 
 
 def ll_gradient(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:
-    """Gradient of :func:`ll_objective`; floored terms contribute zero."""
-    values, rows = _stacked(polys, theta).gradients(theta)
-    grad = np.zeros(len(theta))
-    for v, row in zip(values, rows):
-        if v > floor_prob:
-            grad += row / v
-    return grad
+    """Gradient of :func:`ll_objective`; floored terms contribute zero.
+
+    Each distinct polynomial's gradient is divided by its value once.
+    """
+    stack = _stacked(polys, theta)
+    values, rows = stack.distinct_gradients(theta)
+    values = np.array(values)
+    kept = values > floor_prob
+    # Floored rows are left out below; dividing them by 1.0 keeps 0/0 away.
+    rows = rows / np.where(kept, values, 1.0)[:, None]
+    terms = rows[stack.index[kept[stack.index]]]
+    # One row after another from 0.0, in input order.  cumsum adds in
+    # that order; add.reduce would sum a lone column (one variable) pairwise.
+    return np.cumsum(np.concatenate([np.zeros((1, rows.shape[1])), terms]), axis=0)[-1]
 
 
 # -- constrained optimization ------------------------------------------
@@ -228,10 +243,8 @@ def learn_opt(
     nvars = len(program.learnable_indices())
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
-    polys = PolyStack(
-        [extract_poly(program, interpretation_query(i), cfg.target) for i in interps],
-        nvars,
-    )
+    queries = [interpretation_query(i) for i in interps]
+    polys = PolyStack(_bound_polys(program, queries, [cfg.target])[0], nvars)
 
     def objective(theta):
         return ll_objective(polys, theta, cfg.floor_prob)
@@ -266,12 +279,21 @@ def learn_opt(
 # -- expectation maximization ------------------------------------------
 
 
-def _bound_polys(program: Program, interps):
-    """Interpretation queries, their lower polynomials and their upper ones."""
-    queries = [interpretation_query(i) for i in interps]
-    lower = [extract_poly(program, q, "lower") for q in queries]
-    upper = [extract_poly(program, q, "upper") for q in queries]
-    return queries, lower, upper
+def _bound_polys(program: Program, queries, bounds) -> list[list[SymPoly]]:
+    """For each of ``bounds`` (``"lower"``/``"upper"``), every query's polynomial.
+
+    Each distinct query's world flags are computed once, and its
+    polynomials built from them.  Raises
+    :class:`~pasplearn.errors.InconsistentWorld` if a world has no
+    answer set.
+    """
+    wm = world_models(program)
+    polys = {}
+    for q in queries:
+        if q not in polys:
+            flags = dict(zip(_TARGETS, wm.satisfaction(q)))
+            polys[q] = [poly_from_world_flags(program, flags[b]) for b in bounds]
+    return [[polys[q][j] for q in queries] for j in range(len(bounds))]
 
 
 def _expectations(
@@ -282,45 +304,63 @@ def _expectations(
     ``bounds`` stacks the lower polynomials of ``queries`` and then
     their upper ones.  A bound P is linear in θ_i, so the joint bounds
     of fact i with the interpretation are θ_i·P[θ_i=1] (fact true) and
-    (1−θ_i)·P[θ_i=0] (fact false): the stack is evaluated once at each
-    of the 2·L points with one θ_i pinned.
+    (1−θ_i)·P[θ_i=0] (fact false): the stack's distinct polynomials are
+    evaluated once at each of the 2·L points with one θ_i pinned.  The
+    conditionals are formed once per distinct (lower, upper) pair and
+    added in interpretation order.
     """
     theta = np.asarray(theta, dtype=float)
-    n = len(queries)
     at_one = []
     at_zero = []
     for i in range(len(theta)):
         point = theta.copy()
         point[i] = 1.0
-        at_one.append(bounds.values(point))
+        at_one.append(bounds.distinct_values(point))
         point[i] = 0.0
-        at_zero.append(bounds.values(point))
+        at_zero.append(bounds.distinct_values(point))
     ts = theta.tolist()
+    index = bounds.index.tolist()
+    n = len(queries)
+    conds = {}
     e0 = [0.0] * len(ts)
     e1 = [0.0] * len(ts)
     for k, q in enumerate(queries):
-        for i, t in enumerate(ts):
-            low_a = _snap(t * at_one[i][k])
-            up_a = _snap(t * at_one[i][n + k])
-            low_na = _snap((1.0 - t) * at_zero[i][k])
-            up_na = _snap((1.0 - t) * at_zero[i][n + k])
-            try:
-                cond_a = conditional_from_joints(low_a, up_a, low_na, up_na)
-                cond_na = conditional_from_joints(low_na, up_na, low_a, up_a)
-            except UndefinedConditional:
+        pair = index[k], index[n + k]
+        if pair not in conds:
+            conds[pair] = [
+                _fact_conditionals(t, at_one[i], at_zero[i], *pair, target)
+                for i, t in enumerate(ts)
+            ]
+        for i, c in enumerate(conds[pair]):
+            if c is None:
                 if skip_undefined:
                     continue
                 atom = program.prob_facts[program.learnable_indices()[i]].atom
-                raise UndefinedConditional(
-                    f"fact {atom}, interpretation query {q}"
-                ) from None
-            if target == "lower":
-                e1[i] += cond_a.lower
-                e0[i] += cond_na.lower
-            else:
-                e1[i] += cond_a.upper
-                e0[i] += cond_na.upper
+                raise UndefinedConditional(f"fact {atom}, interpretation query {q}")
+            e1[i] += c[0]
+            e0[i] += c[1]
     return EMExpectations(tuple(e0), tuple(e1))
+
+
+def _fact_conditionals(t, at_one, at_zero, low, up, target):
+    """``target`` bounds of P(a | q) and P(not a | q), or None where undefined.
+
+    ``t`` is the fact's θ; ``at_one``/``at_zero`` are the stack's
+    distinct values with that θ pinned to 1 and to 0; ``low`` and ``up``
+    index the interpretation's lower and upper polynomials in them.
+    """
+    low_a = _snap(t * at_one[low])
+    up_a = _snap(t * at_one[up])
+    low_na = _snap((1.0 - t) * at_zero[low])
+    up_na = _snap((1.0 - t) * at_zero[up])
+    try:
+        cond_a = conditional_from_joints(low_a, up_a, low_na, up_na)
+        cond_na = conditional_from_joints(low_na, up_na, low_a, up_a)
+    except UndefinedConditional:
+        return None
+    if target == "lower":
+        return cond_a.lower, cond_na.lower
+    return cond_a.upper, cond_na.upper
 
 
 def _snap(v: float) -> float:
@@ -342,7 +382,8 @@ def em_expectation(
     Conditionals are the chosen bound's conditional probabilities,
     evaluated from each interpretation's lower and upper polynomials.
     """
-    queries, lower, upper = _bound_polys(program, interps)
+    queries = [interpretation_query(i) for i in interps]
+    lower, upper = _bound_polys(program, queries, _TARGETS)
     bounds = PolyStack(lower + upper, len(program.learnable_indices()))
     return _expectations(program, queries, bounds, theta, target, skip_undefined)
 
@@ -373,7 +414,8 @@ def learn_em(
     nvars = len(program.learnable_indices())
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
-    queries, lower, upper = _bound_polys(program, interps)
+    queries = [interpretation_query(i) for i in interps]
+    lower, upper = _bound_polys(program, queries, _TARGETS)
     bounds = PolyStack(lower + upper, nvars)
     polys = PolyStack(lower if cfg.target == "lower" else upper, nvars)
 

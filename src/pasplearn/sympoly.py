@@ -13,15 +13,16 @@ with a butterfly over the 2^L table of patterns).
 A polynomial is an array of monomial bit patterns (bit ``j`` for
 variable ``j``, a layout only this module knows) and an array of
 coefficients, in canonical order: one gather out of the Möbius table.
-:class:`PolyStack` concatenates them for several polynomials over the
-same variables, so that one gather and one
+:class:`PolyStack` concatenates the distinct ones among several
+polynomials over the same variables, so that one gather and one
 ``np.multiply.reduceat`` give every monomial product of all of them at
-a point.  Each polynomial's value is then the dot product of its own
-coefficients and products, and all gradients come from one
-``np.bincount``.  :func:`poly_eval` and :func:`poly_grad` are the
-one-polynomial case.  The stack keeps each polynomial's floating-point
-operations in the order of evaluating it alone, so its numbers do not
-depend on which polynomials share the stack.  Gradients are exact: each
+a point; equal polynomials are stored, and evaluated, once.  Each
+polynomial's value is then the dot product of its own coefficients and
+products, and all gradients come from one ``np.bincount``.
+:func:`poly_eval` and :func:`poly_grad` are the one-polynomial case.
+The stack keeps each polynomial's floating-point operations in the
+order of evaluating it alone, so its numbers do not depend on which
+polynomials share the stack.  Gradients are exact: each
 partial is the polynomial with its variable removed, by one path for
 every θ.  A θ component equal to 0 is read as 1.0 in the products, and
 a mask test on the patterns then zeroes the monomials and partials that
@@ -75,42 +76,57 @@ class SymPoly:
 class PolyStack:
     """Several polynomials over the same variables, stacked for evaluation.
 
-    The monomials of every polynomial are concatenated in order: one
-    coefficient array, one flat array of variable indices with a
-    segment per monomial, and the slice of monomials each polynomial
-    owns.  One gather and one ``reduceat`` give every monomial's product
-    at a point; each polynomial's value is then the dot product of its
-    own slice, and all gradients come from one ``bincount`` over
+    Equal polynomials (same patterns and coefficients) are stored once:
+    ``index[k]`` is the position of input polynomial k among the
+    distinct ones, in order of first appearance.  The monomials of every
+    distinct polynomial are concatenated in order: one coefficient
+    array, one flat array of variable indices with a segment per
+    monomial, and the slice of monomials each polynomial owns.  One
+    gather and one ``reduceat`` give every monomial's product at a
+    point; each polynomial's value is then the dot product of its own
+    slice, and all gradients come from one ``bincount`` over
     ``owner·(nvars+1)+var``.  This keeps the floating-point operations,
     and their order, of evaluating each polynomial on its own, so the
     numbers are bit-for-bit those of :func:`poly_eval` and
     :func:`poly_grad` (which are the one-polynomial case).
+    :meth:`values` and :meth:`gradients` give one result per input
+    polynomial; :meth:`distinct_values` and :meth:`distinct_gradients`
+    give one per distinct polynomial, for callers that reuse it through
+    ``index``.
     """
 
     def __init__(self, polys, nvars: int):
-        polys = list(polys)
+        keys: dict[tuple[bytes, bytes], int] = {}
+        distinct = []
+        index = []
         for p in polys:
             if p.nvars != nvars:
                 raise ValueError(f"polynomial over {p.nvars} vars in a stack of {nvars}")
+            k = keys.setdefault((p.patterns.tobytes(), p.coeffs.tobytes()), len(keys))
+            if k == len(distinct):
+                distinct.append(p)
+            index.append(k)
+        self.index = np.array(index, dtype=np.intp)
         self.nvars = nvars
-        sizes = [len(p.coeffs) for p in polys]
+        sizes = [len(p.coeffs) for p in distinct]
         # The leading empty arrays keep a stack of no monomials well-typed.
-        self.coefs = np.concatenate([np.zeros(0)] + [p.coeffs for p in polys])
-        patterns = np.concatenate([np.zeros(0, dtype=np.int64)] + [p.patterns for p in polys])
+        self.coefs = np.concatenate([np.zeros(0)] + [p.coeffs for p in distinct])
+        patterns = np.concatenate([np.zeros(0, dtype=np.int64)] + [p.patterns for p in distinct])
         # The constant monomial reads the sentinel variable nvars (value
         # pinned to 1.0), which keeps its segment non-empty for reduceat.
         self.patterns = np.where(patterns == 0, 1 << nvars, patterns)
         rows, self.flat = np.nonzero(self.patterns[:, None] & (1 << np.arange(nvars + 1)) != 0)
         self.lengths = np.bincount(rows, minlength=len(self.patterns))
         self.offsets = np.cumsum(self.lengths) - self.lengths
-        owner = np.repeat(np.arange(len(polys)), sizes)
+        owner = np.repeat(np.arange(len(distinct)), sizes)
         self._grad_index = owner[rows] * (nvars + 1) + self.flat
         self._el_coef = self.coefs[rows]
         self._spans = [(e - n, e) for e, n in zip(accumulate(sizes), sizes)]
         self._coef_slices = [self.coefs[s:e] for s, e in self._spans]
 
     def __len__(self) -> int:
-        return len(self._spans)
+        """Number of input polynomials, repeats included."""
+        return len(self.index)
 
     def _ext(self, theta) -> np.ndarray:
         """theta with the sentinel 1.0 appended, after a length check."""
@@ -125,13 +141,18 @@ class PolyStack:
     def _values(self, prods) -> list[float]:
         return [float(c.dot(prods[s:e])) for c, (s, e) in zip(self._coef_slices, self._spans)]
 
-    def values(self, theta) -> list[float]:
-        """Value of every polynomial at theta."""
+    def distinct_values(self, theta) -> list[float]:
+        """Value of every distinct polynomial at theta."""
         ext = self._ext(theta)
         return self._values(np.multiply.reduceat(ext[self.flat], self.offsets))
 
-    def gradients(self, theta) -> tuple[list[float], np.ndarray]:
-        """Values and exact gradients (one row per polynomial) at theta.
+    def values(self, theta) -> list[float]:
+        """Value of every input polynomial at theta."""
+        values = self.distinct_values(theta)
+        return [values[k] for k in self.index.tolist()]
+
+    def distinct_gradients(self, theta) -> tuple[list[float], np.ndarray]:
+        """Values and exact gradients (one row per distinct polynomial) at theta.
 
         Each partial is the polynomial with its variable removed.  A θ
         component equal to 0 is read as 1.0 so that every quotient is
@@ -151,10 +172,16 @@ class PolyStack:
             prods[hit != 0] = 0.0
             others[np.repeat(hit, self.lengths) & ~(1 << self.flat) != 0] = 0.0
         width = self.nvars + 1
+        n = len(self._spans)
         grads = np.bincount(
-            self._grad_index, weights=self._el_coef * others, minlength=len(self) * width
-        ).reshape(len(self), width)
+            self._grad_index, weights=self._el_coef * others, minlength=n * width
+        ).reshape(n, width)
         return self._values(prods), grads[:, : self.nvars]  # sentinel column: d/d(1)
+
+    def gradients(self, theta) -> tuple[list[float], np.ndarray]:
+        """Values and exact gradients (one row per input polynomial) at theta."""
+        values, grads = self.distinct_gradients(theta)
+        return [values[k] for k in self.index.tolist()], grads[self.index]
 
 
 def poly_eval(p: SymPoly, theta) -> float:

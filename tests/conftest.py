@@ -23,11 +23,13 @@ nconnected(X,Y) :- edge(X,Y), not connected(X,Y).
 """
 
 
-def stable_models(gp, world_facts=()) -> list[frozenset]:
+def stable_models(gp, world_facts=(), solved=None) -> list[frozenset]:
     """The package solver's stable models of ``gp`` in one world, as atom sets.
 
     ``world_facts`` are the probabilistic atoms true in the world; the
-    sets come in the solver's ascending row order.
+    sets come in the solver's ascending row order.  ``solved`` is
+    ``StableSolver(gp).all_worlds()``: pass it when asking for many
+    worlds of one program, so that the worlds are solved once.
     """
     n = len(gp.prob_atom_ids)
     world = 0
@@ -35,11 +37,11 @@ def stable_models(gp, world_facts=()) -> list[frozenset]:
         j = gp.atom_index[atom]
         assert j < n, f"{atom} is not a probabilistic fact"
         world |= 1 << (n - 1 - j)
-    counts, rows = StableSolver(gp).all_worlds()
+    counts, rows = StableSolver(gp).all_worlds() if solved is None else solved
     first = int(counts[:world].sum())
     return [
         frozenset(a for a, bit in zip(gp.atoms, row) if bit)
-        for row in world_rows(gp, rows)[first : first + counts[world]]
+        for row in world_rows(gp, rows[first : first + counts[world]])
     ]
 
 

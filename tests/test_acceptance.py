@@ -31,6 +31,7 @@ from pasplearn.learning import (
 from pasplearn.model import Query, interpretation_query, query_from_literals
 from pasplearn.parsing import parse_interpretations, parse_program, parse_query
 from pasplearn.rng import SplitMix64
+from pasplearn.stable import StableSolver
 from pasplearn.sympoly import extract_poly, poly_eval, poly_grad
 
 from conftest import EXAMPLE_GRAPH, stable_models
@@ -102,9 +103,10 @@ def test_criterion_4_oracle_equivalence_suite():
         rules = list(program.rules)
         universe = rule_universe(rules, {pf.atom for pf in program.prob_facts})
         consistent = True
+        solved = StableSolver(gp).all_worlds()
         for bits, chosen, _p in worlds_brute(program):
             world = [pf.atom for pf, b in zip(program.prob_facts, bits) if b]
-            fast = set(stable_models(gp, world))
+            fast = set(stable_models(gp, world, solved))
             brute = {frozenset(m) for m in stable_models_brute(rules, chosen, universe)}
             assert fast == brute, f"seed {seed}, world {bits}"
             consistent = consistent and bool(brute)

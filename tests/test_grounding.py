@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from pasplearn.errors import HeadIsProbFact, UnsafeRule
 from pasplearn.grounding import ground
 from pasplearn.parsing import parse_program
+from pasplearn.stable import StableSolver
 
 from conftest import stable_models
 from oracles import naive_ground, rule_universe, stable_models_brute, worlds_brute
@@ -68,7 +69,9 @@ def test_ground_models_match_naive_grounding(seed):
     universe = rule_universe(naive_rules, prob_atoms)
     if len(universe) > 10:
         return
+    solved = StableSolver(gp).all_worlds()
     for bits, chosen, _p in worlds_brute(program):
-        fast = set(stable_models(gp, [pf.atom for pf, b in zip(program.prob_facts, bits) if b]))
+        world = [pf.atom for pf, b in zip(program.prob_facts, bits) if b]
+        fast = set(stable_models(gp, world, solved))
         brute = {frozenset(m) for m in stable_models_brute(naive_rules, chosen, universe)}
         assert fast == brute

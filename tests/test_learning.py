@@ -178,6 +178,36 @@ def test_em_expectation_undefined_conditional_context():
     assert e.e0 == (0.0,) and e.e1 == (0.0,)
 
 
+def test_em_expectation_undefined_conditional_names_first_offender_when_repeated():
+    # {q, q2} is impossible, so both facts' conditionals are undefined on it;
+    # the error names the first fact and the interpretation, however often
+    # the interpretation recurs.
+    program = parse_program(
+        "learnable(0.5)::a.\nlearnable(0.5)::b.\nq :- a, not q2.\nq2 :- a, not q.\nr :- b."
+    )
+    want = (
+        "conditional probability is undefined (evidence has zero upper probability): "
+        "fact a, interpretation query q,q2"
+    )
+    for text in ("r.\nq, q2.\n", "r.\nq, q2.\nr.\nq, q2.\n", "q, q2.\nr.\nq, q2.\n"):
+        with pytest.raises(UndefinedConditional) as exc:
+            em_expectation(program, interps(text), [0.5, 0.5])
+        assert str(exc.value) == want
+
+
+def test_gradient_adds_one_fact_terms_in_interpretation_order():
+    # With one learnable fact each term is a single number; the terms of
+    # many interpretations must still be added one after another, as the
+    # one-polynomial formula does, not pairwise.
+    program = parse_program("learnable(0.3)::a.\n0.6::c.\nb :- a.\nd :- c, not a.\n")
+    data = interps("b.\nnot b.\nd.\nb.\nnot d.\nb, not d.\nnot b.\nd.\nb.\nnot b.\nb.\n")
+    polys = [extract_poly(program, query_from_literals(i.literals), "upper") for i in data]
+    rng = SplitMix64(5)
+    for _ in range(200):
+        theta = [rng.random()]
+        assert ll_gradient(polys, theta).tobytes() == ll_gradient_ref(polys, theta).tobytes()
+
+
 def _with_theta(program, theta):
     """The program with its learnable probabilities set to theta."""
     facts = list(program.prob_facts)
@@ -356,7 +386,9 @@ def _assert_same_numbers(program, data, seed, seen):
     lower = [extract_poly(program, q, "lower") for q in queries]
     upper = [extract_poly(program, q, "upper") for q in queries]
     empty = poly_from_dict(nvars, {})
-    poly_sets = [lower, upper, upper + [empty] + lower, [empty] * 3]
+    # The last set repeats and reorders polynomials that the stack keeps once.
+    poly_sets = [lower, upper, upper + [empty] + lower, [empty] * 3, upper + lower + upper[::-1]]
+    twice = data + data[::-1]
     for theta in _theta_cases(nvars, seed):
         seen["zero"] += 0.0 in theta
         for polys in poly_sets:
@@ -378,10 +410,18 @@ def _assert_same_numbers(program, data, seed, seen):
                 try:
                     want = expectations_ref(zip(lower, upper), theta, target, skip)
                 except UndefinedConditional:
-                    with pytest.raises(UndefinedConditional):
+                    with pytest.raises(UndefinedConditional) as once:
                         em_expectation(program, data, theta, target)
+                    with pytest.raises(UndefinedConditional) as again:
+                        em_expectation(program, twice, theta, target)
+                    assert str(again.value) == str(once.value)
                     continue
                 got = em_expectation(program, data, theta, target, skip_undefined=skip)
+                assert (got.e0, got.e1) == want
+                got = em_expectation(program, twice, theta, target, skip_undefined=skip)
+                want = expectations_ref(
+                    zip(lower + lower[::-1], upper + upper[::-1]), theta, target, skip
+                )
                 assert (got.e0, got.e1) == want
                 seen["estep"] += 1
 

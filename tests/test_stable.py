@@ -299,9 +299,10 @@ def _check_against_brute_force_oracle(seed):
     rules = list(program.rules)
     prob_atoms = {pf.atom for pf in program.prob_facts}
     universe = rule_universe(rules, prob_atoms)
+    solved = StableSolver(gp).all_worlds()
     for bits, chosen, _p in worlds_brute(program):
         world = [pf.atom for pf, b in zip(program.prob_facts, bits) if b]
-        fast = set(stable_models(gp, world))
+        fast = set(stable_models(gp, world, solved))
         brute = {
             frozenset(m) for m in stable_models_brute(rules, chosen, universe)
         }

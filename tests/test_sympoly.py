@@ -55,6 +55,23 @@ def test_malformed_input_raises_value_error():
         poly_from_world_flags(program, [True, False])
 
 
+def test_stack_keeps_equal_polynomials_once():
+    p = mono(2, [((), 0.5), ((0,), -1.0), ((0, 1), 2.0)])
+    q = mono(2, [((), 0.5), ((0,), -1.0), ((0, 1), 2.5)])  # p's monomials, one coefficient off
+    p_copy = SymPoly(2, p.patterns.copy(), p.coeffs.copy())
+    stack = PolyStack([p, q, p_copy, p], 2)
+    assert len(stack) == 4
+    assert stack.index.tolist() == [0, 1, 0, 0]
+    assert stack.coefs.tolist() == p.coeffs.tolist() + q.coeffs.tolist()
+    theta = [0.3, 0.7]
+    assert stack.distinct_values(theta) == [poly_eval(p, theta), poly_eval(q, theta)]
+    want = [poly_eval(x, theta) for x in (p, q, p, p)]
+    assert stack.values(theta) == want
+    values, grads = stack.gradients(theta)
+    assert values == want
+    assert grads.tolist() == [poly_grad(x, theta).tolist() for x in (p, q, p, p)]
+
+
 def test_rendering_style():
     p = mono(2, [((1,), 0.4), ((0, 1), 0.6)])
     assert poly_to_text(p) == "0.4*p1 + 0.6*p0*p1"
