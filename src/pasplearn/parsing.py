@@ -16,12 +16,17 @@ uppercase letter are variables, ``_`` is the anonymous variable, and
 Interpretation files hold one partial interpretation per line: a
 comma-separated conjunction of ground literals terminated by ``.``,
 where ``not a`` places ``a`` in the negative part.
+
+One regex pass turns a text into tokens, each a kind, a lexeme and an
+offset into the text.  A :class:`SourceSpan` is computed from a token's
+offset only when an error is raised: the line is the first line plus
+the newlines before the offset, and the column counts characters
+from the last of them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     ContradictoryInterpretation,
@@ -34,10 +39,12 @@ from .errors import (
 )
 from .model import Atom, Interpretation, Literal, ProbFact, Program, Rule, Term
 
+#: One alternative per token kind; whitespace and comments match no group.
+#: ``BAD`` takes any other character, so the matches tile the text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>%[^\n]*)
+    \s+
+  | %[^\n]*
   | (?P<NUMBER>\d+\.\d+|\d+)
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<DCOLON>::)
@@ -46,82 +53,89 @@ _TOKEN_RE = re.compile(
   | (?P<RPAREN>\))
   | (?P<COMMA>,)
   | (?P<DOT>\.)
+  | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
+#: Kind of the sentinel token that ends every token list.
+_END = "END"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = first_line, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PaspSyntaxError(
-                f"unexpected character {text[pos]!r}", SourceSpan(line, col)
-            )
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, lexeme, SourceSpan(line, col)))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    return tokens
+def _span(text: str, offset: int, first_line: int) -> SourceSpan:
+    """1-based line and column of ``offset``; only errors ask for one."""
+    return SourceSpan(
+        first_line + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
+    )
 
 
 class _Parser:
-    """Recursive-descent parser over a token list."""
+    """Recursive-descent parser over one text's tokens.
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    The tokens are three parallel lists, kind, text and offset, ended by
+    an ``_END`` sentinel, so lookahead needs no bounds check.
+    """
+
+    def __init__(self, text: str, first_line: int = 1):
+        self.source = text
+        self.first_line = first_line
+        kinds: list[str] = []
+        texts: list[str] = []
+        offsets: list[int] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            if kind == "BAD":
+                raise PaspSyntaxError(
+                    f"unexpected character {m.group()!r}",
+                    _span(text, m.start(), first_line),
+                )
+            kinds.append(kind)
+            texts.append(m.group())
+            offsets.append(m.start())
+        self.n_tokens = len(kinds)
+        kinds.append(_END)
+        texts.append("")
+        offsets.append(len(text))
+        self.kinds, self.texts, self.offsets = kinds, texts, offsets
         self.pos = 0
         self._anon_counter = 0
 
     # -- token plumbing ------------------------------------------------
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _span_at(self, i: int) -> SourceSpan:
+        return _span(self.source, self.offsets[i], self.first_line)
 
-    def _peek_kind(self, offset: int = 0) -> str | None:
-        i = self.pos + offset
-        return self.tokens[i].kind if i < len(self.tokens) else None
-
-    def _last_span(self) -> SourceSpan:
-        if self.tokens:
-            return self.tokens[min(self.pos, len(self.tokens) - 1)].span
+    def _end_span(self) -> SourceSpan:
+        """Where an error at end of input points: the last token."""
+        if self.n_tokens:
+            return self._span_at(self.n_tokens - 1)
         return SourceSpan(1, 1)
 
-    def _advance(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise PaspSyntaxError("unexpected end of input", self._last_span())
-        self.pos += 1
-        return tok
+    def _peek_kind(self, offset: int = 0) -> str:
+        return self.kinds[self.pos + offset]
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise PaspSyntaxError(f"expected {what}, found end of input", self._last_span())
-        if tok.kind != kind:
-            raise PaspSyntaxError(f"expected {what}, found {tok.text!r}", tok.span)
-        return self._advance()
+    def _advance(self) -> int:
+        """Consume one token and return its index."""
+        i = self.pos
+        if self.kinds[i] == _END:
+            raise PaspSyntaxError("unexpected end of input", self._end_span())
+        self.pos = i + 1
+        return i
+
+    def _expect(self, kind: str, what: str) -> int:
+        i = self.pos
+        found = self.kinds[i]
+        if found == _END:
+            raise PaspSyntaxError(f"expected {what}, found end of input", self._end_span())
+        if found != kind:
+            raise PaspSyntaxError(f"expected {what}, found {self.texts[i]!r}", self._span_at(i))
+        self.pos = i + 1
+        return i
 
     @property
     def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.kinds[self.pos] == _END
 
     # -- grammar productions -------------------------------------------
 
@@ -130,58 +144,63 @@ class _Parser:
         return f"_G{self._anon_counter}"
 
     def _parse_term(self) -> Term:
-        tok = self._advance()
-        if tok.kind == "NUMBER":
-            if "." in tok.text:
-                raise PaspSyntaxError("non-integer term", tok.span)
-            return int(tok.text)
-        if tok.kind == "NAME":
-            if tok.text == "_":
+        i = self._advance()
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "NUMBER":
+            if "." in text:
+                raise PaspSyntaxError("non-integer term", self._span_at(i))
+            return int(text)
+        if kind == "NAME":
+            if text == "_":
                 # Anonymous variables are distinct per occurrence.
                 return self._fresh_anon()
-            return tok.text
-        raise PaspSyntaxError(f"expected term, found {tok.text!r}", tok.span)
+            return text
+        raise PaspSyntaxError(f"expected term, found {text!r}", self._span_at(i))
 
     def _parse_atom(self) -> Atom:
-        tok = self._expect("NAME", "predicate name")
-        if tok.text == "not" or tok.text == "_":
-            raise PaspSyntaxError(f"{tok.text!r} is not a valid predicate", tok.span)
-        if tok.text[0].isupper():
+        i = self._expect("NAME", "predicate name")
+        name = self.texts[i]
+        if name == "not" or name == "_":
+            raise PaspSyntaxError(f"{name!r} is not a valid predicate", self._span_at(i))
+        if name[0].isupper():
             raise PaspSyntaxError(
-                f"predicate {tok.text!r} may not start uppercase", tok.span
+                f"predicate {name!r} may not start uppercase", self._span_at(i)
             )
         args: list[Term] = []
-        if self._peek_kind() == "LPAREN":
-            self._advance()
+        if self.kinds[self.pos] == "LPAREN":
+            self.pos += 1
             args.append(self._parse_term())
-            while self._peek_kind() == "COMMA":
-                self._advance()
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
                 args.append(self._parse_term())
             self._expect("RPAREN", "')'")
-        return Atom(tok.text, tuple(args))
+        return Atom(name, tuple(args))
 
     def _parse_literal(self) -> Literal:
-        tok = self._peek()
-        if tok is not None and tok.kind == "NAME" and tok.text == "not":
-            self._advance()
+        if self.texts[self.pos] == "not" and self.kinds[self.pos] == "NAME":
+            self.pos += 1
             return Literal(self._parse_atom(), positive=False)
         return Literal(self._parse_atom(), positive=True)
 
     def _parse_body(self) -> tuple[Literal, ...]:
         body = [self._parse_literal()]
-        while self._peek_kind() == "COMMA":
-            self._advance()
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
             body.append(self._parse_literal())
         return tuple(body)
 
-    def _parse_number(self, what: str) -> tuple[float, SourceSpan]:
-        tok = self._expect("NUMBER", what)
-        return float(tok.text), tok.span
+    def _parse_number(self, what: str) -> tuple[float, int]:
+        """A number and its token index."""
+        i = self._expect("NUMBER", what)
+        return float(self.texts[i]), i
 
     def _at_learnable_decl(self) -> bool:
-        """Lookahead: ``learnable::`` or ``learnable(<number>)::``."""
-        tok = self._peek()
-        if tok is None or tok.kind != "NAME" or tok.text != "learnable":
+        """Lookahead: ``learnable::`` or ``learnable(<number>)::``.
+
+        The chain stops at the first mismatch, so it never reads past
+        the ``_END`` sentinel.
+        """
+        if self.texts[self.pos] != "learnable" or self._peek_kind() != "NAME":
             return False
         if self._peek_kind(1) == "DCOLON":
             return True
@@ -192,45 +211,57 @@ class _Parser:
             and self._peek_kind(4) == "DCOLON"
         )
 
-    def _prob_fact(self, prob: float, span: SourceSpan, learnable: bool) -> ProbFact:
-        """The ``:: atom.`` tail of a probabilistic fact; errors point at ``span``."""
+    def _prob_fact(self, prob: float, at: int, learnable: bool) -> ProbFact:
+        """The ``:: atom.`` tail of a probabilistic fact; errors point at token ``at``."""
         self._expect("DCOLON", "'::'")
         atom = self._parse_atom()
         self._expect("DOT", "'.'")
         if not (0.0 <= prob <= 1.0):
-            raise ProbOutOfRange(f"probability {prob} outside [0,1]", span)
+            raise ProbOutOfRange(f"probability {prob} outside [0,1]", self._span_at(at))
         if not atom.is_ground:
-            raise PaspSyntaxError(f"probabilistic fact {atom} must be ground", span)
+            raise PaspSyntaxError(
+                f"probabilistic fact {atom} must be ground", self._span_at(at)
+            )
         return ProbFact(atom, prob, learnable=learnable)
 
     def parse_statement(self):
         """One statement: returns a ProbFact or a Rule."""
-        tok = self._peek()
-        assert tok is not None
-        if tok.kind == "NUMBER":
-            prob, span = self._parse_number("probability")
-            return self._prob_fact(prob, span, learnable=False)
+        kind = self._peek_kind()
+        if kind == "NUMBER":
+            prob, at = self._parse_number("probability")
+            return self._prob_fact(prob, at, learnable=False)
         if self._at_learnable_decl():
-            span = self._advance().span  # 'learnable'
+            at = self._advance()  # 'learnable'
             prob = 0.5
             if self._peek_kind() == "LPAREN":
-                self._advance()
-                prob, span = self._parse_number("initial probability")
+                self.pos += 1
+                prob, at = self._parse_number("initial probability")
                 self._expect("RPAREN", "')'")
-            return self._prob_fact(prob, span, learnable=True)
-        if tok.kind == "IMPL":
-            self._advance()
+            return self._prob_fact(prob, at, learnable=True)
+        if kind == "IMPL":
+            self.pos += 1
             body = self._parse_body()
             self._expect("DOT", "'.'")
             return Rule(None, body)
         head = self._parse_atom()
         if self._peek_kind() == "IMPL":
-            self._advance()
+            self.pos += 1
             body = self._parse_body()
             self._expect("DOT", "'.'")
             return Rule(head, body)
         self._expect("DOT", "'.'")
         return Rule(head, ())
+
+    def parse_conjunction(self) -> tuple[Literal, ...]:
+        """Comma-separated literals, an optional ``.``, then end of input."""
+        body = self._parse_body()
+        if self._peek_kind() == "DOT":
+            self.pos += 1
+        if not self.done:
+            raise PaspSyntaxError(
+                f"trailing input {self.texts[self.pos]!r}", self._span_at(self.pos)
+            )
+        return body
 
 
 def parse_program(text: str) -> Program:
@@ -239,7 +270,7 @@ def parse_program(text: str) -> Program:
     Probabilistic facts keep declaration order (which fixes both world
     bit positions and learnable parameter indices).
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     prob_facts: list[ProbFact] = []
     seen: dict[Atom, int] = {}
     rules: list[Rule] = []
@@ -260,17 +291,6 @@ def parse_program(text: str) -> Program:
                 f"probabilistic atom {rule.head} appears as a rule head"
             )
     return Program(tuple(prob_facts), tuple(rules))
-
-
-def _parse_conjunction(tokens: list[_Token]) -> tuple[Literal, ...]:
-    parser = _Parser(tokens)
-    body = parser._parse_body()
-    if parser._peek_kind() == "DOT":
-        parser._advance()
-    if not parser.done:
-        tok = parser._peek()
-        raise PaspSyntaxError(f"trailing input {tok.text!r}", tok.span)
-    return body
 
 
 def _check_interpretation(literals: tuple[Literal, ...], line: int) -> Interpretation:
@@ -294,20 +314,19 @@ def parse_interpretations(text: str) -> list[Interpretation]:
     """Parse an interpretation file: one conjunction of ground literals per line."""
     out: list[Interpretation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, first_line=lineno)
-        if not tokens:
+        parser = _Parser(raw, first_line=lineno)
+        if parser.done:
             continue
-        literals = _parse_conjunction(tokens)
-        out.append(_check_interpretation(literals, lineno))
+        out.append(_check_interpretation(parser.parse_conjunction(), lineno))
     return out
 
 
 def parse_query(text: str) -> tuple[Literal, ...]:
     """Parse a CLI query/evidence string: ground literals, comma-separated."""
-    tokens = _tokenize(text)
-    if not tokens:
+    parser = _Parser(text)
+    if parser.done:
         raise PaspSyntaxError("empty query", SourceSpan(1, 1))
-    literals = _parse_conjunction(tokens)
+    literals = parser.parse_conjunction()
     for lit in literals:
         if not lit.atom.is_ground:
             raise PaspSyntaxError(f"query literal {lit} contains variables", SourceSpan(1, 1))

@@ -173,9 +173,11 @@ class PolyStack:
             others[np.repeat(hit, self.lengths) & ~(1 << self.flat) != 0] = 0.0
         width = self.nvars + 1
         n = len(self._spans)
+        # bincount of no weights is int64; astype keeps a stack without
+        # monomials float and copies nothing otherwise.
         grads = np.bincount(
             self._grad_index, weights=self._el_coef * others, minlength=n * width
-        ).reshape(n, width)
+        ).astype(float, copy=False).reshape(n, width)
         return self._values(prods), grads[:, : self.nvars]  # sentinel column: d/d(1)
 
     def gradients(self, theta) -> tuple[list[float], np.ndarray]:

@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pasplearn.datasets import _FAMILIES, FAMILIES, DatasetSpec, generate
 from pasplearn.errors import HeadIsProbFact, UnsafeRule
 from pasplearn.grounding import ground
-from pasplearn.parsing import parse_program
+from pasplearn.parsing import parse_program, program_to_text
 from pasplearn.stable import StableSolver
 
 from conftest import stable_models
@@ -75,3 +78,26 @@ def test_ground_models_match_naive_grounding(seed):
         fast = set(stable_models(gp, world, solved))
         brute = {frozenset(m) for m in stable_models_brute(naive_rules, chosen, universe)}
         assert fast == brute
+
+
+# SHA-256 of repr((program, rules, atoms, prob_atom_ids)) after parsing
+# the text of every family's three smallest sizes (seeds 0-2) and of
+# random_var_program seeds 0-499.  It pins rule and atom order, which
+# fix the solver's bit layout.
+_FRONT_END_DIGEST = "5625443147f145b0447c39559bc9eb6b0a8f4881987b60c393f14c51cd8a744f"
+
+
+def test_front_end_output_matches_recorded_digest():
+    texts = []
+    for family in FAMILIES:
+        lo = _FAMILIES[family].sizes[0]
+        for size in range(lo, lo + 3):
+            for seed in range(3):
+                texts.append(program_to_text(generate(DatasetSpec(family, size, 10, seed))[0]))
+    texts += [program_to_text(random_var_program(seed)) for seed in range(500)]
+    digest = hashlib.sha256()
+    for text in texts:
+        program = parse_program(text)
+        gp = ground(program)
+        digest.update(repr((program, gp.rules, gp.atoms, gp.prob_atom_ids)).encode())
+    assert digest.hexdigest() == _FRONT_END_DIGEST

@@ -208,6 +208,19 @@ def test_gradient_adds_one_fact_terms_in_interpretation_order():
         assert ll_gradient(polys, theta).tobytes() == ll_gradient_ref(polys, theta).tobytes()
 
 
+def test_all_empty_lower_stack_has_float_gradients():
+    # coloring4's lower polynomials have no monomials.
+    program, data = generate(DatasetSpec("coloring", 4, 10, 0))
+    lower = [extract_poly(program, query_from_literals(i.literals), "lower") for i in data]
+    assert not any(len(p.patterns) for p in lower)
+    theta = [0.5] * len(program.learnable_indices())
+    stack = PolyStack(lower, len(theta))
+    _, rows = stack.distinct_gradients(theta)
+    grad = ll_gradient(stack, theta)
+    for got in (rows, stack.gradients(theta)[1], grad):
+        assert got.dtype == np.float64 and not got.any()
+
+
 def _with_theta(program, theta):
     """The program with its learnable probabilities set to theta."""
     facts = list(program.prob_facts)

@@ -7,6 +7,7 @@ from pasplearn.errors import (
     DuplicateProbFact,
     HeadIsProbFact,
     NonGroundInterpretation,
+    PaspError,
     PaspSyntaxError,
     ProbOutOfRange,
     SourceSpan,
@@ -121,6 +122,72 @@ def test_parse_query_handles_optional_dot_and_negation():
 def test_parse_query_requires_ground_literals():
     with pytest.raises(PaspSyntaxError):
         parse_query("path(X,4)")
+
+
+# (name, parser, text, error type, str(error)): positions count from
+# 1, lines by "\n" only, and columns by characters, a tab or "\r" as one.
+_ERROR_TEXTS = [
+    ('comment-lines', parse_program, '% header\n% more\n0.4::a.\nq :- a b.\n',
+     PaspSyntaxError, "4:8: expected '.', found 'b'"),
+    ('crlf', parse_program, '0.4::a.\r\nq :- a.\r\nr :- q,, a.\r\n',
+     PaspSyntaxError, "3:8: expected predicate name, found ','"),
+    ('tabs', parse_program, '0.4::a.\n\tq\t:-\ta,\t.\n',
+     PaspSyntaxError, "2:10: expected predicate name, found '.'"),
+    ('bad-char-mid-line', parse_program, '0.4::a.\nq(1) :- a, r$s.\n',
+     PaspSyntaxError, "2:13: unexpected character '$'"),
+    ('bad-char-after-comment', parse_program, '% 0.4::a.\n\n  p :- q. % ok\n  @p.\n',
+     PaspSyntaxError, "4:3: unexpected character '@'"),
+    ('end-of-input', parse_program, '0.4::a.\nq :- a',
+     PaspSyntaxError, "2:6: expected '.', found end of input"),
+    ('end-of-input-after-comment', parse_program, '0.4::a.\nq :- \n% trailing\n',
+     PaspSyntaxError, '2:3: expected predicate name, found end of input'),
+    ('prob-out-of-range', parse_program, '% p\n\t1.5::a.\n',
+     ProbOutOfRange, '2:2: probability 1.5 outside [0,1]'),
+    ('learnable-out-of-range', parse_program, '\r\nlearnable(1.01)::a.\n',
+     ProbOutOfRange, '2:11: probability 1.01 outside [0,1]'),
+    ('non-integer-term', parse_program, '% x\nq(1.5) :- a.\n',
+     PaspSyntaxError, '2:3: non-integer term'),
+    ('nonground-prob-fact', parse_program, '0.1::a.\r\n\tlearnable(0.3)::f(X).\r\n',
+     PaspSyntaxError, '2:12: probabilistic fact f(X) must be ground'),
+    ('uppercase-predicate', parse_program, 'a.\n  q :- Foo.\n',
+     PaspSyntaxError, "2:8: predicate 'Foo' may not start uppercase"),
+    ('duplicate-prob-fact', parse_program, '0.4::a.\n0.5::a.\n',
+     DuplicateProbFact, 'atom a declared probabilistic twice'),
+    ('head-is-prob-fact', parse_program, '0.4::a.\na :- b.\n',
+     HeadIsProbFact, 'probabilistic atom a appears as a rule head'),
+    ('interp-line-3', parse_interpretations, 'a, not b.\n% c\nc(1), d(.\n',
+     PaspSyntaxError, "3:9: expected term, found '.'"),
+    ('interp-line-3-bad-char', parse_interpretations, 'a.\r\nb.\r\nc, #d.\r\n',
+     PaspSyntaxError, "3:4: unexpected character '#'"),
+    ('interp-line-3-nonground', parse_interpretations, 'a.\n\nf(X), b.\n',
+     NonGroundInterpretation, '3:1: interpretation literal f(X) contains variables'),
+    ('interp-line-3-contradiction', parse_interpretations, 'a.\nb.\nnot c, c.\n',
+     ContradictoryInterpretation, '3:1: atom c occurs both positively and negatively'),
+    ('interp-line-3-trailing', parse_interpretations, 'a.\nb.\nc. d.\n',
+     PaspSyntaxError, "3:4: trailing input 'd'"),
+    ('query-empty', parse_query, '  ',
+     PaspSyntaxError, '1:1: empty query'),
+    ('query-variable', parse_query, 'path(X,4)',
+     PaspSyntaxError, '1:1: query literal path(X,4) contains variables'),
+    ('query-trailing', parse_query, 'bought(steak) bought(spaghetti)',
+     PaspSyntaxError, "1:15: trailing input 'bought'"),
+    ('query-bad-char', parse_query, 'bought(steak);',
+     PaspSyntaxError, "1:14: unexpected character ';'"),
+    ('evidence-end-of-input', parse_query, 'not bought(spaghetti),',
+     PaspSyntaxError, '1:22: expected predicate name, found end of input'),
+    ('evidence-not-predicate', parse_query, 'not not a',
+     PaspSyntaxError, "1:5: 'not' is not a valid predicate"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text,error,message", [c[1:] for c in _ERROR_TEXTS], ids=[c[0] for c in _ERROR_TEXTS]
+)
+def test_error_text_is_exact(parse, text, error, message):
+    with pytest.raises(PaspError) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

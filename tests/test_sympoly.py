@@ -109,6 +109,11 @@ def test_gradient_matches_finite_differences(p, seed):
         assert grad[j] == pytest.approx(fd, abs=1e-5, rel=1e-5)
 
 
+def test_gradient_of_polynomial_without_monomials_is_float():
+    grad = poly_grad(SymPoly(2, [], []), [0.5, 0.5])
+    assert grad.dtype == np.float64 and grad.tolist() == [0.0, 0.0]
+
+
 @settings(max_examples=100)
 @given(polys())
 def test_gradient_exact_at_boundary_thetas(p):
