@@ -22,6 +22,10 @@ distinct polynomial once: the objective is one gather and one
 logarithm per distinct polynomial, and the gradient adds one
 ``bincount`` and one division per distinct polynomial.  The
 per-interpretation terms are then summed in interpretation order.
+:func:`learn_opt`'s line search evaluates each point once, and the
+gradient at the accepted point reuses that evaluation's gathered
+factors and monomial products: it adds one quotient per factor, the
+``bincount`` and the divisions.
 EM needs no further polynomials: a bound P of an interpretation q is
 linear in each θ_j, so the joint bounds of fact j with q are
 θ_j·P[θ_j=1] for a_j ∧ q and (1−θ_j)·P[θ_j=0] for ¬a_j ∧ q.  An E-step
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -136,70 +141,124 @@ def _stacked(polys, theta) -> PolyStack:
     return PolyStack(polys, polys[0].nvars if polys else len(theta))
 
 
+class _Likelihood:
+    """Σ_k log(max(P_k(θ), floor_prob)) over a stack's input polynomials.
+
+    :meth:`at` evaluates a point once and returns its log-likelihood
+    with the point itself: θ and the stack's values, gathered factors
+    and products there.  :meth:`gradient` at that point reuses them.
+    """
+
+    def __init__(self, stack: PolyStack, floor_prob: float):
+        self.stack = stack
+        self.floor_prob = floor_prob
+        self._index = index = stack.index.tolist()
+        # The distinct polynomials' logs, one per input polynomial in input order.
+        self._per_input = (
+            itemgetter(*index) if len(index) > 1 else lambda logs: [logs[k] for k in index]
+        )
+        # One gradient term per kept input polynomial after a row of zeros.
+        self._terms = np.zeros((len(index) + 1, stack.nvars))
+
+    def at(self, theta: np.ndarray) -> tuple[float, tuple]:
+        """Log-likelihood and point at theta, a float array."""
+        values, gathered, prods = self.stack.evaluate(theta)
+        floor_prob = self.floor_prob
+        logs = [math.log(max(v, floor_prob)) for v in values]
+        return sum(self._per_input(logs)), (theta, values, gathered, prods)
+
+    def gradient(self, point) -> np.ndarray:
+        """Gradient at a point from :meth:`at`; floored terms contribute zero.
+
+        Each distinct polynomial's gradient is divided by its value once.
+        """
+        theta, values, gathered, prods = point
+        rows = self.stack.gradient_rows(theta, gathered, prods)
+        floor_prob = self.floor_prob
+        kept = [v > floor_prob for v in values]
+        # Floored rows are left out below; dividing them by 1.0 keeps 0/0 away.
+        rows /= np.array([v if k else 1.0 for v, k in zip(values, kept)])[:, None]
+        chosen = [k for k in self._index if kept[k]]
+        terms = self._terms[: len(chosen) + 1]
+        rows.take(chosen, axis=0, out=terms[1:], mode="clip")
+        # One row after another from 0.0, in input order.  accumulate adds
+        # in that order; add.reduce would sum a lone column (one variable)
+        # pairwise.
+        return np.add.accumulate(terms, axis=0)[-1]
+
+
 def ll_objective(polys, theta, floor_prob: float = 1e-12) -> float:
     """Σ_k log(max(polys[k](theta), floor_prob)); at most 0 when values ≤ 1.
 
     ``polys`` is a :class:`PolyStack` or a list of :class:`SymPoly`.
     The logarithm is taken once per distinct polynomial.
     """
-    stack = _stacked(polys, theta)
-    logs = [math.log(max(v, floor_prob)) for v in stack.distinct_values(theta)]
-    return sum(logs[k] for k in stack.index.tolist())
+    theta = np.asarray(theta, dtype=float)
+    return _Likelihood(_stacked(polys, theta), floor_prob).at(theta)[0]
 
 
 def ll_gradient(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:
-    """Gradient of :func:`ll_objective`; floored terms contribute zero.
-
-    Each distinct polynomial's gradient is divided by its value once.
-    """
-    stack = _stacked(polys, theta)
-    values, rows = stack.distinct_gradients(theta)
-    values = np.array(values)
-    kept = values > floor_prob
-    # Floored rows are left out below; dividing them by 1.0 keeps 0/0 away.
-    rows = rows / np.where(kept, values, 1.0)[:, None]
-    terms = rows[stack.index[kept[stack.index]]]
-    # One row after another from 0.0, in input order.  cumsum adds in
-    # that order; add.reduce would sum a lone column (one variable) pairwise.
-    return np.cumsum(np.concatenate([np.zeros((1, rows.shape[1])), terms]), axis=0)[-1]
+    """Gradient of :func:`ll_objective`; floored terms contribute zero."""
+    theta = np.asarray(theta, dtype=float)
+    lik = _Likelihood(_stacked(polys, theta), floor_prob)
+    return lik.gradient(lik.at(theta)[1])
 
 
 # -- constrained optimization ------------------------------------------
 
 
-def _gradient_ascent(objective, gradient, x0, max_inner=500, tol=1e-6):
-    """Projected gradient ascent with Armijo backtracking on [0,1]^L."""
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    ll = objective(x)
+def _clip01(v: np.ndarray) -> np.ndarray:
+    """``np.clip(v, 0.0, 1.0)`` bit for bit, without clip's wrapper cost.
+
+    The scalar goes first, which gives −0.0 and NaN the same bits as clip.
+    """
+    return np.minimum(np.maximum(0.0, v), 1.0)
+
+
+def _gradient_ascent(at, gradient, x0, max_inner=500, tol=1e-6):
+    """Projected gradient ascent with Armijo backtracking on [0,1]^L.
+
+    ``at`` and ``gradient`` are a :class:`_Likelihood`'s: each point is
+    evaluated once, and the gradient at an accepted point reuses that
+    evaluation.
+    """
+    x = _clip01(np.asarray(x0, dtype=float))
+    ll, point = at(x)
     trace = [ll]
     converged = False
     iterations = 0
     for it in range(1, max_inner + 1):
-        g = gradient(x)
-        if np.linalg.norm(np.clip(x + g, 0.0, 1.0) - x) < tol:
+        g = gradient(point)
+        # The projected full step (1.0·g is g) is the first candidate.
+        xn = _clip01(x + g)
+        d = xn - x
+        # np.linalg.norm of a 1-D float array is this sqrt of a dot.
+        if math.sqrt(d.dot(d)) < tol:
             converged = True
             break
         iterations = it
         step = 1.0
         accepted = False
         while step > 1e-18:
-            xn = np.clip(x + step * g, 0.0, 1.0)
-            lln = objective(xn)
-            if lln >= ll + 1e-4 * float(g @ (xn - x)):
+            lln, point_n = at(xn)
+            # A projected step moves each θ_j the way g_j points, so
+            # g·(xn − x) ≥ 0, and a point below ll fails the test anyway.
+            if lln >= ll and lln >= ll + 1e-4 * float(g @ (xn - x)):
                 accepted = True
                 break
             step *= 0.5
+            xn = _clip01(x + step * g)
         if not accepted:
             break
-        x, ll = xn, lln
+        x, ll, point = xn, lln, point_n
         trace.append(ll)
     return x, ll, iterations, converged, trace
 
 
-def _coordinate_search(objective, x0, max_sweeps=500, start_step=0.25, tol=1e-6):
+def _coordinate_search(at, x0, max_sweeps=500, start_step=0.25, tol=1e-6):
     """Derivative-free coordinate descent (ascent) with shrinking step."""
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    ll = objective(x)
+    x = _clip01(np.asarray(x0, dtype=float))
+    ll = at(x)[0]
     trace = [ll]
     converged = False
     iterations = 0
@@ -216,7 +275,7 @@ def _coordinate_search(objective, x0, max_sweeps=500, start_step=0.25, tol=1e-6)
                 xn[j] = min(1.0, max(0.0, x[j] + delta))
                 if xn[j] == x[j]:
                     continue
-                lln = objective(xn)
+                lln = at(xn)[0]
                 if lln > ll:
                     x, ll = xn, lln
                     improved = True
@@ -244,13 +303,9 @@ def learn_opt(
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
     queries = [interpretation_query(i) for i in interps]
-    polys = PolyStack(_bound_polys(program, queries, [cfg.target])[0], nvars)
-
-    def objective(theta):
-        return ll_objective(polys, theta, cfg.floor_prob)
-
-    def gradient(theta):
-        return ll_gradient(polys, theta, cfg.floor_prob)
+    lik = _Likelihood(
+        PolyStack(_bound_polys(program, queries, [cfg.target])[0], nvars), cfg.floor_prob
+    )
 
     starts = [np.array(program.initial_theta())]
     root = SplitMix64(cfg.seed)
@@ -261,9 +316,9 @@ def learn_opt(
     best = None
     for x0 in starts:
         if cfg.opt_backend == "gradient":
-            run = _gradient_ascent(objective, gradient, x0)
+            run = _gradient_ascent(lik.at, lik.gradient, x0)
         else:
-            run = _coordinate_search(objective, x0)
+            run = _coordinate_search(lik.at, x0)
         if best is None or run[1] > best[1]:
             best = run
     x, ll, iterations, converged, trace = best

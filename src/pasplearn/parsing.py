@@ -72,7 +72,9 @@ class _Parser:
     """Recursive-descent parser over one text's tokens.
 
     The tokens are three parallel lists, kind, text and offset, ended by
-    an ``_END`` sentinel, so lookahead needs no bounds check.
+    an ``_END`` sentinel, so lookahead needs no bounds check.  The
+    sentinel's offset is the input's length, so an error at end of input
+    points at the end of the input.
     """
 
     def __init__(self, text: str, first_line: int = 1):
@@ -93,7 +95,6 @@ class _Parser:
             kinds.append(kind)
             texts.append(m.group())
             offsets.append(m.start())
-        self.n_tokens = len(kinds)
         kinds.append(_END)
         texts.append("")
         offsets.append(len(text))
@@ -106,12 +107,6 @@ class _Parser:
     def _span_at(self, i: int) -> SourceSpan:
         return _span(self.source, self.offsets[i], self.first_line)
 
-    def _end_span(self) -> SourceSpan:
-        """Where an error at end of input points: the last token."""
-        if self.n_tokens:
-            return self._span_at(self.n_tokens - 1)
-        return SourceSpan(1, 1)
-
     def _peek_kind(self, offset: int = 0) -> str:
         return self.kinds[self.pos + offset]
 
@@ -119,7 +114,7 @@ class _Parser:
         """Consume one token and return its index."""
         i = self.pos
         if self.kinds[i] == _END:
-            raise PaspSyntaxError("unexpected end of input", self._end_span())
+            raise PaspSyntaxError("unexpected end of input", self._span_at(i))
         self.pos = i + 1
         return i
 
@@ -127,7 +122,7 @@ class _Parser:
         i = self.pos
         found = self.kinds[i]
         if found == _END:
-            raise PaspSyntaxError(f"expected {what}, found end of input", self._end_span())
+            raise PaspSyntaxError(f"expected {what}, found end of input", self._span_at(i))
         if found != kind:
             raise PaspSyntaxError(f"expected {what}, found {self.texts[i]!r}", self._span_at(i))
         self.pos = i + 1

@@ -18,15 +18,16 @@ polynomials over the same variables, so that one gather and one
 ``np.multiply.reduceat`` give every monomial product of all of them at
 a point; equal polynomials are stored, and evaluated, once.  Each
 polynomial's value is then the dot product of its own coefficients and
-products, and all gradients come from one ``np.bincount``.
+products, and all gradients come from one ``np.bincount`` over the
+same point's products.
 :func:`poly_eval` and :func:`poly_grad` are the one-polynomial case.
 The stack keeps each polynomial's floating-point operations in the
 order of evaluating it alone, so its numbers do not depend on which
-polynomials share the stack.  Gradients are exact: each
-partial is the polynomial with its variable removed, by one path for
-every θ.  A θ component equal to 0 is read as 1.0 in the products, and
-a mask test on the patterns then zeroes the monomials and partials that
-still hold a zero factor.
+polynomials share the stack.  Gradients are exact: each partial is the
+polynomial with its variable removed, each monomial's product divided
+by that variable's factor.  Where a θ component is 0 the products are
+recomputed with it read as 1.0, and a mask test on the patterns then
+zeroes the partials that still hold a zero factor.
 """
 
 from __future__ import annotations
@@ -92,7 +93,11 @@ class PolyStack:
     :meth:`values` and :meth:`gradients` give one result per input
     polynomial; :meth:`distinct_values` and :meth:`distinct_gradients`
     give one per distinct polynomial, for callers that reuse it through
-    ``index``.
+    ``index``.  :meth:`evaluate` also returns the gathered factors and
+    products behind the values, so that :meth:`gradient_rows` at the
+    same point repeats neither the gather nor the ``reduceat``.  A stack
+    fills one preallocated buffer at each point, so one stack is not for
+    use from several threads at once.
     """
 
     def __init__(self, polys, nvars: int):
@@ -116,69 +121,90 @@ class PolyStack:
         # pinned to 1.0), which keeps its segment non-empty for reduceat.
         self.patterns = np.where(patterns == 0, 1 << nvars, patterns)
         rows, self.flat = np.nonzero(self.patterns[:, None] & (1 << np.arange(nvars + 1)) != 0)
-        self.lengths = np.bincount(rows, minlength=len(self.patterns))
-        self.offsets = np.cumsum(self.lengths) - self.lengths
+        lengths = np.bincount(rows, minlength=len(self.patterns))
+        self.offsets = np.cumsum(lengths) - lengths
         owner = np.repeat(np.arange(len(distinct)), sizes)
         self._grad_index = owner[rows] * (nvars + 1) + self.flat
         self._el_coef = self.coefs[rows]
-        self._spans = [(e - n, e) for e, n in zip(accumulate(sizes), sizes)]
-        self._coef_slices = [self.coefs[s:e] for s, e in self._spans]
+        self._el_row = rows
+        # Each distinct polynomial's coefficients and the slice of its products.
+        self._slices = [
+            (self.coefs[e - n : e], slice(e - n, e)) for e, n in zip(accumulate(sizes), sizes)
+        ]
+        # theta, then the sentinel variable's 1.0; refilled at each point.
+        self._ext = np.ones(nvars + 1)
+        self._theta_slot = self._ext[:-1]
 
     def __len__(self) -> int:
         """Number of input polynomials, repeats included."""
         return len(self.index)
 
-    def _ext(self, theta) -> np.ndarray:
-        """theta with the sentinel 1.0 appended, after a length check."""
+    def _fill(self, theta) -> np.ndarray:
+        """The ext buffer holding theta, after a length check."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.nvars,):
+        if theta.shape != self._theta_slot.shape:
             raise ValueError(f"expected theta of length {self.nvars}, got {theta.shape}")
-        ext = np.empty(self.nvars + 1)
-        ext[:-1] = theta
-        ext[-1] = 1.0
-        return ext
+        self._theta_slot[...] = theta
+        return self._ext
 
-    def _values(self, prods) -> list[float]:
-        return [float(c.dot(prods[s:e])) for c, (s, e) in zip(self._coef_slices, self._spans)]
+    def evaluate(self, theta) -> tuple[list[float], np.ndarray, np.ndarray]:
+        """Every distinct polynomial's value at theta, with what gave it.
+
+        Returns the values, every flat element's factor (``gathered``)
+        and every monomial's product (``prods``); :meth:`gradient_rows`
+        reuses the last two at the same theta.
+        """
+        gathered = self._fill(theta).take(self.flat)
+        prods = np.multiply.reduceat(gathered, self.offsets)
+        return [float(c.dot(prods[s])) for c, s in self._slices], gathered, prods
 
     def distinct_values(self, theta) -> list[float]:
         """Value of every distinct polynomial at theta."""
-        ext = self._ext(theta)
-        return self._values(np.multiply.reduceat(ext[self.flat], self.offsets))
+        return self.evaluate(theta)[0]
 
     def values(self, theta) -> list[float]:
         """Value of every input polynomial at theta."""
         values = self.distinct_values(theta)
         return [values[k] for k in self.index.tolist()]
 
-    def distinct_gradients(self, theta) -> tuple[list[float], np.ndarray]:
-        """Values and exact gradients (one row per distinct polynomial) at theta.
+    def gradient_rows(self, theta: np.ndarray, gathered, prods) -> np.ndarray:
+        """Exact gradients (one row per distinct polynomial) at theta.
 
-        Each partial is the polynomial with its variable removed.  A θ
-        component equal to 0 is read as 1.0 so that every quotient is
-        defined; the patterns then zero each monomial with a zero factor
-        and each partial with a zero factor other than its own variable.
+        ``theta`` is a float array, and ``gathered`` and ``prods`` are
+        what :meth:`evaluate` returned for it.  Each partial is the
+        polynomial with its variable removed: per flat element, its
+        monomial's product over its own factor.  Where a θ component is
+        0 that quotient is undefined, so the products are recomputed
+        with every zero read as 1.0; the patterns then zero each partial
+        with a zero factor other than its own variable.
         """
-        ext = self._ext(theta)
-        zero = ext == 0.0
-        vals = np.where(zero, 1.0, ext)[self.flat]
-        prods = np.multiply.reduceat(vals, self.offsets)
         # Per flat element: product of its monomial's *other* variables.
-        others = np.repeat(prods, self.lengths) / vals
-        if zero.any():
+        if 0.0 not in theta.tolist():
+            others = prods.take(self._el_row)
+            others /= gathered
+        else:
+            ext = self._fill(theta)
+            zero = ext == 0.0
+            vals = np.where(zero, 1.0, ext)[self.flat]
+            others = np.multiply.reduceat(vals, self.offsets).take(self._el_row) / vals
             # Each monomial's zero factors (never the sentinel).  A lone
             # zero factor's partial is the rest's product over 1.0 and stays.
             hit = self.patterns & np.bitwise_or.reduce(1 << np.flatnonzero(zero))
-            prods[hit != 0] = 0.0
-            others[np.repeat(hit, self.lengths) & ~(1 << self.flat) != 0] = 0.0
+            others[hit.take(self._el_row) & ~(1 << self.flat) != 0] = 0.0
         width = self.nvars + 1
-        n = len(self._spans)
+        n = len(self._slices)
+        others *= self._el_coef
         # bincount of no weights is int64; astype keeps a stack without
         # monomials float and copies nothing otherwise.
-        grads = np.bincount(
-            self._grad_index, weights=self._el_coef * others, minlength=n * width
-        ).astype(float, copy=False).reshape(n, width)
-        return self._values(prods), grads[:, : self.nvars]  # sentinel column: d/d(1)
+        grads = np.bincount(self._grad_index, weights=others, minlength=n * width)
+        grads = grads.astype(float, copy=False).reshape(n, width)
+        return grads[:, : self.nvars]  # sentinel column: d/d(1)
+
+    def distinct_gradients(self, theta) -> tuple[list[float], np.ndarray]:
+        """Values and exact gradients (one row per distinct polynomial) at theta."""
+        theta = np.asarray(theta, dtype=float)
+        values, gathered, prods = self.evaluate(theta)
+        return values, self.gradient_rows(theta, gathered, prods)
 
     def gradients(self, theta) -> tuple[list[float], np.ndarray]:
         """Values and exact gradients (one row per input polynomial) at theta."""

@@ -20,20 +20,25 @@ dicts, and keeps the original one-polynomial numpy formulas for
 evaluation, gradient, log-likelihood and the EM E-step.  The package's
 stacked evaluation must reproduce them bit for bit, because the
 optimizer's path on a flat likelihood ridge follows the last bits of
-these numbers.
+these numbers.  :func:`learn_opt_ref` drives the original
+projected-gradient and coordinate searches with those formulas, one
+objective and one gradient call at a time.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
 
 from pasplearn.credal import conditional_from_joints
 from pasplearn.errors import InconsistentWorld, UndefinedConditional
-from pasplearn.model import Atom, Program, Rule, is_variable
-from pasplearn.sympoly import SymPoly
+from pasplearn.learning import LearnResult
+from pasplearn.model import Atom, Program, Rule, interpretation_query, is_variable
+from pasplearn.rng import SplitMix64
+from pasplearn.sympoly import SymPoly, extract_poly
 
 
 def herbrand_constants(program: Program) -> list:
@@ -266,8 +271,13 @@ def poly_as_dict(p: SymPoly) -> dict:
     }
 
 
+@lru_cache(maxsize=64)
 def _poly_arrays(p):
-    """(coefs, flat var indices, segment offsets, segment lengths)."""
+    """(coefs, flat var indices, segment offsets, segment lengths).
+
+    Cached per polynomial object (a SymPoly hashes by identity), so that
+    the reference learner does not rebuild them at every call.
+    """
     coeffs = poly_as_dict(p)
     order = sorted(coeffs, key=lambda m: (len(m), sorted(m)))
     coefs = np.array([coeffs[m] for m in order], dtype=float)
@@ -364,3 +374,92 @@ def expectations_ref(bounds, theta, target: str, skip_undefined: bool = False):
             e1[i] += getattr(cond_a, target)
             e0[i] += getattr(cond_na, target)
     return tuple(e0), tuple(e1)
+
+
+# -- the multi-start searches, one objective and one gradient call at a time
+
+
+def _gradient_ascent_ref(objective, gradient, x0, max_inner=500, tol=1e-6):
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    ll = objective(x)
+    trace = [ll]
+    converged = False
+    iterations = 0
+    for it in range(1, max_inner + 1):
+        g = gradient(x)
+        if np.linalg.norm(np.clip(x + g, 0.0, 1.0) - x) < tol:
+            converged = True
+            break
+        iterations = it
+        step = 1.0
+        accepted = False
+        while step > 1e-18:
+            xn = np.clip(x + step * g, 0.0, 1.0)
+            lln = objective(xn)
+            if lln >= ll + 1e-4 * float(g @ (xn - x)):
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        x, ll = xn, lln
+        trace.append(ll)
+    return x, ll, iterations, converged, trace
+
+
+def _coordinate_search_ref(objective, x0, max_sweeps=500, start_step=0.25, tol=1e-6):
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    ll = objective(x)
+    trace = [ll]
+    converged = False
+    iterations = 0
+    step = start_step
+    for sweep in range(1, max_sweeps + 1):
+        if step < tol:
+            converged = True
+            break
+        iterations = sweep
+        improved = False
+        for j in range(len(x)):
+            for delta in (step, -step):
+                xn = x.copy()
+                xn[j] = min(1.0, max(0.0, x[j] + delta))
+                if xn[j] == x[j]:
+                    continue
+                lln = objective(xn)
+                if lln > ll:
+                    x, ll = xn, lln
+                    improved = True
+                    break
+        trace.append(ll)
+        if not improved:
+            step *= 0.5
+    return x, ll, iterations, converged, trace
+
+
+def learn_opt_ref(program: Program, interps, cfg) -> LearnResult:
+    """``learn_opt`` with every objective and gradient from the one-polynomial formulas."""
+    polys = [extract_poly(program, interpretation_query(i), cfg.target) for i in interps]
+    nvars = len(program.learnable_indices())
+
+    def objective(theta):
+        return ll_objective_ref(polys, theta, cfg.floor_prob)
+
+    def gradient(theta):
+        return ll_gradient_ref(polys, theta, cfg.floor_prob)
+
+    starts = [np.array(program.initial_theta())]
+    root = SplitMix64(cfg.seed)
+    for r in range(1, cfg.restarts):
+        gen = root.split(r)
+        starts.append(np.array([gen.random() for _ in range(nvars)]))
+    best = None
+    for x0 in starts:
+        if cfg.opt_backend == "gradient":
+            run = _gradient_ascent_ref(objective, gradient, x0)
+        else:
+            run = _coordinate_search_ref(objective, x0)
+        if best is None or run[1] > best[1]:
+            best = run
+    x, ll, iterations, converged, trace = best
+    return LearnResult(tuple(float(v) for v in x), ll, iterations, converged, tuple(trace))

@@ -12,6 +12,7 @@ from pasplearn.errors import NoLearnableFacts, UndefinedConditional
 from pasplearn.learning import (
     EMExpectations,
     LearnConfig,
+    _clip01,
     em_expectation,
     em_maximization,
     learn_em,
@@ -33,6 +34,7 @@ from pasplearn.sympoly import PolyStack, extract_poly, poly_eval, poly_grad, pol
 from oracles import (
     credal_brute,
     expectations_ref,
+    learn_opt_ref,
     ll_gradient_ref,
     ll_objective_ref,
     poly_as_dict,
@@ -439,11 +441,10 @@ def _assert_same_numbers(program, data, seed, seen):
                 seen["estep"] += 1
 
 
-def test_stacked_numbers_equal_one_polynomial_formulas_on_random_programs():
-    seen = {"zero": 0, "floored": 0, "empty": 0, "estep": 0}
-    programs = 0
+def _random_learning_cases(count):
+    """(seed, program, interpretations) of consistent random programs with learnable facts."""
     seed = 0
-    while programs < 40:
+    while count:
         seed += 1
         program = random_ground_program(seed)
         if not program.learnable_indices() or check_consistency(program) != 0:
@@ -454,12 +455,17 @@ def test_stacked_numbers_equal_one_polynomial_formulas_on_random_programs():
             if not set(pos) & set(neg):
                 data.append(
                     Interpretation(
-                        tuple(Literal(a) for a in pos)
-                        + tuple(Literal(a, False) for a in neg)
+                        tuple(Literal(a) for a in pos) + tuple(Literal(a, False) for a in neg)
                     )
                 )
+        yield seed, program, data
+        count -= 1
+
+
+def test_stacked_numbers_equal_one_polynomial_formulas_on_random_programs():
+    seen = {"zero": 0, "floored": 0, "empty": 0, "estep": 0}
+    for seed, program, data in _random_learning_cases(40):
         _assert_same_numbers(program, data, seed, seen)
-        programs += 1
     assert all(seen.values()), seen
 
 
@@ -501,3 +507,46 @@ def test_learning_matches_parent_digest(family, size):
     lines.append(repr(learn_em(program, data, LearnConfig(method="em"))))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _LEARN_DIGESTS[family, size]
+
+
+# -- learn_opt is the original line search, evaluation for evaluation -----
+
+
+def _generated_learning_cases():
+    for family, size in (("path", 8), ("shop", 8), ("smoke", 2), ("coloring", 4)):
+        spec = DatasetSpec(family=family, size=size, num_interpretations=10, seed=0)
+        yield f"{family}{size}", *generate(spec)
+
+
+def test_learn_opt_equals_original_line_search(monkeypatch):
+    # Count which way each gradient went: from the accepted point's
+    # products, or by the zero-aware recomputation at a θ with a 0.
+    seen = {"reuse": 0, "zero": 0}
+    rows = PolyStack.gradient_rows
+
+    def counted(stack, theta, gathered, prods):
+        seen["zero" if 0.0 in theta.tolist() else "reuse"] += 1
+        return rows(stack, theta, gathered, prods)
+
+    monkeypatch.setattr(PolyStack, "gradient_rows", counted)
+    cases = [*_random_learning_cases(30), *_generated_learning_cases()]
+    for name, program, data in cases:
+        for target in ("lower", "upper"):
+            for backend in ("gradient", "derivativeFree"):
+                cfg = LearnConfig(target=target, opt_backend=backend)
+                got = learn_opt(program, data, cfg)
+                assert repr(got) == repr(learn_opt_ref(program, data, cfg)), (name, cfg)
+    assert seen["reuse"] and seen["zero"], seen
+
+
+def test_clip01_is_np_clip_bit_for_bit():
+    special = [-0.0, 0.0, 5e-324, -1e-300, 1.0, 1.5, -np.inf, np.inf, np.nan]
+    v = np.array(special)
+    assert _clip01(v).tobytes() == np.clip(v, 0.0, 1.0).tobytes()
+    # Every length a θ can have, and every position, in case a vector
+    # loop and its scalar tail treat the specials differently.
+    rng = SplitMix64(11)
+    for n in range(1, 40):
+        for _ in range(10):
+            v = np.array([special[rng.randint(0, len(special) - 1)] for _ in range(n)])
+            assert _clip01(v).tobytes() == np.clip(v, 0.0, 1.0).tobytes(), v

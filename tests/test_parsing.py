@@ -138,9 +138,9 @@ _ERROR_TEXTS = [
     ('bad-char-after-comment', parse_program, '% 0.4::a.\n\n  p :- q. % ok\n  @p.\n',
      PaspSyntaxError, "4:3: unexpected character '@'"),
     ('end-of-input', parse_program, '0.4::a.\nq :- a',
-     PaspSyntaxError, "2:6: expected '.', found end of input"),
+     PaspSyntaxError, "2:7: expected '.', found end of input"),
     ('end-of-input-after-comment', parse_program, '0.4::a.\nq :- \n% trailing\n',
-     PaspSyntaxError, '2:3: expected predicate name, found end of input'),
+     PaspSyntaxError, '4:1: expected predicate name, found end of input'),
     ('prob-out-of-range', parse_program, '% p\n\t1.5::a.\n',
      ProbOutOfRange, '2:2: probability 1.5 outside [0,1]'),
     ('learnable-out-of-range', parse_program, '\r\nlearnable(1.01)::a.\n',
@@ -174,7 +174,7 @@ _ERROR_TEXTS = [
     ('query-bad-char', parse_query, 'bought(steak);',
      PaspSyntaxError, "1:14: unexpected character ';'"),
     ('evidence-end-of-input', parse_query, 'not bought(spaghetti),',
-     PaspSyntaxError, '1:22: expected predicate name, found end of input'),
+     PaspSyntaxError, '1:23: expected predicate name, found end of input'),
     ('evidence-not-predicate', parse_query, 'not not a',
      PaspSyntaxError, "1:5: 'not' is not a valid predicate"),
 ]
