@@ -5,14 +5,16 @@ initial probability plus its fixed rule set, then draws random partial
 interpretations over the family's observable atoms (uniform atoms,
 uniform sign flips).  Interpretations that no world can satisfy (their
 upper probability is zero for every theta) are redrawn, up to 100
-attempts each; satisfiability is certified constructively per family
-(building a witness world and answer set) so generation never needs to
-enumerate worlds — essential for the larger smoke instances whose
-probabilistic-fact count exceeds any enumerable cap.
+attempts each.  :meth:`pasplearn.stable.StableSolver.satisfiable`
+decides each candidate exactly: it keeps one iff some world has an
+answer set that satisfies it.  That search leaves the probabilistic
+facts open instead of listing the worlds, so the world cap does not
+apply and the larger smoke instances, whose fact counts exceed any
+enumerable cap, generate as the small ones do.
 
 Everything known about a family is one :class:`_Family` row of the
-``_FAMILIES`` table: sizes, interpretation lengths, observables,
-builder and certifier.
+``_FAMILIES`` table: sizes, interpretation lengths, observables and
+builder.
 
 Generation is deterministic: all randomness flows from SplitMix64
 streams split off the spec seed (stream 1 = graph structure, stream 2 =
@@ -29,6 +31,7 @@ from .grounding import ground
 from .model import Atom, Interpretation, Literal, ProbFact, Program, Rule
 from .parsing import parse_program
 from .rng import SplitMix64
+from .stable import StableSolver
 
 _MAX_ATTEMPTS = 100
 
@@ -83,52 +86,6 @@ def _build_coloring(size: int, init_prob: float, rng: SplitMix64) -> Program:
     return Program(tuple(facts), tuple(rules))
 
 
-def _coloring_satisfiable(program: Program, interp: Interpretation, size: int) -> bool:
-    """Exact: build a coloring + edge set realizing the interpretation.
-
-    Any per-node color choice is an answer set of some world (each node
-    is a free 3-way choice; c0..c2/valid then follow), so satisfiability
-    reduces to picking compatible colors and, for ``not valid``, one
-    same-colorable adjacent pair (the world keeps exactly that edge).
-    """
-    colors = ("red", "green", "blue")
-    forced: dict[int, str] = {}
-    banned: dict[int, set[str]] = {}
-    want_valid = None
-    for lit in interp.literals:
-        f = lit.atom.functor
-        if f == "valid":
-            want_valid = lit.positive
-            continue
-        node = lit.atom.args[0]
-        if lit.positive:
-            if forced.get(node, f) != f:
-                return False  # two colors forced on one node
-            forced[node] = f
-        else:
-            banned.setdefault(node, set()).add(f)
-    for node, bans in banned.items():
-        allowed = [c for c in colors if c not in bans]
-        if node in forced and forced[node] in bans:
-            return False
-        if not allowed:
-            return False  # all three colors excluded
-    if want_valid is False:
-        # Need one monochromatic edge: any node pair colorable alike.
-        def allows(node: int, c: str) -> bool:
-            if node in forced:
-                return forced[node] == c
-            return c not in banned.get(node, set())
-
-        for a in range(1, size + 1):
-            for b in range(a + 1, size + 1):
-                if any(allows(a, c) and allows(b, c) for c in colors):
-                    return True
-        return False
-    # valid (or unmentioned) holds in the empty-edge world.
-    return True
-
-
 # -- path --------------------------------------------------------------
 
 _PATH_RULES = """
@@ -149,11 +106,9 @@ def _build_path(size: int, init_prob: float, rng: SplitMix64) -> Program:
     # Random recursive tree keeps the graph connected.
     for i in range(2, n + 1):
         undirected.append((rng.randint(1, i - 1), i))
+    tree = set(undirected)
     remaining = [
-        (a, b)
-        for a in range(1, n + 1)
-        for b in range(a + 1, n + 1)
-        if (a, b) not in set(undirected)
+        (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if (a, b) not in tree
     ]
     undirected.extend(rng.sample(remaining, size - (n - 1)))
     edges = [(a, b) if rng.randint(0, 1) == 0 else (b, a) for a, b in undirected]
@@ -161,91 +116,6 @@ def _build_path(size: int, init_prob: float, rng: SplitMix64) -> Program:
         ProbFact(Atom("edge", pair), init_prob, learnable=True) for pair in edges
     ]
     return Program(tuple(facts), parse_program(_PATH_RULES).rules)
-
-
-def _reachable(adj: dict[int, list[int]], src: int) -> set[int]:
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        u = frontier.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
-
-
-def _path_satisfiable(program: Program, interp: Interpretation, size: int) -> bool:
-    """Witness search: pick the connected-edge subset directly.
-
-    In any world, each included edge independently ends up connected or
-    not in some answer set, and path/2 is the reachability closure of
-    the connected edges; so satisfiability means choosing an edge subset
-    whose closure covers the positive literals and avoids the negative
-    ones.  Tries the full set, then a cover built from one shortest path
-    per positive literal; a miss regenerates (conservative for rare
-    overlapping-route cases).
-    """
-    edges = [pf.atom.args for pf in program.prob_facts]
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-    pos = [l.atom.args for l in interp.literals if l.positive]
-    neg = [l.atom.args for l in interp.literals if not l.positive]
-
-    def reaches(frm, to, graph) -> bool:
-        # path(a,a) needs a directed cycle through a, not the trivial stay.
-        return any(to in _reachable(graph, nxt) for nxt in graph.get(frm, ()))
-
-    def check(graph) -> bool:
-        return all(reaches(a, b, graph) for a, b in pos) and not any(
-            reaches(a, b, graph) for a, b in neg
-        )
-
-    if check(adj):
-        return True
-    if not all(reaches(a, b, adj) for a, b in pos):
-        return False  # some positive literal is impossible in every world
-    # Candidate 2: cover positives with one BFS route each, nothing else.
-    chosen: set[tuple[int, int]] = set()
-    for a, b in pos:
-        route = _bfs_route(adj, a, b)
-        if route is None:
-            return False
-        chosen |= set(route)
-    sub: dict[int, list[int]] = {}
-    for u, v in chosen:
-        sub.setdefault(u, []).append(v)
-    return check(sub)
-
-
-def _bfs_route(adj, src, dst):
-    """Edge list of a shortest directed path src→dst of length ≥ 1."""
-    prev: dict[int, int] = {}
-    frontier = []
-    for v in adj.get(src, ()):
-        if v not in prev:
-            prev[v] = src
-            frontier.append(v)
-    while frontier and dst not in prev:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                # Re-entering src is only useful when closing a cycle.
-                if v not in prev and (v != src or v == dst):
-                    prev[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    if dst not in prev:
-        return None
-    route = []
-    node = dst
-    while True:
-        p = prev[node]
-        route.append((p, node))
-        if p == src:
-            return list(reversed(route))
-        node = p
 
 
 # -- shop ----------------------------------------------------------------
@@ -284,15 +154,6 @@ def _build_shop(size: int, init_prob: float, rng: SplitMix64) -> Program:
     return Program(tuple(facts), tuple(rules))
 
 
-def _shop_satisfiable(program: Program, interp: Interpretation, size: int) -> bool:
-    """Exact: realizable bought/1 sets are those without both conflict
-    products; a witness has one shopper per required product."""
-    pos = {l.atom.args[0] for l in interp.literals if l.positive}
-    if "spaghetti" in pos and "steak" in pos:
-        return False  # the joint constraint kills every such answer set
-    return True
-
-
 # -- smoke ---------------------------------------------------------------
 
 _SMOKE_RULES = """
@@ -322,14 +183,6 @@ def _build_smoke(size: int, init_prob: float, rng: SplitMix64) -> Program:
     return Program(tuple(facts), parse_program(_SMOKE_RULES).rules)
 
 
-def _smoke_satisfiable(program: Program, interp: Interpretation, size: int) -> bool:
-    # Persons are independent once no influences fact is included:
-    # ill(i) is forced by {stress(i), asthma_f(i)} without predisposition
-    # and impossible without smokes(i), so every sign pattern over
-    # distinct persons has a witness world.
-    return True
-
-
 # -- the family table ----------------------------------------------------
 
 
@@ -339,7 +192,6 @@ class _Family:
     lengths: tuple[int, int]  # interpretation lengths, clipped to the observables
     observables: frozenset[tuple[str, int]]  # (functor, arity) of observable atoms
     build: Callable[[int, float, SplitMix64], Program]  # (size, init_prob, rng)
-    satisfiable: Callable[[Program, Interpretation, int], bool]  # (program, interp, size)
 
 
 # Size counts coloring's complete-graph nodes, path's edges, shop's and smoke's people.
@@ -349,11 +201,10 @@ _FAMILIES = {
         (3, 4),
         frozenset({("red", 1), ("green", 1), ("blue", 1), ("valid", 0)}),
         _build_coloring,
-        _coloring_satisfiable,
     ),
-    "path": _Family((5, 20), (1, 3), frozenset({("path", 2)}), _build_path, _path_satisfiable),
-    "shop": _Family((2, 12), (1, 10), frozenset({("bought", 1)}), _build_shop, _shop_satisfiable),
-    "smoke": _Family((2, 6), (1, 3), frozenset({("ill", 1)}), _build_smoke, _smoke_satisfiable),
+    "path": _Family((5, 20), (1, 3), frozenset({("path", 2)}), _build_path),
+    "shop": _Family((2, 12), (1, 10), frozenset({("bought", 1)}), _build_shop),
+    "smoke": _Family((2, 6), (1, 3), frozenset({("ill", 1)}), _build_smoke),
 }
 FAMILIES = tuple(_FAMILIES)
 
@@ -367,9 +218,9 @@ def generate(spec: DatasetSpec) -> tuple[Program, list[Interpretation]]:
     family = _FAMILIES[spec.family]
     program = family.build(spec.size, spec.init_prob, rng_structure)
 
-    observables = [
-        a for a in ground(program).atoms if (a.functor, len(a.args)) in family.observables
-    ]
+    gp = ground(program)
+    solver = StableSolver(gp)
+    observables = [a for a in gp.atoms if (a.functor, len(a.args)) in family.observables]
     lo, hi = family.lengths
     hi = min(hi, len(observables))
     lo = min(lo, hi)
@@ -382,9 +233,8 @@ def generate(spec: DatasetSpec) -> tuple[Program, list[Interpretation]]:
             literals = tuple(
                 Literal(a, positive=rng_interp.randint(0, 1) == 0) for a in atoms
             )
-            interp = Interpretation(literals)
-            if family.satisfiable(program, interp, spec.size):
-                interps.append(interp)
+            if solver.satisfiable((gp.atom_index[l.atom], l.positive) for l in literals):
+                interps.append(Interpretation(literals))
                 break
         else:
             raise GenerationError(

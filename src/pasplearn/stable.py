@@ -1,4 +1,4 @@
-"""Stable-model enumeration for ground normal programs, over all worlds.
+"""Stable models of ground normal programs over all worlds, and their existence.
 
 The solver keeps a frontier of partial assignments, one *lane* each,
 and applies every propagation step to all lanes at once.  A state holds
@@ -8,19 +8,34 @@ has a lane's bit set when atom ``a`` is true in it, row ``n_total + a``
 when it is false.  Two sentinel rows, one set and one clear in every
 lane, pad rule bodies to a fixed width.
 
-Every world starts as a lane with its probabilistic facts set; grounding
-numbers them 0 to n - 1, so the lanes are in world-index order.  Then
-the solver takes each remaining atom in index order and splits every
-lane where it is unassigned, the false child right before the true one.
-So the lanes always spell distinct prefixes in ascending order, the
+The search starts from a set of *start lanes*.  For
+:meth:`StableSolver.all_worlds` every world is a start lane with its
+probabilistic facts set; grounding numbers them 0 to n - 1, so the
+lanes are in world-index order.  For :meth:`StableSolver.satisfiable`
+there is one start lane with the facts open and the *assumptions*, the
+(atom, value) pairs asked about, set in its true or false rows.  In
+every start lane the atoms that head no rule and are not facts are
+false.  Then the solver takes each atom in index order from 0 and splits
+every lane where it is unassigned, the false child right before the
+true one; in the worlds' lanes the scan passes over the set facts.  So
+the lanes always spell distinct prefixes in ascending order, the
 leaves come out in the order of a depth-first search that branches
 false first on the lowest unassigned atom, and the rows need no sort.
-Each block of leaves is packed straight into the rows that
+
+The frontier is solved in chunks.  A split that would exceed the chunk
+width pushes the second half of the chunk on a work stack and goes on
+with the first half, and the generator :meth:`StableSolver._descend`
+hands each finished chunk's live leaves to its caller.  ``all_worlds``
+starts the worlds in blocks of :data:`_LANES` at a width of
+:data:`_LANES`, so at most that many lanes live at once, and packs each
+chunk's leaves straight into the rows that
 :class:`pasplearn.credal.WorldModels` stores, one bit per atom, so
-nothing converts them after the pass.
-At most :data:`_LANES` lanes live at once: a split that would exceed
-that solves the two halves of the frontier one after the other, and the
-worlds start in blocks of that size.
+nothing converts them after the pass.  ``satisfiable`` stops at the
+first chunk that holds a leaf.  Its width starts at one 64-lane word
+and doubles each time a chunk is taken off the work stack, up to
+:data:`_LANES`.  A satisfiable question is usually answered by the
+first chunk, one word wide, while an unsatisfiable one, which must
+refute every lane, soon runs at the full width.
 
 After every split the lanes are closed under unit propagation over the
 rule completion: a completed body forces its head true, a false head
@@ -55,7 +70,8 @@ model, so leaves are not checked again:
   (Lee, "A model-theoretic counterpart of loop formulas", IJCAI 2005).
 
 Propagation never removes a stable model, so the leaves are exactly the
-stable models of every world, in ascending order.
+stable models of every world, in ascending order; with assumptions,
+exactly those that meet them, so ``satisfiable`` is exact.
 
 Constraints are rules whose head is a reserved false atom, pinned false
 in every lane.  A constraint whose body completes would force that atom
@@ -63,6 +79,8 @@ true, and one with a single pending literal refutes it, so a violated
 constraint is a conflict inside propagation and no leaf is reached.
 """
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -206,28 +224,52 @@ class StableSolver:
         # (0, width) shape and keeps the concatenation C-ordered.
         rows = [np.zeros((0, (self.n_atoms + 7) // 8), dtype=np.uint8)]
         shifts = np.arange(n - 1, -1, -1)[:, None]
+        powers = 1 << np.arange(n - 1, -1, -1)
         for first in range(0, 1 << n, _LANES):
             worlds = np.arange(first, min(first + _LANES, 1 << n))
             bits = np.zeros((2 * A, len(worlds)), dtype=np.uint8)
             bits[:n] = worlds >> shifts & 1
             bits[A : A + n] = 1 - bits[:n]
-            bits[A + np.array(self.unsupported)] = 1
-            state = self._pack(bits)
-            self._propagate(state)
-            self._descend(state, len(worlds), rows, counts)
+            for leaves in self._descend(bits, _LANES):
+                # Packed along the atom axis: packing ``leaves.T`` row-wise
+                # reads F-ordered input, which ``np.packbits`` does slowly.
+                rows.append(np.packbits(leaves, axis=0).T)
+                ids = powers @ leaves[:n]  # ascending, as the rows are
+                if ids.size:
+                    counts[ids[0] : ids[-1] + 1] += np.bincount(ids - ids[0])
         return counts, np.concatenate(rows)
 
-    def _descend(
-        self, state: np.ndarray, lanes: int, rows: list[np.ndarray], counts: np.ndarray
-    ) -> None:
-        """Split a propagated frontier down to its leaves.
+    def satisfiable(self, assumptions: Iterable[tuple[int, bool]]) -> bool:
+        """Whether some world has a stable model that meets every assumption.
 
-        Appends the leaves' packed rows to ``rows`` and counts them by
-        world in ``counts``: a leaf's fact bits spell its world index.
+        ``assumptions`` are ``(atom index, value)`` pairs, over
+        probabilistic and derived atoms alike.  One start lane holds them
+        with the probabilistic facts open, so the search splits the
+        facts like any other atom and never lists the worlds; it stops
+        at the first chunk with a leaf.
         """
-        A, n = self.n_total, self.n_facts
-        powers = 1 << np.arange(n - 1, -1, -1)
-        work = [(state, lanes, n)]
+        A = self.n_total
+        bits = np.zeros((2 * A, 1), dtype=np.uint8)
+        for atom, value in assumptions:
+            bits[atom if value else A + atom] = 1
+        return any(leaves.shape[1] for leaves in self._descend(bits, min(64, _LANES)))
+
+    def _descend(self, bits: np.ndarray, width: int) -> Iterator[np.ndarray]:
+        """Split start lanes down to their leaves, one chunk at a time.
+
+        ``bits`` holds one row of lane bits per true and false atom row;
+        the never-supported atoms are set false here.  Yields the live
+        leaves of each finished chunk, one column per leaf and one row
+        per atom, in ascending order.  A split that would exceed
+        ``width`` lanes defers the second half of the chunk to the work
+        stack; each chunk taken off the stack doubles the width, up to
+        :data:`_LANES` (module docstring).
+        """
+        A = self.n_total
+        bits[A + np.array(self.unsupported)] = 1
+        state = self._pack(bits)
+        self._propagate(state)
+        work = [(state, bits.shape[1], 0)]
         while work:
             state, lanes, k = work.pop()
             while k < self.n_atoms:
@@ -240,11 +282,11 @@ class StableSolver:
                 split = (bits[k] | bits[A + k]) == 0
                 reps = (bits[self.false_atom] == 0).astype(np.intp) + split
                 total = int(reps.sum())
-                if total > _LANES:
+                if total > width:
                     half = lanes // 2
                     work.append((self._pack(bits[:, half:]), lanes - half, k))
-                    work.append((self._pack(bits[:, :half]), half, k))
-                    break
+                    state, lanes = self._pack(bits[:, :half]), half
+                    continue
                 src = np.repeat(np.arange(lanes), reps)
                 bits = np.take(bits, src, axis=1)
                 true_child = np.flatnonzero(src[1:] == src[:-1]) + 1
@@ -255,13 +297,8 @@ class StableSolver:
                 k += 1
             else:
                 bits = np.unpackbits(state[:A], axis=1, count=lanes)
-                leaves = bits[: self.n_atoms, bits[self.false_atom] == 0]
-                # Packed along the atom axis: packing ``leaves.T`` row-wise
-                # reads F-ordered input, which ``np.packbits`` does slowly.
-                rows.append(np.packbits(leaves, axis=0).T)
-                worlds = powers @ leaves[:n]  # ascending, as the rows are
-                if worlds.size:
-                    counts[worlds[0] : worlds[-1] + 1] += np.bincount(worlds - worlds[0])
+                yield bits[: self.n_atoms, bits[self.false_atom] == 0]
+            width = min(2 * width, _LANES)
 
     def _pack(self, bits: np.ndarray) -> np.ndarray:
         """A state from one row of lane bits per true and false atom row.

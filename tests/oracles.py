@@ -8,6 +8,8 @@ solver internals.  :func:`is_stable` is the one Gelfond–Lifschitz
 check: ``stable_models_brute`` filters candidates with it, and the
 stable-model tests check every row the package's solver reports
 against it, since the solver itself does not recheck its leaves.
+:func:`satisfiable_brute` answers the solver's existence search world
+by world.
 
 The flag section keeps the per-answer-set loops that once computed the
 per-world query flags, reading the atom masks of
@@ -120,6 +122,25 @@ def stable_models_brute(
             models.append(m)
     models.sort(key=sorted_key)
     return models
+
+
+def satisfiable_brute(program: Program, assumptions: dict) -> bool:
+    """Whether some world has a stable model meeting every assumption.
+
+    ``assumptions`` maps atoms, probabilistic or derived, to the value
+    they must take.  Worlds that disagree with an assumed fact are
+    skipped; the others are searched with :func:`stable_models_brute`.
+    """
+    rules = list(program.rules)
+    prob_atoms = {pf.atom for pf in program.prob_facts}
+    universe = rule_universe(rules, prob_atoms)
+    for _bits, chosen, _p in worlds_brute(program):
+        if any(a in prob_atoms and (a in chosen) != v for a, v in assumptions.items()):
+            continue
+        for m in stable_models_brute(rules, chosen, universe):
+            if all((a in m) == v for a, v in assumptions.items()):
+                return True
+    return False
 
 
 def sorted_key(model: frozenset):

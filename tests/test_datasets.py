@@ -2,12 +2,14 @@ import hashlib
 
 import pytest
 
-from pasplearn.credal import check_consistency, credal_query
+from pasplearn.credal import check_consistency, credal_query, world_models
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import SpecOutOfRange
 from pasplearn.grounding import ground
-from pasplearn.model import query_from_literals
+from pasplearn.model import Literal, query_from_literals
 from pasplearn.parsing import interpretations_to_text, program_to_text
+from pasplearn.rng import SplitMix64
+from pasplearn.stable import StableSolver
 
 LENGTH_RANGES = {"coloring": (3, 4), "path": (1, 3), "shop": (1, 10), "smoke": (1, 3)}
 OBSERVABLES = {  # (functor, arity)
@@ -134,6 +136,38 @@ def test_generated_interpretations_possible():
         for interp in interps:
             q = query_from_literals(interp.literals)
             assert credal_query(program, q).upper > 0.0, f"{family}: {interp}"
+
+
+_ENUMERABLE_CELLS = (
+    [("coloring", n) for n in (3, 4)]
+    + [("path", n) for n in range(5, 9)]
+    + [("shop", n) for n in range(2, 7)]
+    + [("smoke", n) for n in (2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "family,size", _ENUMERABLE_CELLS, ids=[f"{f}{n}" for f, n in _ENUMERABLE_CELLS]
+)
+def test_satisfiable_equals_world_pass(family, size):
+    # Random literal sets over the observables, rejected ones included:
+    # the existence search must agree with the all-worlds pass.
+    program, _ = generate(spec(family, size, n=1))
+    gp = ground(program)
+    solver = StableSolver(gp)
+    wm = world_models(program)
+    observable = [a for a in gp.atoms if _signature(a) in OBSERVABLES[family]]
+    rng = SplitMix64(size)
+    answers = set()
+    for _ in range(100):
+        atoms = rng.sample(observable, rng.randint(1, min(4, len(observable))))
+        literals = [Literal(a, positive=rng.randint(0, 1) == 0) for a in atoms]
+        possible = wm.satisfaction(query_from_literals(literals))[1].any()
+        got = solver.satisfiable([(gp.atom_index[l.atom], l.positive) for l in literals])
+        assert got == possible, literals
+        answers.add(got)
+    # Every sign pattern of ill/1 over distinct persons has a witness.
+    assert answers == ({True} if family == "smoke" else {True, False})
 
 
 # SHA-256 of program_to_text + interpretations_to_text, 10 interpretations,

@@ -9,13 +9,16 @@ from pasplearn import stable
 from pasplearn.credal import world_models
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.grounding import ground
+from pasplearn.model import Atom
 from pasplearn.parsing import parse_program
+from pasplearn.rng import SplitMix64
 from pasplearn.stable import StableSolver
 
 from conftest import stable_models, world_rows
 from oracles import (
     is_stable,
     rule_universe,
+    satisfiable_brute,
     sorted_key,
     stable_models_brute,
     worlds_brute,
@@ -328,3 +331,44 @@ def test_every_row_is_stable_on_generated_cells(family, size):
         for row in world:
             m = frozenset(a for a, bit in zip(gp.atoms, row) if bit)
             assert is_stable(rules, m & prob, m), sorted(map(str, m))
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=50_000))
+def test_satisfiable_matches_brute_force_oracle(seed):
+    _check_satisfiable_against_oracle(seed)
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=0, max_value=50_000))
+def test_satisfiable_matches_brute_force_oracle_across_chunks(seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stable, "_LANES", 2)
+        _check_satisfiable_against_oracle(seed)
+
+
+def _check_satisfiable_against_oracle(seed):
+    # Random assumptions over fact and derived atoms: the assumed facts
+    # are fixed in the start lane, the others stay open.
+    program = random_ground_program(seed)
+    gp = ground(program)
+    solver = StableSolver(gp)
+    rng = SplitMix64(seed)
+    for _ in range(4):
+        atoms = rng.sample(gp.atoms, rng.randint(0, min(4, gp.n_atoms)))
+        assumed = {a: rng.randint(0, 1) == 0 for a in atoms}
+        expected = satisfiable_brute(program, assumed)
+        got = solver.satisfiable([(gp.atom_index[a], v) for a, v in assumed.items()])
+        assert got == expected, {str(a): v for a, v in assumed.items()}
+
+
+def test_satisfiable_on_edge_cases():
+    empty = StableSolver(ground(parse_program("")))
+    assert empty.satisfiable([])
+    gp = ground(parse_program("0.5::f.\na :- f, not b.\nb :- not a.\n:- a, b.\n"))
+    solver = StableSolver(gp)
+    f, a, b = (gp.atom_index[Atom(name)] for name in "fab")
+    assert solver.satisfiable([(a, True)])  # needs f, which stays open
+    assert not solver.satisfiable([(f, False), (a, True)])
+    assert not solver.satisfiable([(a, True), (a, False)])
+    assert not solver.satisfiable([(a, False), (b, False)])
