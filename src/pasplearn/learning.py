@@ -17,15 +17,15 @@ world pass per program, cached; one extraction per distinct
 interpretation query), so iterations only evaluate polynomials and
 never re-enumerate answer sets.  Each learner stacks its polynomials
 once into a :class:`~pasplearn.sympoly.PolyStack`, which keeps each
-distinct polynomial once: the objective is one gather and one
+distinct polynomial once, and evaluates them only through the stack's
+two methods.  ``evaluate`` gives the objective: one gather and one
 ``reduceat`` over the distinct monomials plus a dot product and a
-logarithm per distinct polynomial, and the gradient adds one
-``bincount`` and one division per distinct polynomial.  The
-per-interpretation terms are then summed in interpretation order.
-:func:`learn_opt`'s line search evaluates each point once, and the
-gradient at the accepted point reuses that evaluation's gathered
-factors and monomial products: it adds one quotient per factor, the
-``bincount`` and the divisions.
+logarithm per distinct polynomial, with the per-interpretation terms
+summed in interpretation order.  ``gradient_rows`` gives the gradient
+at the same point from that evaluation's gathered factors and
+products: one quotient per factor, one ``bincount`` and one division
+per distinct polynomial.  :func:`learn_opt`'s line search evaluates
+each point once, and takes the gradient at the accepted point.
 EM needs no further polynomials: a bound P of an interpretation q is
 linear in each θ_j, so the joint bounds of fact j with q are
 θ_j·P[θ_j=1] for a_j ∧ q and (1−θ_j)·P[θ_j=0] for ¬a_j ∧ q.  An E-step
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
@@ -103,10 +104,10 @@ class LearnConfig:
             raise ValueError(f"eps_ll must be positive, got {self.eps_ll}")
         if not 0 < self.floor_prob < 1e-3:
             raise ValueError(f"floor_prob must be in (0, 1e-3), got {self.floor_prob}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        for name in ("max_iters", "restarts"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def _check_method(cfg: LearnConfig, method: str) -> None:
@@ -131,14 +132,6 @@ class LearnResult:
 class EMExpectations:
     e0: tuple[float, ...]
     e1: tuple[float, ...]
-
-
-def _stacked(polys, theta) -> PolyStack:
-    """polys as a :class:`PolyStack` (a list of SymPoly is stacked here)."""
-    if isinstance(polys, PolyStack):
-        return polys
-    polys = list(polys)
-    return PolyStack(polys, polys[0].nvars if polys else len(theta))
 
 
 class _Likelihood:
@@ -187,21 +180,14 @@ class _Likelihood:
         return np.add.accumulate(terms, axis=0)[-1]
 
 
-def ll_objective(polys, theta, floor_prob: float = 1e-12) -> float:
+def ll_objective(polys: list[SymPoly], theta, floor_prob: float = 1e-12) -> float:
     """Σ_k log(max(polys[k](theta), floor_prob)); at most 0 when values ≤ 1.
 
-    ``polys`` is a :class:`PolyStack` or a list of :class:`SymPoly`.
     The logarithm is taken once per distinct polynomial.
     """
     theta = np.asarray(theta, dtype=float)
-    return _Likelihood(_stacked(polys, theta), floor_prob).at(theta)[0]
-
-
-def ll_gradient(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:
-    """Gradient of :func:`ll_objective`; floored terms contribute zero."""
-    theta = np.asarray(theta, dtype=float)
-    lik = _Likelihood(_stacked(polys, theta), floor_prob)
-    return lik.gradient(lik.at(theta)[1])
+    stack = PolyStack(polys, polys[0].nvars if polys else len(theta))
+    return _Likelihood(stack, floor_prob).at(theta)[0]
 
 
 # -- constrained optimization ------------------------------------------
@@ -370,9 +356,9 @@ def _expectations(
     for i in range(len(theta)):
         point = theta.copy()
         point[i] = 1.0
-        at_one.append(bounds.distinct_values(point))
+        at_one.append(bounds.evaluate(point)[0])
         point[i] = 0.0
-        at_zero.append(bounds.distinct_values(point))
+        at_zero.append(bounds.evaluate(point)[0])
     ts = theta.tolist()
     index = bounds.index.tolist()
     n = len(queries)
@@ -472,17 +458,17 @@ def learn_em(
     queries = [interpretation_query(i) for i in interps]
     lower, upper = _bound_polys(program, queries, _TARGETS)
     bounds = PolyStack(lower + upper, nvars)
-    polys = PolyStack(lower if cfg.target == "lower" else upper, nvars)
+    lik = _Likelihood(PolyStack(lower if cfg.target == "lower" else upper, nvars), cfg.floor_prob)
 
     theta = tuple(program.initial_theta())
-    ll = ll_objective(polys, theta, cfg.floor_prob)
+    ll = lik.at(np.array(theta))[0]
     trace = [ll]
     converged = False
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
         exp = _expectations(program, queries, bounds, theta, cfg.target, cfg.skip_undefined)
         theta = em_maximization(exp, theta)
-        prev_ll, ll = ll, ll_objective(polys, theta, cfg.floor_prob)
+        prev_ll, ll = ll, lik.at(np.array(theta))[0]
         trace.append(ll)
         iterations = it
         if abs(ll - prev_ll) < cfg.eps_ll:

@@ -14,13 +14,13 @@ A polynomial is an array of monomial bit patterns (bit ``j`` for
 variable ``j``, a layout only this module knows) and an array of
 coefficients, in canonical order: one gather out of the Möbius table.
 :class:`PolyStack` concatenates the distinct ones among several
-polynomials over the same variables, so that one gather and one
-``np.multiply.reduceat`` give every monomial product of all of them at
-a point; equal polynomials are stored, and evaluated, once.  Each
-polynomial's value is then the dot product of its own coefficients and
-products, and all gradients come from one ``np.bincount`` over the
-same point's products.
-:func:`poly_eval` and :func:`poly_grad` are the one-polynomial case.
+polynomials over the same variables; equal polynomials are stored, and
+evaluated, once.  Two methods evaluate it.  :meth:`PolyStack.evaluate`
+takes one gather and one ``np.multiply.reduceat`` for every monomial
+product at a point, and one dot product per polynomial for its value.
+:meth:`PolyStack.gradient_rows` turns that point's products into every
+gradient with one ``np.bincount``.  :func:`poly_eval` and
+:func:`poly_grad` are the one-polynomial case.
 The stack keeps each polynomial's floating-point operations in the
 order of evaluating it alone, so its numbers do not depend on which
 polynomials share the stack.  Gradients are exact: each partial is the
@@ -90,14 +90,13 @@ class PolyStack:
     and their order, of evaluating each polynomial on its own, so the
     numbers are bit-for-bit those of :func:`poly_eval` and
     :func:`poly_grad` (which are the one-polynomial case).
-    :meth:`values` and :meth:`gradients` give one result per input
-    polynomial; :meth:`distinct_values` and :meth:`distinct_gradients`
-    give one per distinct polynomial, for callers that reuse it through
-    ``index``.  :meth:`evaluate` also returns the gathered factors and
-    products behind the values, so that :meth:`gradient_rows` at the
-    same point repeats neither the gather nor the ``reduceat``.  A stack
-    fills one preallocated buffer at each point, so one stack is not for
-    use from several threads at once.
+    The evaluation API is two methods, each with one result per
+    distinct polynomial (callers map inputs through ``index``).
+    :meth:`evaluate` returns the values with the gathered factors and
+    products behind them, and :meth:`gradient_rows` takes those to the
+    gradients at the same point without a second gather or
+    ``reduceat``.  A stack fills one preallocated buffer at each point,
+    so one stack is not for use from several threads at once.
     """
 
     def __init__(self, polys, nvars: int):
@@ -135,10 +134,6 @@ class PolyStack:
         self._ext = np.ones(nvars + 1)
         self._theta_slot = self._ext[:-1]
 
-    def __len__(self) -> int:
-        """Number of input polynomials, repeats included."""
-        return len(self.index)
-
     def _fill(self, theta) -> np.ndarray:
         """The ext buffer holding theta, after a length check."""
         theta = np.asarray(theta, dtype=float)
@@ -157,15 +152,6 @@ class PolyStack:
         gathered = self._fill(theta).take(self.flat)
         prods = np.multiply.reduceat(gathered, self.offsets)
         return [float(c.dot(prods[s])) for c, s in self._slices], gathered, prods
-
-    def distinct_values(self, theta) -> list[float]:
-        """Value of every distinct polynomial at theta."""
-        return self.evaluate(theta)[0]
-
-    def values(self, theta) -> list[float]:
-        """Value of every input polynomial at theta."""
-        values = self.distinct_values(theta)
-        return [values[k] for k in self.index.tolist()]
 
     def gradient_rows(self, theta: np.ndarray, gathered, prods) -> np.ndarray:
         """Exact gradients (one row per distinct polynomial) at theta.
@@ -200,26 +186,17 @@ class PolyStack:
         grads = grads.astype(float, copy=False).reshape(n, width)
         return grads[:, : self.nvars]  # sentinel column: d/d(1)
 
-    def distinct_gradients(self, theta) -> tuple[list[float], np.ndarray]:
-        """Values and exact gradients (one row per distinct polynomial) at theta."""
-        theta = np.asarray(theta, dtype=float)
-        values, gathered, prods = self.evaluate(theta)
-        return values, self.gradient_rows(theta, gathered, prods)
-
-    def gradients(self, theta) -> tuple[list[float], np.ndarray]:
-        """Values and exact gradients (one row per input polynomial) at theta."""
-        values, grads = self.distinct_gradients(theta)
-        return [values[k] for k in self.index.tolist()], grads[self.index]
-
 
 def poly_eval(p: SymPoly, theta) -> float:
     """Value of p at theta (length must equal nvars)."""
-    return PolyStack([p], p.nvars).values(theta)[0]
+    return PolyStack([p], p.nvars).evaluate(theta)[0][0]
 
 
 def poly_grad(p: SymPoly, theta) -> np.ndarray:
     """Exact gradient of p at theta."""
-    return PolyStack([p], p.nvars).gradients(theta)[1][0]
+    theta = np.asarray(theta, dtype=float)
+    stack = PolyStack([p], p.nvars)
+    return stack.gradient_rows(theta, *stack.evaluate(theta)[1:])[0]
 
 
 def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:

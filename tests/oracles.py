@@ -24,7 +24,8 @@ stacked evaluation must reproduce them bit for bit, because the
 optimizer's path on a flat likelihood ridge follows the last bits of
 these numbers.  :func:`learn_opt_ref` drives the original
 projected-gradient and coordinate searches with those formulas, one
-objective and one gradient call at a time.
+objective and one gradient call at a time; :func:`learn_em_ref` runs
+the EM loop on the same E-step and log-likelihood formulas.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from pasplearn.credal import conditional_from_joints
 from pasplearn.errors import InconsistentWorld, UndefinedConditional
-from pasplearn.learning import LearnResult
+from pasplearn.learning import EMExpectations, LearnResult, em_maximization
 from pasplearn.model import Atom, Program, Rule, interpretation_query, is_variable
 from pasplearn.rng import SplitMix64
 from pasplearn.sympoly import SymPoly, extract_poly
@@ -484,3 +485,30 @@ def learn_opt_ref(program: Program, interps, cfg) -> LearnResult:
             best = run
     x, ll, iterations, converged, trace = best
     return LearnResult(tuple(float(v) for v in x), ll, iterations, converged, tuple(trace))
+
+
+def learn_em_ref(program: Program, interps, cfg) -> LearnResult:
+    """``learn_em`` with every E-step and log-likelihood from the one-polynomial formulas.
+
+    Raises :class:`UndefinedConditional` where ``learn_em`` does (without
+    its message).
+    """
+    queries = [interpretation_query(i) for i in interps]
+    lower = [extract_poly(program, q, "lower") for q in queries]
+    upper = [extract_poly(program, q, "upper") for q in queries]
+    polys = lower if cfg.target == "lower" else upper
+    theta = tuple(program.initial_theta())
+    ll = ll_objective_ref(polys, theta, cfg.floor_prob)
+    trace = [ll]
+    converged = False
+    iterations = 0
+    for it in range(1, cfg.max_iters + 1):
+        e0, e1 = expectations_ref(zip(lower, upper), theta, cfg.target, cfg.skip_undefined)
+        theta = em_maximization(EMExpectations(e0, e1), theta)
+        prev_ll, ll = ll, ll_objective_ref(polys, theta, cfg.floor_prob)
+        trace.append(ll)
+        iterations = it
+        if abs(ll - prev_ll) < cfg.eps_ll:
+            converged = True
+            break
+    return LearnResult(theta, ll, iterations, converged, tuple(trace))

@@ -13,11 +13,11 @@ from pasplearn.learning import (
     EMExpectations,
     LearnConfig,
     _clip01,
+    _Likelihood,
     em_expectation,
     em_maximization,
     learn_em,
     learn_opt,
-    ll_gradient,
     ll_objective,
 )
 from pasplearn.model import (
@@ -34,6 +34,7 @@ from pasplearn.sympoly import PolyStack, extract_poly, poly_eval, poly_grad, pol
 from oracles import (
     credal_brute,
     expectations_ref,
+    learn_em_ref,
     learn_opt_ref,
     ll_gradient_ref,
     ll_objective_ref,
@@ -59,6 +60,13 @@ def interps(text):
     return parse_interpretations(text)
 
 
+def ll_gradient(polys, theta, floor_prob=1e-12):
+    """Gradient of ``ll_objective``, as the learners take it from ``_Likelihood``."""
+    theta = np.asarray(theta, dtype=float)
+    lik = _Likelihood(PolyStack(polys, len(theta)), floor_prob)
+    return lik.gradient(lik.at(theta)[1])
+
+
 # -- config / objective --------------------------------------------------
 
 
@@ -71,6 +79,12 @@ def test_config_validation():
         LearnConfig(floor_prob=0.5)
     with pytest.raises(ValueError):
         LearnConfig(target="middle")
+    # A float or bool count would fail later as an untyped TypeError in range().
+    for field in ("max_iters", "restarts"):
+        for bad in (2.5, 2.0, True, "3", 0, -1):
+            with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+                LearnConfig(**{field: bad})
+    assert LearnConfig(max_iters=np.int64(3), restarts=np.int64(2)).restarts == 2
 
 
 def test_learners_refuse_config_of_the_other_method():
@@ -98,6 +112,9 @@ def test_ll_objective_values(learnable_graph_program):
     )
     assert ll_objective([coin_poly], [0.5]) == pytest.approx(math.log(0.5))
     assert ll_objective([coin_poly], [0.0]) == pytest.approx(math.log(1e-12))
+    with pytest.raises(ValueError) as exc:
+        ll_objective([coin_poly], [0.5, 0.5])
+    assert str(exc.value) == "expected theta of length 1, got (2,)"
 
 
 # -- optimization --------------------------------------------------------
@@ -215,11 +232,11 @@ def test_all_empty_lower_stack_has_float_gradients():
     program, data = generate(DatasetSpec("coloring", 4, 10, 0))
     lower = [extract_poly(program, query_from_literals(i.literals), "lower") for i in data]
     assert not any(len(p.patterns) for p in lower)
-    theta = [0.5] * len(program.learnable_indices())
+    theta = np.full(len(program.learnable_indices()), 0.5)
     stack = PolyStack(lower, len(theta))
-    _, rows = stack.distinct_gradients(theta)
-    grad = ll_gradient(stack, theta)
-    for got in (rows, stack.gradients(theta)[1], grad):
+    rows = stack.gradient_rows(theta, *stack.evaluate(theta)[1:])
+    assert rows.shape == (1, len(theta))
+    for got in (rows, ll_gradient(lower, theta)):
         assert got.dtype == np.float64 and not got.any()
 
 
@@ -408,12 +425,14 @@ def _assert_same_numbers(program, data, seed, seen):
         seen["zero"] += 0.0 in theta
         for polys in poly_sets:
             for floor in (1e-12, 5e-4):
-                for arg in (polys, PolyStack(polys, nvars)):
-                    assert ll_objective(arg, theta, floor) == ll_objective_ref(
-                        polys, theta, floor
-                    )
-                    got = ll_gradient(arg, theta, floor)
-                    assert got.tolist() == ll_gradient_ref(polys, theta, floor).tolist()
+                assert ll_objective(polys, theta, floor) == ll_objective_ref(polys, theta, floor)
+                got = ll_gradient(polys, theta, floor)
+                assert got.tolist() == ll_gradient_ref(polys, theta, floor).tolist()
+            stack = PolyStack(polys, nvars)
+            values, gathered, prods = stack.evaluate(theta)
+            rows = stack.gradient_rows(np.array(theta), gathered, prods)
+            assert [values[k] for k in stack.index] == [poly_eval_ref(p, theta) for p in polys]
+            assert rows[stack.index].tolist() == [poly_grad_ref(p, theta).tolist() for p in polys]
             for p in polys:
                 value = poly_eval(p, theta)
                 assert value == poly_eval_ref(p, theta)
@@ -537,6 +556,25 @@ def test_learn_opt_equals_original_line_search(monkeypatch):
                 got = learn_opt(program, data, cfg)
                 assert repr(got) == repr(learn_opt_ref(program, data, cfg)), (name, cfg)
     assert seen["reuse"] and seen["zero"], seen
+
+
+def test_learn_em_equals_one_polynomial_em():
+    seen = {"learned": 0, "undefined": 0}
+    cases = [*_random_learning_cases(30), *_generated_learning_cases()]
+    for name, program, data in cases:
+        for target in ("lower", "upper"):
+            for skip in (False, True):
+                cfg = LearnConfig(method="em", target=target, skip_undefined=skip)
+                try:
+                    want = learn_em_ref(program, data, cfg)
+                except UndefinedConditional:
+                    with pytest.raises(UndefinedConditional):
+                        learn_em(program, data, cfg)
+                    seen["undefined"] += 1
+                    continue
+                assert repr(learn_em(program, data, cfg)) == repr(want), (name, cfg)
+                seen["learned"] += 1
+    assert seen["learned"] and seen["undefined"], seen
 
 
 def test_clip01_is_np_clip_bit_for_bit():

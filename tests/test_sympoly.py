@@ -60,16 +60,16 @@ def test_stack_keeps_equal_polynomials_once():
     q = mono(2, [((), 0.5), ((0,), -1.0), ((0, 1), 2.5)])  # p's monomials, one coefficient off
     p_copy = SymPoly(2, p.patterns.copy(), p.coeffs.copy())
     stack = PolyStack([p, q, p_copy, p], 2)
-    assert len(stack) == 4
     assert stack.index.tolist() == [0, 1, 0, 0]
     assert stack.coefs.tolist() == p.coeffs.tolist() + q.coeffs.tolist()
-    theta = [0.3, 0.7]
-    assert stack.distinct_values(theta) == [poly_eval(p, theta), poly_eval(q, theta)]
-    want = [poly_eval(x, theta) for x in (p, q, p, p)]
-    assert stack.values(theta) == want
-    values, grads = stack.gradients(theta)
-    assert values == want
-    assert grads.tolist() == [poly_grad(x, theta).tolist() for x in (p, q, p, p)]
+    theta = np.array([0.3, 0.7])
+    values, gathered, prods = stack.evaluate(theta)
+    assert values == [poly_eval(p, theta), poly_eval(q, theta)]
+    rows = stack.gradient_rows(theta, gathered, prods)
+    assert rows.tolist() == [poly_grad(x, theta).tolist() for x in (p, q)]
+    # Through index, one value and one gradient row per input polynomial.
+    assert [values[k] for k in stack.index] == [poly_eval(x, theta) for x in (p, q, p, p)]
+    assert rows[stack.index].tolist() == [poly_grad(x, theta).tolist() for x in (p, q, p, p)]
 
 
 def test_rendering_style():
