@@ -72,7 +72,6 @@ from .sympoly import (
     SymPoly,
     extract_poly,
     poly_eval,
-    poly_grad,
     poly_to_text,
 )
 
@@ -129,7 +128,6 @@ __all__ = [
     "parse_program",
     "parse_query",
     "poly_eval",
-    "poly_grad",
     "poly_to_text",
     "program_to_text",
     "query_from_literals",

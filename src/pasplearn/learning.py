@@ -30,8 +30,10 @@ EM needs no further polynomials: a bound P of an interpretation q is
 linear in each θ_j, so the joint bounds of fact j with q are
 θ_j·P[θ_j=1] for a_j ∧ q and (1−θ_j)·P[θ_j=0] for ¬a_j ∧ q.  An E-step
 evaluates the stack of every lower and upper polynomial once at each of
-the 2·L points with one θ_j pinned to 1 or to 0, and forms the
-conditionals once per distinct pair of lower and upper polynomials.
+the 2·L points with one θ_j pinned to 1 or to 0.  The rest is array
+operations over (fact × interpretation): one product for every joint
+bound, one division for both conditionals of the target, and one
+``add.accumulate`` that adds each fact's terms in interpretation order.
 
 The stacked numbers are bit-for-bit those of evaluating one polynomial
 at a time.  This matters: on a flat likelihood ridge, changes in the
@@ -48,7 +50,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .credal import conditional_from_joints, world_models
+from .credal import world_models
 from .errors import NoLearnableFacts, UndefinedConditional
 from .model import Interpretation, Program, interpretation_query
 from .rng import SplitMix64
@@ -108,6 +110,8 @@ class LearnConfig:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def _check_method(cfg: LearnConfig, method: str) -> None:
@@ -346,69 +350,49 @@ def _expectations(
     their upper ones.  A bound P is linear in θ_i, so the joint bounds
     of fact i with the interpretation are θ_i·P[θ_i=1] (fact true) and
     (1−θ_i)·P[θ_i=0] (fact false): the stack's distinct polynomials are
-    evaluated once at each of the 2·L points with one θ_i pinned.  The
-    conditionals are formed once per distinct (lower, upper) pair and
-    added in interpretation order.
+    evaluated once at each of the 2·L points with one θ_i pinned.  Array
+    operations over (fact × interpretation) then give every joint, both
+    conditionals of the target and their sums in interpretation order.
     """
     theta = np.asarray(theta, dtype=float)
+    nvars = len(theta)
+    if not nvars:  # no value lists to stack into rows
+        return EMExpectations((), ())
     at_one = []
     at_zero = []
-    for i in range(len(theta)):
+    for i in range(nvars):
         point = theta.copy()
         point[i] = 1.0
         at_one.append(bounds.evaluate(point)[0])
         point[i] = 0.0
         at_zero.append(bounds.evaluate(point)[0])
-    ts = theta.tolist()
-    index = bounds.index.tolist()
-    n = len(queries)
-    conds = {}
-    e0 = [0.0] * len(ts)
-    e1 = [0.0] * len(ts)
-    for k, q in enumerate(queries):
-        pair = index[k], index[n + k]
-        if pair not in conds:
-            conds[pair] = [
-                _fact_conditionals(t, at_one[i], at_zero[i], *pair, target)
-                for i, t in enumerate(ts)
-            ]
-        for i, c in enumerate(conds[pair]):
-            if c is None:
-                if skip_undefined:
-                    continue
-                atom = program.prob_facts[program.learnable_indices()[i]].atom
-                raise UndefinedConditional(f"fact {atom}, interpretation query {q}")
-            e1[i] += c[0]
-            e0[i] += c[1]
+    # Rows a_i, then not a_i; columns each interpretation's lower bound,
+    # then its upper one.
+    values = np.array(at_one + at_zero)[:, bounds.index]
+    joints = _clip01(np.concatenate((theta, 1.0 - theta))[:, None] * values)
+    joints[joints < _SNAP_EPS] = 0.0
+    # joints[e, i, b, k]: bound b of event e of fact i jointly with query k.
+    joints = joints.reshape(2, nvars, 2, len(queries))
+    low, up = joints[:, :, 0], joints[:, :, 1]
+    undefined = (up[0] == 0.0) & (up[1] == 0.0)
+    if not skip_undefined and undefined.any():
+        k, i = np.argwhere(undefined.T)[0]
+        atom = program.prob_facts[program.learnable_indices()[i]].atom
+        raise UndefinedConditional(f"fact {atom}, interpretation query {queries[k]}")
+    # lower P(e | q) = low_e / (low_e + up_not_e), upper P(e | q) =
+    # up_e / (up_e + low_not_e); a zero denominator gives 1 or 0.  A zero
+    # column first: the sums start from 0.0.
+    num, other = (low, up) if target == "lower" else (up, low)
+    den = num + other[::-1]
+    terms = np.zeros((2, nvars, len(queries) + 1))
+    ratios = terms[:, :, 1:]
+    ratios.fill(1.0 if target == "lower" else 0.0)
+    np.divide(num, den, out=ratios, where=den > 0.0)
+    ratios[:, undefined] = 0.0
+    # accumulate adds in interpretation order; add.reduce would sum
+    # eight or more terms pairwise.
+    e1, e0 = np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
     return EMExpectations(tuple(e0), tuple(e1))
-
-
-def _fact_conditionals(t, at_one, at_zero, low, up, target):
-    """``target`` bounds of P(a | q) and P(not a | q), or None where undefined.
-
-    ``t`` is the fact's θ; ``at_one``/``at_zero`` are the stack's
-    distinct values with that θ pinned to 1 and to 0; ``low`` and ``up``
-    index the interpretation's lower and upper polynomials in them.
-    """
-    low_a = _snap(t * at_one[low])
-    up_a = _snap(t * at_one[up])
-    low_na = _snap((1.0 - t) * at_zero[low])
-    up_na = _snap((1.0 - t) * at_zero[up])
-    try:
-        cond_a = conditional_from_joints(low_a, up_a, low_na, up_na)
-        cond_na = conditional_from_joints(low_na, up_na, low_a, up_a)
-    except UndefinedConditional:
-        return None
-    if target == "lower":
-        return cond_a.lower, cond_na.lower
-    return cond_a.upper, cond_na.upper
-
-
-def _snap(v: float) -> float:
-    """Clamp collection noise so boundary thetas give exact-zero bounds."""
-    if abs(v) < _SNAP_EPS:
-        return 0.0
-    return min(max(v, 0.0), 1.0)
 
 
 def em_expectation(

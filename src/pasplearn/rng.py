@@ -9,6 +9,8 @@ the published constants.
 
 from __future__ import annotations
 
+import operator
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -19,7 +21,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._state = operator.index(seed) & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK

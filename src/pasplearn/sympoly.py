@@ -19,8 +19,8 @@ evaluated, once.  Two methods evaluate it.  :meth:`PolyStack.evaluate`
 takes one gather and one ``np.multiply.reduceat`` for every monomial
 product at a point, and one dot product per polynomial for its value.
 :meth:`PolyStack.gradient_rows` turns that point's products into every
-gradient with one ``np.bincount``.  :func:`poly_eval` and
-:func:`poly_grad` are the one-polynomial case.
+gradient with one ``np.bincount``.  :func:`poly_eval` is the
+one-polynomial value.
 The stack keeps each polynomial's floating-point operations in the
 order of evaluating it alone, so its numbers do not depend on which
 polynomials share the stack.  Gradients are exact: each partial is the
@@ -88,8 +88,8 @@ class PolyStack:
     slice, and all gradients come from one ``bincount`` over
     ``owner·(nvars+1)+var``.  This keeps the floating-point operations,
     and their order, of evaluating each polynomial on its own, so the
-    numbers are bit-for-bit those of :func:`poly_eval` and
-    :func:`poly_grad` (which are the one-polynomial case).
+    numbers are bit-for-bit those of a stack of each polynomial alone
+    (:func:`poly_eval` is the one-polynomial value).
     The evaluation API is two methods, each with one result per
     distinct polynomial (callers map inputs through ``index``).
     :meth:`evaluate` returns the values with the gathered factors and
@@ -190,13 +190,6 @@ class PolyStack:
 def poly_eval(p: SymPoly, theta) -> float:
     """Value of p at theta (length must equal nvars)."""
     return PolyStack([p], p.nvars).evaluate(theta)[0][0]
-
-
-def poly_grad(p: SymPoly, theta) -> np.ndarray:
-    """Exact gradient of p at theta."""
-    theta = np.asarray(theta, dtype=float)
-    stack = PolyStack([p], p.nvars)
-    return stack.gradient_rows(theta, *stack.evaluate(theta)[1:])[0]
 
 
 def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from pasplearn.parsing import parse_interpretations, parse_program
 from pasplearn.stable import StableSolver
+from pasplearn.sympoly import PolyStack
 
 settings.register_profile(
     "suite",
@@ -43,6 +44,13 @@ def stable_models(gp, world_facts=(), solved=None) -> list[frozenset]:
         frozenset(a for a, bit in zip(gp.atoms, row) if bit)
         for row in world_rows(gp, rows[first : first + counts[world]])
     ]
+
+
+def stack_gradient(p, theta) -> np.ndarray:
+    """Exact gradient of one polynomial, from a one-polynomial ``PolyStack``."""
+    theta = np.asarray(theta, dtype=float)
+    stack = PolyStack([p], p.nvars)
+    return stack.gradient_rows(theta, *stack.evaluate(theta)[1:])[0]
 
 
 def world_rows(gp, rows) -> list[bytes]:

@@ -32,9 +32,9 @@ from pasplearn.model import Query, interpretation_query, query_from_literals
 from pasplearn.parsing import parse_interpretations, parse_program, parse_query
 from pasplearn.rng import SplitMix64
 from pasplearn.stable import StableSolver
-from pasplearn.sympoly import extract_poly, poly_eval, poly_grad
+from pasplearn.sympoly import extract_poly, poly_eval
 
-from conftest import EXAMPLE_GRAPH, stable_models
+from conftest import EXAMPLE_GRAPH, stable_models, stack_gradient
 from oracles import (
     poly_as_dict,
     poly_from_dict,
@@ -138,7 +138,7 @@ def test_criterion_5_gradients_match_finite_differences():
             coeffs[support] = coeffs.get(support, 0.0) + (rng.random() * 4 - 2)
         poly = poly_from_dict(n_vars, coeffs)
         theta = [0.05 + 0.9 * rng.random() for _ in range(n_vars)]
-        exact = poly_grad(poly, theta)
+        exact = stack_gradient(poly, theta)
         for j in range(n_vars):
             hi = list(theta)
             lo = list(theta)

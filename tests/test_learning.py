@@ -29,8 +29,9 @@ from pasplearn.model import (
 )
 from pasplearn.parsing import parse_interpretations, parse_program, parse_query
 from pasplearn.rng import SplitMix64
-from pasplearn.sympoly import PolyStack, extract_poly, poly_eval, poly_grad, poly_to_text
+from pasplearn.sympoly import PolyStack, extract_poly, poly_eval, poly_to_text
 
+from conftest import stack_gradient
 from oracles import (
     credal_brute,
     expectations_ref,
@@ -85,6 +86,14 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
                 LearnConfig(**{field: bad})
     assert LearnConfig(max_iters=np.int64(3), restarts=np.int64(2)).restarts == 2
+    # A float seed would fail later in SplitMix64 as an untyped TypeError; True would seed as 1.
+    for bad in (1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            LearnConfig(seed=bad)
+    program, data = parse_program(TWO_RULE), interps("q.\nnot q.\nq.\n")
+    for seed in (-1, np.int64(-1), np.int64(7)):
+        got = learn_opt(program, data, LearnConfig(seed=seed))
+        assert repr(got) == repr(learn_opt(program, data, LearnConfig(seed=int(seed))))
 
 
 def test_learners_refuse_config_of_the_other_method():
@@ -183,6 +192,11 @@ def test_em_expectation_empty_interps_zero():
     assert e.e0 == (0.0,) and e.e1 == (0.0,)
 
 
+def test_em_expectation_without_learnable_facts_is_empty():
+    program = parse_program("0.4::a.\nq :- a.\n")
+    assert em_expectation(program, interps("q.\nnot q.\n"), []) == EMExpectations((), ())
+
+
 def test_em_expectation_undefined_conditional_context():
     # q and q2 exclude each other, so the interpretation {q, q2} has
     # zero upper probability in every world
@@ -225,6 +239,21 @@ def test_gradient_adds_one_fact_terms_in_interpretation_order():
     for _ in range(200):
         theta = [rng.random()]
         assert ll_gradient(polys, theta).tobytes() == ll_gradient_ref(polys, theta).tobytes()
+
+
+def test_estep_adds_one_fact_terms_in_interpretation_order():
+    # The E-step's counterpart of the gradient test above: one fact's
+    # conditionals of eleven interpretations, added one after another.
+    program = parse_program("learnable(0.3)::a.\n0.6::c.\nb :- a.\nd :- c, not a.\n")
+    data = interps("b.\nnot b.\nd.\nb.\nnot d.\nb, not d.\nnot b.\nd.\nb.\nnot b.\nb.\n")
+    queries = [query_from_literals(i.literals) for i in data]
+    pairs = [[extract_poly(program, q, b) for b in ("lower", "upper")] for q in queries]
+    rng = SplitMix64(9)
+    for _ in range(200):
+        theta = [rng.random()]
+        for target in ("lower", "upper"):
+            got = em_expectation(program, data, theta, target)
+            assert (got.e0, got.e1) == expectations_ref(pairs, theta, target)
 
 
 def test_all_empty_lower_stack_has_float_gradients():
@@ -436,7 +465,7 @@ def _assert_same_numbers(program, data, seed, seen):
             for p in polys:
                 value = poly_eval(p, theta)
                 assert value == poly_eval_ref(p, theta)
-                assert poly_grad(p, theta).tolist() == poly_grad_ref(p, theta).tolist()
+                assert stack_gradient(p, theta).tolist() == poly_grad_ref(p, theta).tolist()
                 seen["floored"] += value <= 1e-12
                 seen["empty"] += not poly_as_dict(p)
         for target in ("lower", "upper"):

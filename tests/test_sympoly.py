@@ -17,10 +17,10 @@ from pasplearn.sympoly import (
     extract_poly,
     poly_eval,
     poly_from_world_flags,
-    poly_grad,
     poly_to_text,
 )
 
+from conftest import stack_gradient
 from oracles import poly_as_dict, poly_from_dict
 from randprog import random_ground_program, random_query_literals
 
@@ -66,10 +66,12 @@ def test_stack_keeps_equal_polynomials_once():
     values, gathered, prods = stack.evaluate(theta)
     assert values == [poly_eval(p, theta), poly_eval(q, theta)]
     rows = stack.gradient_rows(theta, gathered, prods)
-    assert rows.tolist() == [poly_grad(x, theta).tolist() for x in (p, q)]
+    assert rows.tolist() == [stack_gradient(x, theta).tolist() for x in (p, q)]
     # Through index, one value and one gradient row per input polynomial.
     assert [values[k] for k in stack.index] == [poly_eval(x, theta) for x in (p, q, p, p)]
-    assert rows[stack.index].tolist() == [poly_grad(x, theta).tolist() for x in (p, q, p, p)]
+    assert rows[stack.index].tolist() == [
+        stack_gradient(x, theta).tolist() for x in (p, q, p, p)
+    ]
 
 
 def test_rendering_style():
@@ -99,7 +101,7 @@ def polys(draw):
 def test_gradient_matches_finite_differences(p, seed):
     rng = SplitMix64(seed)
     theta = np.array([rng.random() for _ in range(p.nvars)])
-    grad = poly_grad(p, theta)
+    grad = stack_gradient(p, theta)
     h = 1e-6
     for j in range(p.nvars):
         up, dn = theta.copy(), theta.copy()
@@ -110,7 +112,7 @@ def test_gradient_matches_finite_differences(p, seed):
 
 
 def test_gradient_of_polynomial_without_monomials_is_float():
-    grad = poly_grad(SymPoly(2, [], []), [0.5, 0.5])
+    grad = stack_gradient(SymPoly(2, [], []), [0.5, 0.5])
     assert grad.dtype == np.float64 and grad.tolist() == [0.0, 0.0]
 
 
@@ -120,7 +122,7 @@ def test_gradient_exact_at_boundary_thetas(p):
     # zero-aware path: derivative at {0,1} corners matches evaluation of
     # the formal partial derivative
     for corner in ([0.0] * p.nvars, [1.0] * p.nvars):
-        grad = poly_grad(p, corner)
+        grad = stack_gradient(p, corner)
         for j in range(p.nvars):
             partial = sum(
                 c
