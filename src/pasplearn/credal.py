@@ -15,13 +15,20 @@ per answer set, grouped by world.  A query's per-row truth is one
 column test per literal, and its per-world flags are ``logical_and``
 and ``logical_or`` reductions over each world's rows.  Every number
 then follows from per-world flags: a bound is the dot product of the
-flags with the world weights of :func:`world_weights`.
+flags with the world weights of :func:`world_weights`.  P(w) under the
+declared probabilities depends only on the program too, so
+:attr:`WorldModels.weights` builds it once, on the first query or
+conditional that needs it, and keeps it read-only beside the answer
+sets; a θ passed explicitly gets freshly built weights.  The cache
+holds 8·2^n bytes per program with n probabilistic facts: 4 KB on a
+9-fact program, 128 MB at the default cap of 24.  The learners never
+read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,6 +65,13 @@ class WorldModels:
     answer sets live here; the per-world learnable patterns and
     fixed-fact weights that polynomial extraction needs are a table of
     :mod:`pasplearn.sympoly`, which owns the monomial layout.
+
+    :attr:`weights` is P(w) under the declared probabilities, built on
+    first access and read-only: 8·2^n bytes for n probabilistic facts,
+    4 KB on a 9-fact program and 128 MB at the default cap of 24.  The
+    index of the first world without answer sets, which
+    :meth:`raise_if_inconsistent` reports, is found once, at
+    construction.
     """
 
     program: Program
@@ -65,9 +79,20 @@ class WorldModels:
     counts: np.ndarray
     rows: np.ndarray
     starts: np.ndarray = field(init=False, repr=False)
+    first_empty: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.starts = np.cumsum(self.counts) - self.counts
+        # argmin gives the first world with the fewest answer sets.
+        i = int(np.argmin(self.counts))
+        self.first_empty = i if self.counts[i] == 0 else None
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """P(w) of every world under the declared probabilities (read-only)."""
+        weights = _probability_weights(self.program)
+        weights.flags.writeable = False
+        return weights
 
     @property
     def n_atoms(self) -> int:
@@ -89,10 +114,9 @@ class WorldModels:
 
     def raise_if_inconsistent(self) -> None:
         """Raise :class:`InconsistentWorld` on the first world without answer sets."""
-        empty = np.flatnonzero(self.counts == 0)
-        if empty.size == 0:
+        i = self.first_empty
+        if i is None:
             return
-        i = int(empty[0])
         n = self.program.n_prob_facts
         raise InconsistentWorld(i, tuple(i >> (n - 1 - j) & 1 for j in range(n)))
 
@@ -163,12 +187,25 @@ def world_weights(factors) -> np.ndarray:
     ``factors[j]`` is the pair (weight when fact ``j`` is excluded,
     weight when it is included); world ``i`` weighs the product of its
     facts' entries.  ``(1−p_j, p_j)`` pairs give P(w); a ``(1, 1)`` pair
-    leaves fact ``j`` out of the product.
+    leaves fact ``j`` out of the product.  Each world's product runs in
+    fact order, left to right.
     """
-    weights = np.ones(1)
-    # Fact 0 is the most significant bit of the world index.
+    n = len(factors)
+    weights = np.empty(1 << n)
+    weights[0] = 1.0  # the empty product, the answer for no facts
+    # Each fact doubles the table, entry i becoming entries 2i (fact
+    # excluded) and 2i+1 (included), so fact 0 ends as the most
+    # significant bit of the world index.  The tables alternate between
+    # ``weights`` and a half-size scratch, so that the last lands in
+    # ``weights``.
+    scratch = np.empty(1 << n >> 1)
+    dst, spare = (weights, scratch) if n & 1 else (scratch, weights)
+    src = np.ones(1)
     for absent, present in factors:
-        weights = np.outer(weights, (absent, present)).ravel()
+        m = len(src)
+        np.multiply(src, absent, out=dst[0 : 2 * m : 2])
+        np.multiply(src, present, out=dst[1 : 2 * m : 2])
+        src, dst, spare = dst[: 2 * m], spare, dst
     return weights
 
 
@@ -188,10 +225,16 @@ def _probability_weights(program: Program, theta=None) -> np.ndarray:
     return world_weights([(1.0 - p, p) for p in probs])
 
 
+def _weights(wm: WorldModels, theta) -> np.ndarray:
+    """The cached P(w), or P(w) built for an explicit ``theta``."""
+    return wm.weights if theta is None else _probability_weights(wm.program, theta)
+
+
 def credal_query(program: Program, q: Query, theta=None) -> CredalBounds:
     """Lower/upper probability of a conjunctive query."""
-    all_sat, some_sat = world_models(program).satisfaction(q)
-    weights = _probability_weights(program, theta)
+    wm = world_models(program)
+    all_sat, some_sat = wm.satisfaction(q)
+    weights = _weights(wm, theta)
     return CredalBounds(float(weights @ all_sat), float(weights @ some_sat))
 
 
@@ -215,8 +258,9 @@ def _conditional_joints(
     program: Program, q: Query, e: Query, theta=None
 ) -> tuple[float, float, float, float]:
     """(lowP(q,e), upP(q,e), lowP(¬q,e), upP(¬q,e))."""
-    flags = conditional_flags(world_models(program), q, e)
-    weights = _probability_weights(program, theta)
+    wm = world_models(program)
+    flags = conditional_flags(wm, q, e)
+    weights = _weights(wm, theta)
     return tuple(float(weights @ flag) for flag in flags)
 
 
@@ -245,7 +289,11 @@ def conditional_from_joints(
 def credal_conditional(program: Program, q: Query, e: Query, theta=None) -> CredalBounds:
     """Conditional lower/upper probability of q given evidence e."""
     joints = _conditional_joints(program, q, e, theta)
-    return conditional_from_joints(*joints, context=f"{q} | {e}")
+    try:
+        return conditional_from_joints(*joints)
+    except UndefinedConditional:
+        # Rendering q and e is a sizeable share of a warm conditional; only here.
+        raise UndefinedConditional(f"{q} | {e}") from None
 
 
 def check_consistency(program: Program) -> int:

@@ -24,6 +24,7 @@ interpretations).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 from .errors import GenerationError, SpecOutOfRange
@@ -47,6 +48,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise SpecOutOfRange(f"unknown family {self.family!r}")
+        for name in ("size", "num_interpretations", "seed"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, Integral):
+                raise SpecOutOfRange(f"{name} must be an integer, got {n!r}")
         lo, hi = _FAMILIES[self.family].sizes
         if not lo <= self.size <= hi:
             raise SpecOutOfRange(

@@ -108,7 +108,7 @@ class NoLearnableFacts(PaspError):
 
 
 class SpecOutOfRange(PaspError):
-    """A dataset specification violates its family's size bounds."""
+    """A dataset specification is malformed or violates its family's bounds."""
 
 
 class GenerationError(PaspError):

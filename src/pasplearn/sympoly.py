@@ -41,10 +41,6 @@ import numpy as np
 from .credal import world_models, world_weights
 from .model import Program, Query
 
-#: Coefficients smaller than this in absolute value are dropped when
-#: polynomials are extracted into normal form.
-COEFF_EPS = 1e-15
-
 
 @dataclass(eq=False)
 class SymPoly:
@@ -251,7 +247,11 @@ def poly_from_world_flags(program: Program, flags) -> SymPoly:
 
     ``flags[w]`` marks the contributing worlds (by world index); the
     result is over the program's learnable parameters in declaration
-    order, in canonical monomial form.
+    order, in canonical monomial form.  Monomial t is left out when its
+    coefficient is within rounding error of zero, at most
+    ``K·u·Σ_{b⊆t} |c_b|`` in magnitude, with u = 2^-53 and
+    K = n + L + 2^(n−L) for n facts of which L are learnable.  A small
+    coefficient that is no cancellation residue, such as 0.02^10, stays.
     """
     mask = np.asarray(flags, dtype=bool)
     n_worlds = 1 << program.n_prob_facts
@@ -262,11 +262,21 @@ def poly_from_world_flags(program: Program, flags) -> SymPoly:
 
     arr = np.zeros(1 << nvars)
     np.add.at(arr, patterns[mask], k_w[mask])
+    # scale[t] = Σ_{b⊆t} |c_b|: the same butterfly with + bounds the
+    # magnitudes that coefficient t's rounding errors scale with.
+    scale = np.abs(arr)
     for k in range(nvars):
         arr = arr.reshape(-1, 2, 1 << k)
         arr[:, 1, :] -= arr[:, 0, :]
+        scale = scale.reshape(-1, 2, 1 << k)
+        scale[:, 1, :] += scale[:, 0, :]
     coeffs = arr.reshape(-1)[order]
-    keep = np.abs(coeffs) >= COEFF_EPS
+    # A coefficient within rounding error of zero is a cancellation
+    # residue: n-factor products, up to 2^(n-L) worlds summed per
+    # pattern, and L butterfly levels, in units of the unit roundoff.
+    n = program.n_prob_facts
+    tol = (n + nvars + 2.0 ** (n - nvars)) * 2.0**-53
+    keep = np.abs(coeffs) > tol * scale.reshape(-1)[order]
     return SymPoly(nvars, order[keep], coeffs[keep])
 
 

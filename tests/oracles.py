@@ -16,10 +16,15 @@ per-world query flags, reading the atom masks of
 ``WorldModels.model_masks``; the package's packed-row column tests must
 give the same flags.
 
+:func:`world_weights_ref` is the product measure as one ``np.outer``
+per fact, which the package's strided build must equal byte for byte.
+
 The polynomial section at the end converts between the package's
 bit-pattern polynomials and ``{frozenset of variables: coefficient}``
-dicts, and keeps the original one-polynomial numpy formulas for
-evaluation, gradient, log-likelihood and the EM E-step.  The package's
+dicts, computes extracted coefficients exactly in rational arithmetic
+(:func:`poly_coefficients_exact`), and keeps the original
+one-polynomial numpy formulas for evaluation, gradient, log-likelihood
+and the EM E-step.  The package's
 stacked evaluation must reproduce them bit for bit, because the
 optimizer's path on a flat likelihood ridge follows the last bits of
 these numbers.  :func:`learn_opt_ref` drives the original
@@ -31,6 +36,7 @@ the EM loop on the same E-step and log-likelihood formulas.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -274,6 +280,17 @@ def conditional_flags_ref(wm, q, e):
     return flags
 
 
+# -- world weights -----------------------------------------------------------
+
+
+def world_weights_ref(factors) -> np.ndarray:
+    """The product measure of ``credal.world_weights``, one ``np.outer`` per fact."""
+    weights = np.ones(1)
+    for absent, present in factors:
+        weights = np.outer(weights, (absent, present)).ravel()
+    return weights
+
+
 # -- one polynomial at a time ---------------------------------------------
 
 
@@ -291,6 +308,44 @@ def poly_as_dict(p: SymPoly) -> dict:
         frozenset(j for j in range(p.nvars) if pattern >> j & 1): c
         for pattern, c in zip(p.patterns.tolist(), p.coeffs.tolist())
     }
+
+
+def poly_coefficients_exact(program: Program, flags, decimal: bool = True):
+    """(coefficients, scales) of ``poly_from_world_flags``, exact, indexed by pattern.
+
+    World by world in rational arithmetic: each flagged world adds the
+    product of its fixed facts' factors to its learnable pattern's
+    entry c_b, and the signed subset sum gives coefficient t.
+    ``scales[t]`` is Σ_{b⊆t} |c_b|.  With ``decimal`` each probability
+    is the decimal the program states, ``Fraction(repr(p))``, so a
+    cancellation such as 0.3·0.2 against 0.06 is exactly zero.
+    Otherwise it is the float's own value, with ``1 − p`` rounded as in
+    the package, which leaves only the package's rounding in products
+    and sums between its coefficients and these.
+    """
+    facts = program.prob_facts
+    n = len(facts)
+    learnable = program.learnable_indices()
+    table = [Fraction(0)] * (1 << len(learnable))
+    for w in np.flatnonzero(np.asarray(flags, dtype=bool)).tolist():
+        weight, pattern = Fraction(1), 0
+        for j, pf in enumerate(facts):
+            present = w >> (n - 1 - j) & 1
+            if pf.learnable:
+                pattern |= present << learnable.index(j)
+            elif decimal:
+                p = Fraction(repr(pf.prob))
+                weight *= p if present else 1 - p
+            else:
+                weight *= Fraction(pf.prob if present else 1.0 - pf.prob)
+        table[pattern] += weight
+    coeffs, scales = list(table), [abs(c) for c in table]
+    for k in range(len(learnable)):
+        for t in range(len(table)):
+            if t >> k & 1:
+                coeffs[t] -= coeffs[t ^ 1 << k]
+                scales[t] += scales[t ^ 1 << k]
+    return coeffs, scales
 
 
 @lru_cache(maxsize=64)

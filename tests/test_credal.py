@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pasplearn import credal
 from pasplearn.credal import (
     CredalBounds,
     _world_models,
@@ -19,11 +21,12 @@ from pasplearn.credal import (
 )
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import CapExceeded, InconsistentWorld, UndefinedConditional
+from pasplearn.learning import LearnConfig, learn_em, learn_opt
 from pasplearn.model import Atom, Query, Rule, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 from pasplearn.sympoly import extract_poly
 
-from oracles import conditional_flags_ref, credal_brute, satisfaction_ref
+from oracles import conditional_flags_ref, credal_brute, satisfaction_ref, world_weights_ref
 from randprog import _DERIVED_POOL, random_ground_program, random_query_literals
 
 
@@ -297,3 +300,109 @@ def test_theta_of_wrong_length_rejected(bounds, theta):
     program = parse_program("learnable(0.5)::a.\nlearnable(0.5)::b.\nc :- a, b.")
     with pytest.raises(ValueError, match="expected theta of length 2"):
         bounds(program, theta)
+
+
+# -- the cached world weights ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_world_weights_equal_outer_products(n):
+    rng = random.Random(n)
+    probs = [rng.random() for _ in range(n)]
+    for free in (set(), set(range(0, n, 2)), set(range(1, n, 3)), set(range(n))):
+        factors = [(1.0, 1.0) if j in free else (1.0 - p, p) for j, p in enumerate(probs)]
+        got, want = world_weights(factors), world_weights_ref(factors)
+        assert got.dtype == want.dtype and got.shape == want.shape == (1 << n,)
+        assert got.tobytes() == want.tobytes()
+
+
+def _assert_bounds_from_fresh_weights(program, queries) -> bool:
+    """Every bound, cached or at the initial θ, is the sum with fresh weights."""
+    wm = world_models(program)
+    try:
+        wm.raise_if_inconsistent()
+    except InconsistentWorld:
+        return False
+    weights = world_weights_ref([(1.0 - pf.prob, pf.prob) for pf in program.prob_facts])
+    theta0 = program.initial_theta()
+    for k, q in enumerate(queries):
+        e = queries[(k + 1) % len(queries)]
+        want = repr(CredalBounds(*(float(weights @ f) for f in wm.satisfaction(q))))
+        assert repr(credal_query(program, q)) == want
+        assert repr(credal_query(program, q, theta=theta0)) == want
+        joints = [float(weights @ f) for f in conditional_flags(wm, q, e)]
+        try:
+            want = repr(conditional_from_joints(*joints))
+        except UndefinedConditional:
+            for theta in (None, theta0):
+                with pytest.raises(UndefinedConditional, match=re.escape(f": {q} | {e}") + "$"):
+                    credal_conditional(program, q, e, theta=theta)
+            continue
+        assert repr(credal_conditional(program, q, e)) == want
+        assert repr(credal_conditional(program, q, e, theta=theta0)) == want
+    return True
+
+
+def test_cached_bounds_equal_fresh_weight_sums_on_random_programs():
+    rng = random.Random(7)
+    consistent = 0
+    for seed in range(0, 4000, 10):
+        program = random_ground_program(seed)
+        pool = [pf.atom for pf in program.prob_facts] + list(_DERIVED_POOL)
+        consistent += _assert_bounds_from_fresh_weights(program, _random_queries(rng, pool, 4))
+    assert consistent >= 100
+
+
+@pytest.mark.parametrize("family,size", [("path", 8), ("shop", 8), ("smoke", 2), ("coloring", 4)])
+def test_cached_bounds_equal_fresh_weight_sums_on_generated_cells(family, size):
+    program, _ = generate(DatasetSpec(family, size, 1, 0))
+    pool = list(world_models(program).gp.atoms)
+    assert _assert_bounds_from_fresh_weights(program, _random_queries(random.Random(size), pool, 20))
+
+
+def test_weights_are_built_once_read_only_and_only_without_theta(monkeypatch):
+    program = parse_program("0.3::a.\nlearnable(0.6)::b.\nc :- a, b.\n")
+    _world_models.cache_clear()
+    wm = world_models(program)
+    assert "weights" not in vars(wm)  # built on first use, not with the answer sets
+    built = []
+    build = credal._probability_weights
+    monkeypatch.setattr(
+        credal, "_probability_weights", lambda *args: built.append(args) or build(*args)
+    )
+    first = credal_query(program, q("c"))
+    weights = wm.weights
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+    assert credal_query(program, q("c")) == first
+    credal_conditional(program, q("c"), q("a"))
+    assert wm.weights is weights and len(built) == 1
+    credal_query(program, q("c"), theta=[0.5])
+    credal_conditional(program, q("c"), q("a"), theta=[0.5])
+    assert wm.weights is weights and len(built) == 3
+
+
+def test_learners_never_build_weights():
+    program, interps = generate(DatasetSpec("shop", 4, 3, 0))
+    _world_models.cache_clear()
+    learn_opt(program, interps, LearnConfig(max_iters=3, restarts=1))
+    learn_em(program, interps, LearnConfig(method="em", max_iters=3))
+    assert "weights" not in vars(world_models(program))
+
+
+def test_cached_verdict_names_the_first_empty_world_every_time():
+    constraints = ":- not a, b, c.\n:- a, b, c.\n"
+    program = parse_program(_THREE_FACTS + constraints)
+    wm = world_models(program)
+    assert wm.first_empty == 3
+    for _ in range(2):
+        for call in (
+            wm.raise_if_inconsistent,
+            lambda: credal_query(program, q("d")),
+            lambda: credal_conditional(program, q("d"), q("b")),
+        ):
+            with pytest.raises(InconsistentWorld, match="^world w3 [(]selection 011[)] has") as exc:
+                call()
+            assert (exc.value.world_index, exc.value.selection) == (3, (0, 1, 1))
+    assert world_models(parse_program(_THREE_FACTS)).first_empty is None

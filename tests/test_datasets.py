@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from pasplearn.credal import check_consistency, credal_query, world_models
@@ -38,6 +39,35 @@ def test_size_bounds_enforced():
         DatasetSpec("path", 5, 0, 0)
     with pytest.raises(SpecOutOfRange):
         DatasetSpec("path", 5, 5, 0, init_prob=1.5)
+
+
+_BAD_INTEGERS = [1.5, 4.0, True, False, "4", None]
+
+
+def _spec_with(**field):
+    args = {"family": "shop", "size": 4, "num_interpretations": 3, "seed": 1} | field
+    return DatasetSpec(**args)
+
+
+def _assert_integer_field(name: str) -> None:
+    for bad in _BAD_INTEGERS:
+        with pytest.raises(SpecOutOfRange, match=f"^{name} must be an integer, got {bad!r}$"):
+            _spec_with(**{name: bad})
+    good = _spec_with(**{name: np.int64(2)})  # numpy integers are integers
+    assert generate(good) == generate(_spec_with(**{name: 2}))
+
+
+def test_size_must_be_an_integer():
+    _assert_integer_field("size")
+
+
+def test_num_interpretations_must_be_an_integer():
+    _assert_integer_field("num_interpretations")
+
+
+def test_seed_must_be_an_integer():
+    _assert_integer_field("seed")
+    assert generate(_spec_with(seed=-1)) != generate(_spec_with(seed=1))
 
 
 def test_coloring_shape():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pasplearn.credal import credal_query
+from pasplearn.credal import credal_query, world_models
+from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import InconsistentWorld
-from pasplearn.model import Query, query_from_literals
+from pasplearn.model import Query, interpretation_query, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 from pasplearn.rng import SplitMix64
 from pasplearn.sympoly import (
@@ -21,7 +23,7 @@ from pasplearn.sympoly import (
 )
 
 from conftest import stack_gradient
-from oracles import poly_as_dict, poly_from_dict
+from oracles import poly_as_dict, poly_coefficients_exact, poly_from_dict
 from randprog import random_ground_program, random_query_literals
 
 
@@ -176,6 +178,75 @@ def test_coefficients_below_epsilon_dropped():
     up = extract_poly(program, query_from_literals(parse_query("q")), "upper")
     assert list(poly_as_dict(up)) == [frozenset()]
     assert poly_as_dict(up)[frozenset()] == pytest.approx(0.06, abs=1e-15)
+
+
+# Ten fixed facts at 0.02 scale q's only coefficient to 0.02^10 ≈ 1e-17,
+# far below any absolute threshold, yet it is no rounding residue.
+_SMALL_COEFFICIENT = (
+    "".join(f"0.02::f{i}.\n" for i in range(10))
+    + "learnable(0.5)::g.\nq :- g, "
+    + ", ".join(f"f{i}" for i in range(10))
+    + ".\n"
+)
+
+
+def test_small_coefficients_kept():
+    program = parse_program(_SMALL_COEFFICIENT)
+    query = query_from_literals(parse_query("q"))
+    up = extract_poly(program, query, "upper")
+    assert list(poly_as_dict(up)) == [frozenset({0})]
+    assert up.coeffs[0] == pytest.approx(0.02**10, rel=1e-14)
+    assert poly_eval(up, [0.5]) == credal_query(program, query).upper
+
+
+def _assert_exact_extraction(program, flags) -> None:
+    """Kept monomials are the exact non-zero ones, each within its error bound."""
+    got = poly_from_world_flags(program, flags)
+    decimal, _ = poly_coefficients_exact(program, flags)
+    assert got.patterns.tolist() == [t for t in _support(program)[2].tolist() if decimal[t]]
+    binary, scales = poly_coefficients_exact(program, flags, decimal=False)
+    n, nvars = program.n_prob_facts, got.nvars
+    bound = (n + nvars + 2 ** (n - nvars)) * Fraction(2) ** -53
+    for t, c in zip(got.patterns.tolist(), got.coeffs.tolist()):
+        assert abs(Fraction(c) - binary[t]) <= bound * scales[t], (t, c, binary[t])
+
+
+def test_extraction_matches_exact_coefficients_on_random_programs():
+    checked = 0
+    for seed in range(0, 6000, 5):
+        program = random_ground_program(seed)
+        pos, neg = random_query_literals(seed, program)
+        try:
+            flags = world_models(program).satisfaction(Query(tuple(pos), tuple(neg)))
+        except InconsistentWorld:
+            continue
+        for f in flags:
+            _assert_exact_extraction(program, f)
+        checked += 1
+    assert checked >= 600
+
+
+@pytest.mark.parametrize("family,size", [("path", 8), ("shop", 8), ("smoke", 2), ("coloring", 4)])
+def test_extraction_matches_exact_coefficients_on_generated_cells(family, size):
+    program, interps = generate(DatasetSpec(family, size, 10, 0))
+    wm = world_models(program)
+    for interp in interps:
+        for f in wm.satisfaction(interpretation_query(interp)):
+            _assert_exact_extraction(program, f)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _SMALL_COEFFICIENT,
+        "learnable(0.5)::a.\n0.06::b.\n0.3::c.\n0.2::d.\nq :- a, b.\nq :- not a, c, d.",
+    ],
+    ids=["small", "residue"],
+)
+def test_extraction_matches_exact_coefficients_at_the_drop_threshold(text):
+    program = parse_program(text)
+    for f in world_models(program).satisfaction(query_from_literals(parse_query("q"))):
+        _assert_exact_extraction(program, f)
 
 
 @pytest.mark.parametrize("nvars", range(13))
