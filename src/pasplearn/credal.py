@@ -265,14 +265,14 @@ def _conditional_joints(
 
 
 def conditional_from_joints(
-    low_qe: float, up_qe: float, low_nqe: float, up_nqe: float, context: str = ""
+    low_qe: float, up_qe: float, low_nqe: float, up_nqe: float
 ) -> CredalBounds:
     """Conditional bounds from the four joint bounds, with the
     degenerate clauses: a zero lower denominator with positive joint
     upper forces the bound to 1 (resp. 0), and the conditional is
     undefined when both joint uppers vanish."""
     if up_qe == 0.0 and up_nqe == 0.0:
-        raise UndefinedConditional(context)
+        raise UndefinedConditional()
     denom_low = low_qe + up_nqe
     if denom_low > 0.0:
         lower = low_qe / denom_low

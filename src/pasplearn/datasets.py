@@ -1,7 +1,11 @@
 """Benchmark-family generators: coloring, path, shop, smoke.
 
-Each family builds a program with learnable facts at a configurable
-initial probability plus its fixed rule set, then draws random partial
+Each family writes its program as text: the learnable facts at a
+configurable initial probability (plus smoke's fixed facts), then its
+rules.  :func:`generate` parses that text once with
+:func:`pasplearn.parsing.parse_program`, so a generated program is
+exactly what ``pasplearn learn`` reads back from the ``.pasp`` file that
+``pasplearn gen`` writes.  It then draws random partial
 interpretations over the family's observable atoms (uniform atoms,
 uniform sign flips).  Interpretations that no world can satisfy (their
 upper probability is zero for every theta) are redrawn, up to 100
@@ -24,12 +28,12 @@ interpretations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable
 
 from .errors import GenerationError, SpecOutOfRange
 from .grounding import ground
-from .model import Atom, Interpretation, Literal, ProbFact, Program, Rule
+from .model import Interpretation, Literal, Program, format_prob
 from .parsing import parse_program
 from .rng import SplitMix64
 from .stable import StableSolver
@@ -61,8 +65,11 @@ class DatasetSpec:
             raise SpecOutOfRange(
                 f"need at least one interpretation, got {self.num_interpretations}"
             )
-        if not 0.0 <= self.init_prob <= 1.0:
-            raise SpecOutOfRange(f"init_prob must be in [0,1], got {self.init_prob}")
+        p = self.init_prob
+        if isinstance(p, bool) or not isinstance(p, Real):
+            raise SpecOutOfRange(f"init_prob must be a real number, got {p!r}")
+        if not 0.0 <= p <= 1.0:
+            raise SpecOutOfRange(f"init_prob must be in [0,1], got {p}")
 
 
 # -- coloring ----------------------------------------------------------
@@ -80,15 +87,11 @@ valid :- not c0, not c1, not c2.
 """
 
 
-def _build_coloring(size: int, init_prob: float, rng: SplitMix64) -> Program:
-    facts = [
-        ProbFact(Atom("edge", (i, j)), init_prob, learnable=True)
-        for i in range(1, size + 1)
-        for j in range(i + 1, size + 1)
-    ]
-    rules = [Rule(Atom("node", (i,))) for i in range(1, size + 1)]
-    rules.extend(parse_program(_COLORING_RULES).rules)
-    return Program(tuple(facts), tuple(rules))
+def _build_coloring(size: int, learnable: str, rng: SplitMix64) -> str:
+    nodes = range(1, size + 1)
+    lines = [f"{learnable}::edge({i},{j})." for i in nodes for j in nodes if i < j]
+    lines += [f"node({i})." for i in nodes]
+    return "\n".join(lines) + _COLORING_RULES
 
 
 # -- path --------------------------------------------------------------
@@ -105,7 +108,7 @@ def _path_node_count(edges: int) -> int:
     return max(4, 7 * edges // 10 + 1)
 
 
-def _build_path(size: int, init_prob: float, rng: SplitMix64) -> Program:
+def _build_path(size: int, learnable: str, rng: SplitMix64) -> str:
     n = _path_node_count(size)
     undirected: list[tuple[int, int]] = []
     # Random recursive tree keeps the graph connected.
@@ -117,46 +120,28 @@ def _build_path(size: int, init_prob: float, rng: SplitMix64) -> Program:
     ]
     undirected.extend(rng.sample(remaining, size - (n - 1)))
     edges = [(a, b) if rng.randint(0, 1) == 0 else (b, a) for a, b in undirected]
-    facts = [
-        ProbFact(Atom("edge", pair), init_prob, learnable=True) for pair in edges
-    ]
-    return Program(tuple(facts), parse_program(_PATH_RULES).rules)
+    return "\n".join(f"{learnable}::edge({a},{b})." for a, b in edges) + _PATH_RULES
 
 
 # -- shop ----------------------------------------------------------------
 
 _SHOP_ALTERNATIVES = ("steak", "beans")  # odd persons steak, even persons beans
 
+_SHOP_RULES = """
+bought(spaghetti) :- bought(spaghetti,_X).
+bought(steak) :- bought(steak,_X).
+:- bought(spaghetti), bought(steak).
+"""
 
-def _build_shop(size: int, init_prob: float, rng: SplitMix64) -> Program:
-    persons = [f"p{i}" for i in range(1, size + 1)]
-    facts = [
-        ProbFact(Atom("shops", (p,)), init_prob, learnable=True) for p in persons
-    ]
-    rules: list[Rule] = []
-    for i, person in enumerate(persons, start=1):
+
+def _build_shop(size: int, learnable: str, rng: SplitMix64) -> str:
+    persons = range(1, size + 1)
+    lines = [f"{learnable}::shops(p{i})." for i in persons]
+    for i in persons:
         alt = _SHOP_ALTERNATIVES[(i - 1) % 2]
-        shops = Literal(Atom("shops", (person,)))
-        b_sp = Atom("bought", ("spaghetti", person))
-        b_alt = Atom("bought", (alt, person))
-        rules.append(Rule(b_sp, (shops, Literal(b_alt, positive=False))))
-        rules.append(Rule(b_alt, (shops, Literal(b_sp, positive=False))))
-    rules.append(
-        Rule(Atom("bought", ("spaghetti",)), (Literal(Atom("bought", ("spaghetti", "_X"))),))
-    )
-    rules.append(
-        Rule(Atom("bought", ("steak",)), (Literal(Atom("bought", ("steak", "_X"))),))
-    )
-    rules.append(
-        Rule(
-            None,
-            (
-                Literal(Atom("bought", ("spaghetti",))),
-                Literal(Atom("bought", ("steak",))),
-            ),
-        )
-    )
-    return Program(tuple(facts), tuple(rules))
+        lines.append(f"bought(spaghetti,p{i}) :- shops(p{i}), not bought({alt},p{i}).")
+        lines.append(f"bought({alt},p{i}) :- shops(p{i}), not bought(spaghetti,p{i}).")
+    return "\n".join(lines) + _SHOP_RULES
 
 
 # -- smoke ---------------------------------------------------------------
@@ -172,20 +157,16 @@ n_ill(X) :- smokes(X), asthma(X), predisposition, not ill(X).
 """
 
 
-def _build_smoke(size: int, init_prob: float, rng: SplitMix64) -> Program:
-    facts: list[ProbFact] = []
-    for i in range(1, size + 1):
-        facts.append(ProbFact(Atom("asthma_f", (i,)), 0.1))
-        facts.append(ProbFact(Atom("asthma_fact", (i,)), 0.4))
-        facts.append(ProbFact(Atom("stress", (i,)), 0.3))
-    facts.append(ProbFact(Atom("predisposition"), 0.2))
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            if i != j:
-                facts.append(
-                    ProbFact(Atom("influences", (i, j)), init_prob, learnable=True)
-                )
-    return Program(tuple(facts), parse_program(_SMOKE_RULES).rules)
+def _build_smoke(size: int, learnable: str, rng: SplitMix64) -> str:
+    persons = range(1, size + 1)
+    lines: list[str] = []
+    for i in persons:
+        lines += [f"0.1::asthma_f({i}).", f"0.4::asthma_fact({i}).", f"0.3::stress({i})."]
+    lines.append("0.2::predisposition.")
+    lines += [
+        f"{learnable}::influences({i},{j})." for i in persons for j in persons if i != j
+    ]
+    return "\n".join(lines) + _SMOKE_RULES
 
 
 # -- the family table ----------------------------------------------------
@@ -196,7 +177,7 @@ class _Family:
     sizes: tuple[int, int]  # accepted sizes, inclusive
     lengths: tuple[int, int]  # interpretation lengths, clipped to the observables
     observables: frozenset[tuple[str, int]]  # (functor, arity) of observable atoms
-    build: Callable[[int, float, SplitMix64], Program]  # (size, init_prob, rng)
+    build: Callable[[int, str, SplitMix64], str]  # (size, "learnable(p)", rng) -> text
 
 
 # Size counts coloring's complete-graph nodes, path's edges, shop's and smoke's people.
@@ -221,7 +202,8 @@ def generate(spec: DatasetSpec) -> tuple[Program, list[Interpretation]]:
     rng_interp = root.split(2)
 
     family = _FAMILIES[spec.family]
-    program = family.build(spec.size, spec.init_prob, rng_structure)
+    learnable = f"learnable({format_prob(float(spec.init_prob))})"
+    program = parse_program(family.build(spec.size, learnable, rng_structure))
 
     gp = ground(program)
     solver = StableSolver(gp)

@@ -32,10 +32,6 @@ def is_variable(term: Term) -> bool:
     return isinstance(term, str) and (term[:1].isupper() or term.startswith("_"))
 
 
-def term_str(term: Term) -> str:
-    return str(term)
-
-
 @dataclass(frozen=True, order=True)
 class Atom:
     functor: str
@@ -44,7 +40,7 @@ class Atom:
     def __str__(self) -> str:
         if not self.args:
             return self.functor
-        return f"{self.functor}({','.join(term_str(a) for a in self.args)})"
+        return f"{self.functor}({','.join(map(str, self.args))})"
 
     @property
     def is_ground(self) -> bool:
@@ -105,16 +101,11 @@ class Rule:
 def format_prob(p: float) -> str:
     """Shortest fixed-point decimal that round-trips to ``p``.
 
-    The program grammar has no scientific notation, so serialization
-    must avoid ``repr`` styles like ``1e-05``.
+    ``repr`` gives the shortest round-tripping digits; the program
+    grammar has no scientific notation, so :class:`Decimal` writes them
+    out without an exponent (``1e-05`` becomes ``0.00001``).
     """
-    for prec in range(1, 18):
-        s = f"{p:.{prec}f}"
-        if float(s) == p:
-            return s
-    # Tiny values need more places than any fixed precision; the exact
-    # binary expansion always round-trips.
-    return format(Decimal(p), "f")
+    return format(Decimal(repr(float(p))), "f")
 
 
 @dataclass(frozen=True)

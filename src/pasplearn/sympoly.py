@@ -188,13 +188,13 @@ def poly_eval(p: SymPoly, theta) -> float:
     return PolyStack([p], p.nvars).evaluate(theta)[0][0]
 
 
-def poly_to_text(p: SymPoly, var_prefix: str = "p") -> str:
+def poly_to_text(p: SymPoly) -> str:
     """Human-readable rendering in canonical order, e.g. ``0.4*p1 + 0.6*p0*p1``."""
     if not len(p.coeffs):
         return "0"
     parts: list[str] = []
     for pattern, c in zip(p.patterns.tolist(), p.coeffs.tolist()):
-        factors = [f"{var_prefix}{j}" for j in range(p.nvars) if pattern >> j & 1]
+        factors = [f"p{j}" for j in range(p.nvars) if pattern >> j & 1]
         magnitude = repr(abs(c))
         if factors and abs(c) == 1.0:
             term = "*".join(factors)

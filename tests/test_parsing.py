@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pasplearn.errors import (
@@ -194,6 +195,13 @@ def test_error_text_is_exact(parse, text, error, message):
 def test_format_prob_round_trips(p):
     assert float(format_prob(p)) == p
     assert "e" not in format_prob(p)  # stays inside the grammar
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+@example(0.014041700164018955)  # needs 18 places: once printed as 52 characters
+@example(1e-20)
+def test_format_prob_is_shortest(p):
+    assert format_prob(p) == np.format_float_positional(p, unique=True, trim="0")
 
 
 @given(st.integers(min_value=0, max_value=10_000))
