@@ -48,7 +48,7 @@ from .parsing import (
     parse_query,
     program_to_text,
 )
-from .sympoly import extract_poly, poly_from_world_flags, poly_to_text
+from .sympoly import BOUNDS, bound_polys, poly_from_world_flags, poly_to_text
 
 _LEARNERS = {"opt": learn_opt, "em": learn_em}
 _BENCH_METHODS = ("opt-gradient", "opt-dfree", "em")
@@ -94,15 +94,15 @@ def cmd_infer(args) -> None:
     e = None if args.evidence is None else _option_query("--evidence", args.evidence)
     equations: list[str] = []
     if args.show_equations:
-        wm = world_models(program)
         if e is None:
-            names, flags = ("low(q)", "up(q)"), wm.satisfaction(q)
+            names = ("low(q)", "up(q)")
+            polys = [p for (p,) in bound_polys(program, [q], BOUNDS)]
         else:
             names = ("low(q,e)", "up(q,e)", "low(not q,e)", "up(not q,e)")
-            flags = conditional_flags(wm, q, e)
+            flags = conditional_flags(world_models(program), q, e)
+            polys = [poly_from_world_flags(program, fl) for fl in flags]
         equations = _legend(program) + [
-            f"{name} = {poly_to_text(poly_from_world_flags(program, fl))}"
-            for name, fl in zip(names, flags)
+            f"{name} = {poly_to_text(p)}" for name, p in zip(names, polys)
         ]
     bounds = credal_query(program, q) if e is None else credal_conditional(program, q, e)
     _emit(
@@ -142,10 +142,10 @@ def cmd_learn(args) -> None:
     )
     equations: list[str] = []
     if args.show_equations:
+        queries = [interpretation_query(i) for i in interps]
+        (polys,) = bound_polys(program, queries, [cfg.target])
         equations = _legend(program) + [
-            f"{cfg.target}(I{k}) = "
-            + poly_to_text(extract_poly(program, interpretation_query(i), cfg.target))
-            for k, i in enumerate(interps)
+            f"{cfg.target}(I{k}) = {poly_to_text(p)}" for k, p in enumerate(polys)
         ]
     result = _LEARNERS[args.method](program, interps, cfg)
     payload = _result_payload(program, result)
@@ -193,7 +193,7 @@ def _bench_cell(cell: tuple[str, int, int, str, int]) -> list[str]:
         cfg = LearnConfig(
             method=kind,
             seed=seed,
-            opt_backend=BACKENDS[backend or "gradient"],
+            opt_backend=BACKENDS.get(backend, LearnConfig.opt_backend),
         )
         result = _LEARNERS[kind](program, interps, cfg)
         ll, iterations = repr(result.final_ll), str(result.iterations)
@@ -295,32 +295,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_learn = sub.add_parser("learn", help="fit learnable probabilities")
     p_learn.add_argument("--program", required=True)
     p_learn.add_argument("--interpretations", required=True, help=".int data file")
-    p_learn.add_argument("--method", choices=tuple(_LEARNERS), default="opt")
-    p_learn.add_argument("--target", choices=("lower", "upper"), default="upper")
+    p_learn.add_argument("--method", choices=tuple(_LEARNERS), default=LearnConfig.method)
+    p_learn.add_argument("--target", choices=BOUNDS, default=LearnConfig.target)
     p_learn.add_argument(
         "--backend",
         choices=tuple(BACKENDS),
-        default="gradient",
+        default=next(k for k, v in BACKENDS.items() if v == LearnConfig.opt_backend),
         help="opt only: projected gradient ascent or coordinate search",
     )
     p_learn.add_argument(
         "--eps-ll",
         type=float,
-        default=5e-4,
+        default=LearnConfig.eps_ll,
         help="em only: stop when the log-likelihood changes by less than this",
     )
     p_learn.add_argument(
-        "--max-iters", type=int, default=1000, help="em only: iteration limit"
+        "--max-iters", type=int, default=LearnConfig.max_iters, help="em only: iteration limit"
     )
-    p_learn.add_argument("--floor-prob", type=float, default=1e-12)
+    p_learn.add_argument("--floor-prob", type=float, default=LearnConfig.floor_prob)
     p_learn.add_argument(
         "--restarts",
         type=int,
-        default=4,
+        default=LearnConfig.restarts,
         help="opt only: number of starts (the declared probabilities, then random ones)",
     )
     p_learn.add_argument(
-        "--seed", type=int, default=0, help="opt only: seed of the random starts"
+        "--seed", type=int, default=LearnConfig.seed, help="opt only: seed of the random starts"
     )
     p_learn.add_argument(
         "--skip-undefined",
@@ -336,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--size", type=int, required=True)
     p_gen.add_argument("--interpretations", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--init-prob", type=float, default=0.5)
+    p_gen.add_argument("--init-prob", type=float, default=DatasetSpec.init_prob)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapExceeded, InconsistentWorld, UndefinedConditional
 from .grounding import GroundProgram, ground
-from .model import Program, Query, world_cap
+from .model import Program, Query, check_theta, world_cap
 from .stable import StableSolver
 
 
@@ -212,15 +212,12 @@ def world_weights(factors) -> np.ndarray:
 def _probability_weights(program: Program, theta=None) -> np.ndarray:
     """P(w) for every world; ``theta`` overrides the learnable probabilities.
 
-    Raises ``ValueError`` unless ``theta`` has one entry per learnable fact.
+    Raises ``ValueError`` unless ``theta`` holds one probability in
+    [0, 1] per learnable fact.
     """
     probs = [pf.prob for pf in program.prob_facts]
     if theta is not None:
-        learnable = program.learnable_indices()
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (len(learnable),):
-            raise ValueError(f"expected theta of length {len(learnable)}, got {theta.shape}")
-        for t, j in zip(theta.tolist(), learnable):
+        for t, j in zip(check_theta(program, theta).tolist(), program.learnable_indices()):
             probs[j] = t
     return world_weights([(1.0 - p, p) for p in probs])
 
@@ -254,16 +251,6 @@ def conditional_flags(
     return wm.all_and_some(sat_e & sat_q) + wm.all_and_some(sat_e & ~sat_q)
 
 
-def _conditional_joints(
-    program: Program, q: Query, e: Query, theta=None
-) -> tuple[float, float, float, float]:
-    """(lowP(q,e), upP(q,e), lowP(¬q,e), upP(¬q,e))."""
-    wm = world_models(program)
-    flags = conditional_flags(wm, q, e)
-    weights = _weights(wm, theta)
-    return tuple(float(weights @ flag) for flag in flags)
-
-
 def conditional_from_joints(
     low_qe: float, up_qe: float, low_nqe: float, up_nqe: float
 ) -> CredalBounds:
@@ -288,9 +275,12 @@ def conditional_from_joints(
 
 def credal_conditional(program: Program, q: Query, e: Query, theta=None) -> CredalBounds:
     """Conditional lower/upper probability of q given evidence e."""
-    joints = _conditional_joints(program, q, e, theta)
+    wm = world_models(program)
+    flags = conditional_flags(wm, q, e)
+    weights = _weights(wm, theta)
     try:
-        return conditional_from_joints(*joints)
+        # lowP(q,e), upP(q,e), lowP(¬q,e), upP(¬q,e)
+        return conditional_from_joints(*(float(weights @ flag) for flag in flags))
     except UndefinedConditional:
         # Rendering q and e is a sizeable share of a warm conditional; only here.
         raise UndefinedConditional(f"{q} | {e}") from None

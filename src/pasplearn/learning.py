@@ -12,10 +12,11 @@ credal bound (lower or upper) of its interpretation query:
   conditional bounds of each learnable fact given each interpretation,
   and the update is the closed-form ratio e1/(e0+e1).
 
-All query bounds are extracted once as multilinear polynomials (one
-world pass per program, cached; one extraction per distinct
-interpretation query), so iterations only evaluate polynomials and
-never re-enumerate answer sets.  Each learner stacks its polynomials
+All query bounds are extracted once as multilinear polynomials by
+:func:`~pasplearn.sympoly.bound_polys` (one world pass per program,
+cached; one extraction per distinct interpretation query), so
+iterations only evaluate polynomials and never re-enumerate answer
+sets.  Each learner stacks its polynomials
 once into a :class:`~pasplearn.sympoly.PolyStack`, which keeps each
 distinct polynomial once, and evaluates them only through the stack's
 two methods.  ``evaluate`` gives the objective: one gather and one
@@ -50,13 +51,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from .credal import world_models
 from .errors import NoLearnableFacts, UndefinedConditional
-from .model import Interpretation, Program, interpretation_query
+from .model import Interpretation, Program, check_theta, interpretation_query
 from .rng import SplitMix64
-from .sympoly import PolyStack, SymPoly, poly_from_world_flags
+from .sympoly import BOUNDS, PolyStack, SymPoly, bound_polys
 
-_TARGETS = ("lower", "upper")
 _METHODS = ("opt", "em")
 #: Optimization backends: command-line name -> ``LearnConfig.opt_backend``.
 BACKENDS = {"gradient": "gradient", "dfree": "derivativeFree"}
@@ -93,8 +92,8 @@ class LearnConfig:
     skip_undefined: bool = False
 
     def __post_init__(self):
-        if self.target not in _TARGETS:
-            raise ValueError(f"target must be one of {_TARGETS}, got {self.target!r}")
+        if self.target not in BOUNDS:
+            raise ValueError(f"target must be one of {BOUNDS}, got {self.target!r}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.opt_backend not in BACKENDS.values():
@@ -294,7 +293,7 @@ def learn_opt(
         raise NoLearnableFacts("program declares no learnable facts")
     queries = [interpretation_query(i) for i in interps]
     lik = _Likelihood(
-        PolyStack(_bound_polys(program, queries, [cfg.target])[0], nvars), cfg.floor_prob
+        PolyStack(bound_polys(program, queries, [cfg.target])[0], nvars), cfg.floor_prob
     )
 
     starts = [np.array(program.initial_theta())]
@@ -324,23 +323,6 @@ def learn_opt(
 # -- expectation maximization ------------------------------------------
 
 
-def _bound_polys(program: Program, queries, bounds) -> list[list[SymPoly]]:
-    """For each of ``bounds`` (``"lower"``/``"upper"``), every query's polynomial.
-
-    Each distinct query's world flags are computed once, and its
-    polynomials built from them.  Raises
-    :class:`~pasplearn.errors.InconsistentWorld` if a world has no
-    answer set.
-    """
-    wm = world_models(program)
-    polys = {}
-    for q in queries:
-        if q not in polys:
-            flags = dict(zip(_TARGETS, wm.satisfaction(q)))
-            polys[q] = [poly_from_world_flags(program, flags[b]) for b in bounds]
-    return [[polys[q][j] for q in queries] for j in range(len(bounds))]
-
-
 def _expectations(
     program: Program, queries, bounds: PolyStack, theta, target: str, skip_undefined: bool
 ) -> EMExpectations:
@@ -355,7 +337,7 @@ def _expectations(
     conditionals of the target and their sums in interpretation order.
     """
     theta = np.asarray(theta, dtype=float)
-    nvars = len(theta)
+    nvars = bounds.nvars
     if not nvars:  # no value lists to stack into rows
         return EMExpectations((), ())
     at_one = []
@@ -406,9 +388,12 @@ def em_expectation(
 
     Conditionals are the chosen bound's conditional probabilities,
     evaluated from each interpretation's lower and upper polynomials.
+    Raises ``ValueError`` unless ``theta`` holds one probability in
+    [0, 1] per learnable fact.
     """
+    theta = check_theta(program, theta)
     queries = [interpretation_query(i) for i in interps]
-    lower, upper = _bound_polys(program, queries, _TARGETS)
+    lower, upper = bound_polys(program, queries, BOUNDS)
     bounds = PolyStack(lower + upper, len(program.learnable_indices()))
     return _expectations(program, queries, bounds, theta, target, skip_undefined)
 
@@ -416,7 +401,7 @@ def em_expectation(
 def em_maximization(e: EMExpectations, prev_theta) -> tuple[float, ...]:
     """Closed-form update θ_i = e1_i/(e0_i+e1_i); 0/0 keeps the previous θ_i."""
     out = []
-    for e0, e1, prev in zip(e.e0, e.e1, prev_theta):
+    for e0, e1, prev in zip(e.e0, e.e1, prev_theta, strict=True):
         s = e0 + e1
         if s == 0.0:
             out.append(float(prev))
@@ -440,7 +425,7 @@ def learn_em(
     if nvars == 0:
         raise NoLearnableFacts("program declares no learnable facts")
     queries = [interpretation_query(i) for i in interps]
-    lower, upper = _bound_polys(program, queries, _TARGETS)
+    lower, upper = bound_polys(program, queries, BOUNDS)
     bounds = PolyStack(lower + upper, nvars)
     lik = _Likelihood(PolyStack(lower if cfg.target == "lower" else upper, nvars), cfg.floor_prob)
 

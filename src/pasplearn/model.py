@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
 
+import numpy as np
+
 Term = Union[str, int]
 
 #: Default bound on the number of probabilistic facts for exhaustive
@@ -49,14 +51,6 @@ class Atom:
     def variables(self) -> set[str]:
         return {a for a in self.args if is_variable(a)}
 
-    def substitute(self, binding: dict[str, Term]) -> "Atom":
-        if not self.args:
-            return self
-        return Atom(
-            self.functor,
-            tuple(binding.get(a, a) if is_variable(a) else a for a in self.args),
-        )
-
 
 @dataclass(frozen=True, order=True)
 class Literal:
@@ -65,9 +59,6 @@ class Literal:
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"not {self.atom}"
-
-    def substitute(self, binding: dict[str, Term]) -> "Literal":
-        return Literal(self.atom.substitute(binding), self.positive)
 
 
 @dataclass(frozen=True)
@@ -166,6 +157,18 @@ class Program:
         return tuple(pf.prob for pf in self.prob_facts if pf.learnable)
 
 
+def check_theta(program: Program, theta) -> np.ndarray:
+    """``theta`` as a float array; ``ValueError`` unless it holds one
+    probability in [0, 1] per learnable fact of the program (NaN is none)."""
+    theta = np.asarray(theta, dtype=float)
+    n = len(program.learnable_indices())
+    if theta.shape != (n,):
+        raise ValueError(f"expected theta of length {n}, got {theta.shape}")
+    if not np.all((theta >= 0.0) & (theta <= 1.0)):
+        raise ValueError(f"theta must lie in [0, 1], got {theta.tolist()}")
+    return theta
+
+
 def world_cap() -> int:
     """Effective world cap: PASP_WORLD_CAP if set, else the default.
 
@@ -208,10 +211,6 @@ class Query:
         parts = [str(a) for a in self.positives]
         parts += [f"not {a}" for a in self.negatives]
         return ",".join(parts)
-
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return self.positives + self.negatives
 
 
 def query_from_literals(literals) -> Query:

@@ -28,6 +28,12 @@ polynomial with its variable removed, each monomial's product divided
 by that variable's factor.  Where a θ component is 0 the products are
 recomputed with it read as 1.0, and a mask test on the patterns then
 zeroes the partials that still hold a zero factor.
+
+:func:`bound_polys` is the one producer of bound polynomials: it maps
+each distinct query's per-world flags to its lower polynomial (worlds
+where all answer sets satisfy the query) and its upper one (worlds
+where some answer set does).  Both learners, :func:`extract_poly` and
+``pasplearn learn --show-equations`` reach their polynomials through it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ import numpy as np
 
 from .credal import world_models, world_weights
 from .model import Program, Query
+
+#: The bound names, in the order of :meth:`WorldModels.satisfaction`'s flags.
+BOUNDS = ("lower", "upper")
 
 
 @dataclass(eq=False)
@@ -280,17 +289,31 @@ def poly_from_world_flags(program: Program, flags) -> SymPoly:
     return SymPoly(nvars, order[keep], coeffs[keep])
 
 
-def extract_poly(program: Program, q: Query, bound: str) -> SymPoly:
-    """Symbolic lower/upper probability of a query.
+def bound_polys(program: Program, queries, bounds) -> list[list[SymPoly]]:
+    """For each of ``bounds``, every query's polynomial, in query order.
 
-    ``bound`` is ``"lower"`` or ``"upper"``.  Worlds contribute to the
-    upper bound when some answer set satisfies the query, to the lower
-    bound when all do.  Raises :class:`InconsistentWorld` if a world has
-    no answer set.
+    A bound is a name in :data:`BOUNDS`.  Worlds contribute to a query's
+    upper bound when some answer set satisfies it, to its lower bound
+    when all do.  Each distinct query's world flags are computed once,
+    and its polynomials built from them.  Raises ``ValueError`` on any
+    other bound name, and :class:`~pasplearn.errors.InconsistentWorld`
+    if a world has no answer set.
     """
-    if bound not in ("lower", "upper"):
-        raise ValueError(f"bound must be 'lower' or 'upper', got {bound!r}")
+    for b in bounds:
+        if b not in BOUNDS:
+            raise ValueError(f"bound must be one of {BOUNDS}, got {b!r}")
     wm = world_models(program)
-    all_sat, some_sat = wm.satisfaction(q)
-    flags = all_sat if bound == "lower" else some_sat
-    return poly_from_world_flags(program, flags)
+    polys = {}
+    for q in queries:
+        if q not in polys:
+            flags = dict(zip(BOUNDS, wm.satisfaction(q)))
+            polys[q] = [poly_from_world_flags(program, flags[b]) for b in bounds]
+    return [[polys[q][j] for q in queries] for j in range(len(bounds))]
+
+
+def extract_poly(program: Program, q: Query, bound: str) -> SymPoly:
+    """Symbolic ``"lower"`` or ``"upper"`` probability of a query.
+
+    The one-query case of :func:`bound_polys`, with its errors.
+    """
+    return bound_polys(program, [q], [bound])[0][0]

@@ -45,7 +45,7 @@ import numpy as np
 from pasplearn.credal import conditional_from_joints
 from pasplearn.errors import InconsistentWorld, UndefinedConditional
 from pasplearn.learning import EMExpectations, LearnResult, em_maximization
-from pasplearn.model import Atom, Program, Rule, interpretation_query, is_variable
+from pasplearn.model import Atom, Literal, Program, Rule, interpretation_query, is_variable
 from pasplearn.rng import SplitMix64
 from pasplearn.sympoly import SymPoly, extract_poly
 
@@ -66,6 +66,11 @@ def herbrand_constants(program: Program) -> list:
     return list(seen)
 
 
+def substitute(atom: Atom, binding: dict) -> Atom:
+    """``atom`` with each variable that ``binding`` maps replaced by its value."""
+    return Atom(atom.functor, tuple(binding.get(a, a) if is_variable(a) else a for a in atom.args))
+
+
 def naive_ground(program: Program) -> list[Rule]:
     """Every instantiation of every rule over all constant tuples."""
     consts = herbrand_constants(program) or [1]
@@ -77,8 +82,8 @@ def naive_ground(program: Program) -> list[Rule]:
             continue
         for combo in iproduct(consts, repeat=len(variables)):
             binding = dict(zip(variables, combo))
-            head = None if rule.head is None else rule.head.substitute(binding)
-            body = tuple(l.substitute(binding) for l in rule.body)
+            head = None if rule.head is None else substitute(rule.head, binding)
+            body = tuple(Literal(substitute(l.atom, binding), l.positive) for l in rule.body)
             out.setdefault(Rule(head, body), None)
     return list(out)
 

@@ -21,6 +21,8 @@ from pasplearn.errors import (
     UndefinedConditional,
     UnsafeRule,
 )
+from pasplearn.learning import LearnConfig, LearnResult
+
 from conftest import EXAMPLE_GRAPH
 
 COIN = "learnable(0.3)::heads.\n"
@@ -257,6 +259,20 @@ def test_learn_equations_listed_per_interpretation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "upper(I0) = p0" in out
     assert "upper(I1) = 1.0 - p0" in out
+
+
+def test_learn_defaults_are_learn_config_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def learner(program, interps, cfg):
+        seen.append(cfg)
+        return LearnResult((0.5,), -1.0, 1, True, (-1.0,))
+
+    monkeypatch.setattr(cli, "_LEARNERS", {name: learner for name in cli._LEARNERS})
+    prog = write(tmp_path, "coin.pasp", COIN)
+    data = write(tmp_path, "coin.int", COIN_DATA)
+    assert main(["learn", "--program", prog, "--interpretations", data]) == 0
+    assert seen == [LearnConfig()]
 
 
 def test_learn_no_learnables_exit_4(tmp_path):

@@ -302,6 +302,22 @@ def test_theta_of_wrong_length_rejected(bounds, theta):
         bounds(program, theta)
 
 
+@pytest.mark.parametrize("theta", [[1.5, 0.5], [-0.1, 0.5], [math.nan, 0.5]])
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        lambda program, theta: credal_query(program, q("c"), theta=theta),
+        lambda program, theta: credal_conditional(program, q("c"), q("b"), theta=theta),
+    ],
+    ids=["query", "conditional"],
+)
+def test_theta_outside_unit_interval_rejected(bounds, theta):
+    program = parse_program("learnable(0.5)::a.\nlearnable(0.5)::b.\nc :- a, b.")
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+        bounds(program, theta)
+    assert bounds(program, [0.0, 1.0]) == CredalBounds(0.0, 0.0)
+
+
 # -- the cached world weights ------------------------------------------------
 
 

@@ -334,6 +334,28 @@ def test_em_maximization_update_and_retention():
     assert em_maximization(EMExpectations((0.0,), (0.0,)), (0.3,)) == (0.3,)
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ([], r"expected theta of length 2, got \(0,\)"),
+        ([0.5], r"expected theta of length 2, got \(1,\)"),
+        ([0.5] * 3, r"expected theta of length 2, got \(3,\)"),
+        ([1.5, 0.5], r"theta must lie in \[0, 1\]"),
+        ([math.nan, 0.5], r"theta must lie in \[0, 1\]"),
+    ],
+    ids=["empty", "short", "long", "above-one", "nan"],
+)
+def test_em_expectation_rejects_bad_theta(theta, message):
+    program = parse_program(TWO_RULE)
+    with pytest.raises(ValueError, match=message):
+        em_expectation(program, interps("q.\n"), theta)
+
+
+def test_em_maximization_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        em_maximization(EMExpectations((1.0,), (1.0,)), (0.2, 0.3))
+
+
 def test_em_single_positive_one_update():
     program = parse_program("learnable(0.5)::a.\nq :- a.")
     res = learn_em(program, interps("q.\n"), LearnConfig(method="em"))

@@ -12,10 +12,13 @@ from pasplearn.errors import InconsistentWorld
 from pasplearn.model import Query, interpretation_query, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 from pasplearn.rng import SplitMix64
+from pasplearn import sympoly
 from pasplearn.sympoly import (
+    BOUNDS,
     PolyStack,
     SymPoly,
     _support,
+    bound_polys,
     extract_poly,
     poly_eval,
     poly_from_world_flags,
@@ -141,6 +144,41 @@ def test_extracted_poly_for_graph_upper(learnable_graph_program):
     assert poly_as_dict(up) == {frozenset({0, 1}): pytest.approx(1.0)}
     lo = extract_poly(learnable_graph_program, q, "lower")
     assert poly_as_dict(lo) == {}
+
+
+def test_bound_polys_build_each_distinct_query_once(learnable_graph_program, monkeypatch):
+    program = learnable_graph_program
+    qs = [query_from_literals(parse_query(t)) for t in ("path(1,4)", "not path(1,3)", "path(1,4)")]
+    built = []
+
+    def recording(program, flags):
+        built.append(flags)
+        return poly_from_world_flags(program, flags)
+
+    # Through the module global, where a tracer wrapping it sees the calls.
+    monkeypatch.setattr(sympoly, "poly_from_world_flags", recording)
+    lower, upper = bound_polys(program, qs, BOUNDS)
+    assert len(built) == 4
+    assert lower[0] is lower[2] and upper[0] is upper[2]
+    wm = world_models(program)
+    for q, lo, up in zip(qs, lower, upper):
+        all_sat, some_sat = wm.satisfaction(q)
+        assert poly_as_dict(lo) == poly_as_dict(poly_from_world_flags(program, all_sat))
+        assert poly_as_dict(up) == poly_as_dict(poly_from_world_flags(program, some_sat))
+        assert poly_as_dict(lo) == poly_as_dict(extract_poly(program, q, "lower"))
+        assert poly_as_dict(up) == poly_as_dict(extract_poly(program, q, "upper"))
+    (alone,) = bound_polys(program, qs, ["upper"])
+    assert [poly_as_dict(p) for p in alone] == [poly_as_dict(p) for p in upper]
+    assert bound_polys(program, [], BOUNDS) == [[], []]
+
+
+@pytest.mark.parametrize("bad", ["middle", "Lower", None])
+def test_bound_names_checked(learnable_graph_program, bad):
+    q = query_from_literals(parse_query("path(1,4)"))
+    with pytest.raises(ValueError, match="bound must be one of"):
+        bound_polys(learnable_graph_program, [q], ["lower", bad])
+    with pytest.raises(ValueError, match="bound must be one of"):
+        extract_poly(learnable_graph_program, q, bad)
 
 
 def test_extraction_folds_fixed_facts():
