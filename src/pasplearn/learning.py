@@ -19,9 +19,9 @@ iterations only evaluate polynomials and never re-enumerate answer
 sets.  Each learner stacks its polynomials
 once into a :class:`~pasplearn.sympoly.PolyStack`, which keeps each
 distinct polynomial once, and evaluates them only through the stack's
-two methods.  ``evaluate`` gives the objective: one gather and one
-``reduceat`` over the distinct monomials plus a dot product and a
-logarithm per distinct polynomial, with the per-interpretation terms
+methods.  ``evaluate`` gives :func:`learn_opt`'s objective: one gather
+and one ``reduceat`` over the distinct monomials plus a dot product and
+a logarithm per distinct polynomial, with the per-interpretation terms
 summed in interpretation order.  ``gradient_rows`` gives the gradient
 at the same point from that evaluation's gathered factors and
 products: one quotient per factor, one ``bincount`` and one division
@@ -29,12 +29,18 @@ per distinct polynomial.  :func:`learn_opt`'s line search evaluates
 each point once, and takes the gradient at the accepted point.
 EM needs no further polynomials: a bound P of an interpretation q is
 linear in each θ_j, so the joint bounds of fact j with q are
-θ_j·P[θ_j=1] for a_j ∧ q and (1−θ_j)·P[θ_j=0] for ¬a_j ∧ q.  An E-step
-evaluates the stack of every lower and upper polynomial once at each of
-the 2·L points with one θ_j pinned to 1 or to 0.  The rest is array
-operations over (fact × interpretation): one product for every joint
-bound, one division for both conditionals of the target, and one
-``add.accumulate`` that adds each fact's terms in interpretation order.
+θ_j·P[θ_j=1] for a_j ∧ q and (1−θ_j)·P[θ_j=0] for ¬a_j ∧ q.  Each EM
+iteration is one stacked evaluation of every lower and upper
+polynomial, ``evaluate_many``, at 2·L+1 points: the 2·L with one θ_j
+pinned to 1 or to 0, and θ itself, whose target half gives the
+log-likelihood.  It takes one gather and one ``reduceat`` for all
+points, and one ``np.vecdot`` per block of distinct polynomials of
+equal length; ``np.vecdot`` calls the BLAS ``ddot`` of a one-point dot
+product on operands aligned alike, so every value keeps its bits.  The
+rest of an E-step is array operations over (fact × interpretation):
+one product for every joint bound, one division for both conditionals
+of the target, and one ``add.accumulate`` that adds each fact's terms
+in interpretation order.
 
 The stacked numbers are bit-for-bit those of evaluating one polynomial
 at a time.  This matters: on a flat likelihood ridge, changes in the
@@ -143,12 +149,14 @@ class _Likelihood:
     :meth:`at` evaluates a point once and returns its log-likelihood
     with the point itself: θ and the stack's values, gathered factors
     and products there.  :meth:`gradient` at that point reuses them.
+    ``index`` picks the input polynomials among the stack's distinct
+    ones; it defaults to all of them, ``stack.index``.
     """
 
-    def __init__(self, stack: PolyStack, floor_prob: float):
+    def __init__(self, stack: PolyStack, floor_prob: float, index=None):
         self.stack = stack
         self.floor_prob = floor_prob
-        self._index = index = stack.index.tolist()
+        self._index = index = (stack.index if index is None else index).tolist()
         # The distinct polynomials' logs, one per input polynomial in input order.
         self._per_input = (
             itemgetter(*index) if len(index) > 1 else lambda logs: [logs[k] for k in index]
@@ -156,12 +164,18 @@ class _Likelihood:
         # One gradient term per kept input polynomial after a row of zeros.
         self._terms = np.zeros((len(index) + 1, stack.nvars))
 
+    def log_sum(self, values) -> float:
+        """Log-likelihood from the distinct polynomials' values, a list of floats.
+
+        The terms are added in input order, from 0.0.
+        """
+        floor_prob = self.floor_prob
+        return sum(self._per_input([math.log(max(v, floor_prob)) for v in values]), 0.0)
+
     def at(self, theta: np.ndarray) -> tuple[float, tuple]:
         """Log-likelihood and point at theta, a float array."""
         values, gathered, prods = self.stack.evaluate(theta)
-        floor_prob = self.floor_prob
-        logs = [math.log(max(v, floor_prob)) for v in values]
-        return sum(self._per_input(logs)), (theta, values, gathered, prods)
+        return self.log_sum(values), (theta, values, gathered, prods)
 
     def gradient(self, point) -> np.ndarray:
         """Gradient at a point from :meth:`at`; floored terms contribute zero.
@@ -323,41 +337,47 @@ def learn_opt(
 # -- expectation maximization ------------------------------------------
 
 
+def _em_points(theta: np.ndarray) -> np.ndarray:
+    """The E-step's points: θ with θ_i pinned to 1 (row i) and to 0 (row L+i), then θ."""
+    nvars = len(theta)
+    points = np.empty((2 * nvars + 1, nvars))
+    points[...] = theta
+    # Every (nvars+1)-th element of an (nvars × nvars) block is its diagonal.
+    points[:nvars].reshape(-1)[:: nvars + 1] = 1.0
+    points[nvars:-1].reshape(-1)[:: nvars + 1] = 0.0
+    return points
+
+
 def _expectations(
-    program: Program, queries, bounds: PolyStack, theta, target: str, skip_undefined: bool
+    program: Program, queries, index, theta, pinned, target: str, skip_undefined: bool
 ) -> EMExpectations:
     """Expected counts from each interpretation's two bound polynomials.
 
-    ``bounds`` stacks the lower polynomials of ``queries`` and then
-    their upper ones.  A bound P is linear in θ_i, so the joint bounds
-    of fact i with the interpretation are θ_i·P[θ_i=1] (fact true) and
-    (1−θ_i)·P[θ_i=0] (fact false): the stack's distinct polynomials are
-    evaluated once at each of the 2·L points with one θ_i pinned.  Array
-    operations over (fact × interpretation) then give every joint, both
-    conditionals of the target and their sums in interpretation order.
+    The lower polynomials of ``queries`` and then their upper ones are
+    distinct polynomials ``index`` of a stack, and ``pinned`` holds that
+    stack's values at the first 2·L rows of :func:`_em_points`.  A bound
+    P is linear in θ_i, so the joint bounds of fact i with the
+    interpretation are θ_i·P[θ_i=1] (fact true) and (1−θ_i)·P[θ_i=0]
+    (fact false).  Array operations over (fact × interpretation) then
+    give every joint, both conditionals of the target and their sums in
+    interpretation order.
     """
     theta = np.asarray(theta, dtype=float)
-    nvars = bounds.nvars
-    if not nvars:  # no value lists to stack into rows
+    nvars = len(theta)
+    if not nvars:
         return EMExpectations((), ())
-    at_one = []
-    at_zero = []
-    for i in range(nvars):
-        point = theta.copy()
-        point[i] = 1.0
-        at_one.append(bounds.evaluate(point)[0])
-        point[i] = 0.0
-        at_zero.append(bounds.evaluate(point)[0])
     # Rows a_i, then not a_i; columns each interpretation's lower bound,
     # then its upper one.
-    values = np.array(at_one + at_zero)[:, bounds.index]
+    values = pinned[:, index]
     joints = _clip01(np.concatenate((theta, 1.0 - theta))[:, None] * values)
     joints[joints < _SNAP_EPS] = 0.0
     # joints[e, i, b, k]: bound b of event e of fact i jointly with query k.
     joints = joints.reshape(2, nvars, 2, len(queries))
     low, up = joints[:, :, 0], joints[:, :, 1]
-    undefined = (up[0] == 0.0) & (up[1] == 0.0)
-    if not skip_undefined and undefined.any():
+    # Where both upper joints of fact i with query k are zero.
+    undefined = ~up.any(axis=0)
+    any_undefined = undefined.any()
+    if any_undefined and not skip_undefined:
         k, i = np.argwhere(undefined.T)[0]
         atom = program.prob_facts[program.learnable_indices()[i]].atom
         raise UndefinedConditional(f"fact {atom}, interpretation query {queries[k]}")
@@ -370,7 +390,8 @@ def _expectations(
     ratios = terms[:, :, 1:]
     ratios.fill(1.0 if target == "lower" else 0.0)
     np.divide(num, den, out=ratios, where=den > 0.0)
-    ratios[:, undefined] = 0.0
+    if any_undefined:
+        ratios[:, undefined] = 0.0
     # accumulate adds in interpretation order; add.reduce would sum
     # eight or more terms pairwise.
     e1, e0 = np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
@@ -394,8 +415,9 @@ def em_expectation(
     theta = check_theta(program, theta)
     queries = [interpretation_query(i) for i in interps]
     lower, upper = bound_polys(program, queries, BOUNDS)
-    bounds = PolyStack(lower + upper, len(program.learnable_indices()))
-    return _expectations(program, queries, bounds, theta, target, skip_undefined)
+    bounds = PolyStack(lower + upper, len(theta))
+    pinned = bounds.evaluate_many(_em_points(theta))[:-1]
+    return _expectations(program, queries, bounds.index, theta, pinned, target, skip_undefined)
 
 
 def em_maximization(e: EMExpectations, prev_theta) -> tuple[float, ...]:
@@ -427,17 +449,24 @@ def learn_em(
     queries = [interpretation_query(i) for i in interps]
     lower, upper = bound_polys(program, queries, BOUNDS)
     bounds = PolyStack(lower + upper, nvars)
-    lik = _Likelihood(PolyStack(lower if cfg.target == "lower" else upper, nvars), cfg.floor_prob)
+    # The log-likelihood reads the target half of the stack.
+    n = len(queries)
+    target = bounds.index[:n] if cfg.target == "lower" else bounds.index[n:]
+    lik = _Likelihood(bounds, cfg.floor_prob, target)
 
     theta = tuple(program.initial_theta())
-    ll = lik.at(np.array(theta))[0]
+    values = bounds.evaluate_many(_em_points(np.array(theta)))
+    ll = lik.log_sum(values[-1].tolist())
     trace = [ll]
     converged = False
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
-        exp = _expectations(program, queries, bounds, theta, cfg.target, cfg.skip_undefined)
+        exp = _expectations(
+            program, queries, bounds.index, theta, values[:-1], cfg.target, cfg.skip_undefined
+        )
         theta = em_maximization(exp, theta)
-        prev_ll, ll = ll, lik.at(np.array(theta))[0]
+        values = bounds.evaluate_many(_em_points(np.array(theta)))
+        prev_ll, ll = ll, lik.log_sum(values[-1].tolist())
         trace.append(ll)
         iterations = it
         if abs(ll - prev_ll) < cfg.eps_ll:

@@ -15,10 +15,19 @@ variable ``j``, a layout only this module knows) and an array of
 coefficients, in canonical order: one gather out of the Möbius table.
 :class:`PolyStack` concatenates the distinct ones among several
 polynomials over the same variables; equal polynomials are stored, and
-evaluated, once.  Two methods evaluate it.  :meth:`PolyStack.evaluate`
+evaluated, once.  Three methods evaluate it.  :meth:`PolyStack.evaluate`
 takes one gather and one ``np.multiply.reduceat`` for every monomial
 product at a point, and one dot product per polynomial for its value.
-:meth:`PolyStack.gradient_rows` turns that point's products into every
+:meth:`PolyStack.evaluate_many` does the same at k points with one
+gather and one ``reduceat`` over a (k × monomials) array, and one
+``np.vecdot`` per block of distinct polynomials with the same monomial
+count (one product for a block of one monomial each, as numpy's dot of
+two length-1 arrays is).  ``np.vecdot`` takes each row's value with
+the same BLAS ``ddot`` as a one-point dot product, and each
+polynomial's operands start 16-byte aligned in both layouts (the SSE
+kernels add in an order that depends on alignment), so both methods
+give the same bits.
+:meth:`PolyStack.gradient_rows` turns a point's products into every
 gradient with one ``np.bincount``.  :func:`poly_eval` is the
 one-polynomial value.
 The stack keeps each polynomial's floating-point operations in the
@@ -40,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -79,29 +88,48 @@ class SymPoly:
         return poly_to_text(self)
 
 
+def _dot_rows(coefs, prods, out):
+    """``np.vecdot(coefs, prods, out=out)`` for numpy before 2.0: one ``dot`` per row.
+
+    ``coefs`` is (m, n) and ``prods`` (k, m, n); ``np.vecdot`` calls
+    the same BLAS ``ddot`` per row, so both give the same bits.
+    """
+    for r, rows in enumerate(prods):
+        for j, (c, p) in enumerate(zip(coefs, rows)):
+            out[r, j] = c.dot(p)
+
+
+_vecdot = getattr(np, "vecdot", _dot_rows)
+
+
 class PolyStack:
     """Several polynomials over the same variables, stacked for evaluation.
 
     Equal polynomials (same patterns and coefficients) are stored once:
     ``index[k]`` is the position of input polynomial k among the
-    distinct ones, in order of first appearance.  The monomials of every
-    distinct polynomial are concatenated in order: one coefficient
-    array, one flat array of variable indices with a segment per
-    monomial, and the slice of monomials each polynomial owns.  One
-    gather and one ``reduceat`` give every monomial's product at a
-    point; each polynomial's value is then the dot product of its own
-    slice, and all gradients come from one ``bincount`` over
-    ``owner·(nvars+1)+var``.  This keeps the floating-point operations,
-    and their order, of evaluating each polynomial on its own, so the
-    numbers are bit-for-bit those of a stack of each polynomial alone
-    (:func:`poly_eval` is the one-polynomial value).
-    The evaluation API is two methods, each with one result per
+    distinct ones, which are ordered by monomial count, ties in order of
+    first appearance.  The monomials of every distinct polynomial are
+    concatenated in order: one coefficient array, one flat array of
+    variable indices with a segment per monomial, and the slice of
+    monomials each polynomial owns.  Each polynomial owns an even number
+    of slots, padded with a monomial of coefficient 0 whose only factor
+    is the sentinel 1.0, so its operands start 16-byte aligned as those
+    of a polynomial stacked alone do.  One gather and one ``reduceat``
+    give every monomial's product at a point; each polynomial's value is
+    then the dot product of its own slice (without the padding), and all
+    gradients come from one ``bincount`` over ``owner·(nvars+1)+var``.
+    This keeps the floating-point operations, and their order, of
+    evaluating each polynomial on its own, so the numbers are bit-for-bit
+    those of a stack of each polynomial alone (:func:`poly_eval` is the
+    one-polynomial value).
+    The evaluation API is three methods, each with one result per
     distinct polynomial (callers map inputs through ``index``).
     :meth:`evaluate` returns the values with the gathered factors and
     products behind them, and :meth:`gradient_rows` takes those to the
     gradients at the same point without a second gather or
-    ``reduceat``.  A stack fills one preallocated buffer at each point,
-    so one stack is not for use from several threads at once.
+    ``reduceat``.  :meth:`evaluate_many` returns the values at each of
+    several points.  A stack fills one preallocated buffer at each
+    point, so one stack is not for use from several threads at once.
     """
 
     def __init__(self, polys, nvars: int):
@@ -115,26 +143,50 @@ class PolyStack:
             if k == len(distinct):
                 distinct.append(p)
             index.append(k)
-        self.index = np.array(index, dtype=np.intp)
+        # Polynomials of equal monomial count side by side: one block each.
+        order = sorted(range(len(distinct)), key=lambda k: len(distinct[k].coeffs))
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        self.index = rank[np.array(index, dtype=np.intp)]
+        distinct = [distinct[k] for k in order]
         self.nvars = nvars
         sizes = [len(p.coeffs) for p in distinct]
+        widths = [n + n % 2 for n in sizes]
+        # Each polynomial's first slot, then the slot count.
+        starts = list(accumulate(widths, initial=0))
         # The leading empty arrays keep a stack of no monomials well-typed.
         self.coefs = np.concatenate([np.zeros(0)] + [p.coeffs for p in distinct])
-        patterns = np.concatenate([np.zeros(0, dtype=np.int64)] + [p.patterns for p in distinct])
-        # The constant monomial reads the sentinel variable nvars (value
-        # pinned to 1.0), which keeps its segment non-empty for reduceat.
+        slots = np.concatenate(
+            [np.zeros(0, dtype=np.intp)] + [np.arange(s, s + n) for s, n in zip(starts, sizes)]
+        )
+        coefs = np.zeros(starts[-1])
+        coefs[slots] = self.coefs
+        patterns = np.zeros(starts[-1], dtype=np.int64)
+        patterns[slots] = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [p.patterns for p in distinct]
+        )
+        # The constant monomial and the padding read the sentinel variable
+        # nvars (value pinned to 1.0), which keeps their segments non-empty
+        # for reduceat.
         self.patterns = np.where(patterns == 0, 1 << nvars, patterns)
         rows, self.flat = np.nonzero(self.patterns[:, None] & (1 << np.arange(nvars + 1)) != 0)
         lengths = np.bincount(rows, minlength=len(self.patterns))
         self.offsets = np.cumsum(lengths) - lengths
-        owner = np.repeat(np.arange(len(distinct)), sizes)
+        owner = np.repeat(np.arange(len(distinct)), widths)
         self._grad_index = owner[rows] * (nvars + 1) + self.flat
-        self._el_coef = self.coefs[rows]
+        self._el_coef = coefs[rows]
         self._el_row = rows
         # Each distinct polynomial's coefficients and the slice of its products.
-        self._slices = [
-            (self.coefs[e - n : e], slice(e - n, e)) for e, n in zip(accumulate(sizes), sizes)
-        ]
+        self._slices = [(coefs[s : s + n], slice(s, s + n)) for s, n in zip(starts, sizes)]
+        # Per block of equal monomial count n: its columns of values, its
+        # slots, their width, and its (polynomials × n) coefficients.
+        self._blocks = []
+        for n, group in groupby(range(len(distinct)), key=sizes.__getitem__):
+            ks = list(group)
+            lo, hi, w = ks[0], ks[-1] + 1, widths[ks[0]]
+            block_slots = slice(starts[lo], starts[hi])
+            block = coefs[block_slots].reshape(hi - lo, w)[:, :n]
+            self._blocks.append((slice(lo, hi), block_slots, w, block))
         # theta, then the sentinel variable's 1.0; refilled at each point.
         self._ext = np.ones(nvars + 1)
         self._theta_slot = self._ext[:-1]
@@ -157,6 +209,33 @@ class PolyStack:
         gathered = self._fill(theta).take(self.flat)
         prods = np.multiply.reduceat(gathered, self.offsets)
         return [float(c.dot(prods[s])) for c, s in self._slices], gathered, prods
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Every distinct polynomial's value at each row of points.
+
+        ``points`` is a (k, nvars) array; row r of the (k, distinct)
+        result holds, bit for bit, the values :meth:`evaluate` gives at
+        ``points[r]``.  The gathered factors are a (k × flat elements)
+        array, so this is for a few points at a time.
+        """
+        points = np.asarray(points, dtype=float)
+        k = len(points)
+        if points.shape != (k, self.nvars):
+            raise ValueError(f"expected points of shape (k, {self.nvars}), got {points.shape}")
+        ext = np.ones((k, self.nvars + 1))
+        ext[:, :-1] = points
+        prods = np.multiply.reduceat(ext.take(self.flat, axis=1), self.offsets, axis=1)
+        values = np.empty((k, len(self._slices)))
+        for cols, slots, w, coefs in self._blocks:
+            m, n = coefs.shape
+            block = prods[:, slots].reshape(k, m, w)[:, :, :n]
+            if n == 1:
+                # A dot of two length-1 arrays is their product, not 0.0
+                # plus it: the two differ in the sign of a zero.
+                np.multiply(coefs[:, 0], block[:, :, 0], out=values[:, cols])
+            else:
+                _vecdot(coefs, block, out=values[:, cols])
+        return values
 
     def gradient_rows(self, theta: np.ndarray, gathered, prods) -> np.ndarray:
         """Exact gradients (one row per distinct polynomial) at theta.

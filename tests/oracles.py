@@ -409,7 +409,7 @@ def poly_grad_ref(p, theta) -> np.ndarray:
 
 
 def ll_objective_ref(polys, theta, floor_prob: float = 1e-12) -> float:
-    return sum(math.log(max(poly_eval_ref(p, theta), floor_prob)) for p in polys)
+    return sum((math.log(max(poly_eval_ref(p, theta), floor_prob)) for p in polys), 0.0)
 
 
 def ll_gradient_ref(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:

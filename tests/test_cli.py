@@ -240,6 +240,19 @@ def test_learn_json_schema(tmp_path, capsys):
     assert payload["llTrace"][-1] == payload["finalLL"]
 
 
+def test_learn_empty_interpretation_file_prints_float_ll(tmp_path, capsys):
+    prog = write(tmp_path, "coin.pasp", COIN)
+    data = write(tmp_path, "empty.int", "")
+    for method, trace in (("em", [0.0, 0.0]), ("opt", [0.0])):
+        argv = ["learn", "--program", prog, "--interpretations", data, "--method", method]
+        assert main(argv + ["--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"finalLL": 0.0' in out
+        payload = json.loads(out)
+        assert payload["llTrace"] == trace
+        assert all(type(v) is float for v in [payload["finalLL"], *payload["llTrace"]])
+
+
 def test_learn_equations_listed_per_interpretation(tmp_path, capsys):
     prog = write(tmp_path, "coin.pasp", COIN)
     data = write(tmp_path, "coin.int", COIN_DATA)

@@ -192,6 +192,31 @@ def test_em_expectation_empty_interps_zero():
     assert e.e0 == (0.0,) and e.e1 == (0.0,)
 
 
+def test_learning_from_no_interpretations_gives_float_zero():
+    program = parse_program(COIN)
+    em = learn_em(program, [], LearnConfig(method="em"))
+    opt = learn_opt(program, [], LearnConfig())
+    for got in (em.final_ll, *em.ll_trace, opt.final_ll, *opt.ll_trace, ll_objective([], [0.5])):
+        assert type(got) is float and math.copysign(1.0, got) == 1.0 and got == 0.0
+
+
+def test_em_evaluates_its_stack_once_per_iteration(monkeypatch):
+    # The 2·L pinned points and θ go through one evaluate_many call.
+    calls = {"evaluate_many": 0, "evaluate": 0}
+    for name in calls:
+        method = getattr(PolyStack, name)
+
+        def counted(stack, points, name=name, method=method):
+            calls[name] += 1
+            return method(stack, points)
+
+        monkeypatch.setattr(PolyStack, name, counted)
+    program, data = generate(DatasetSpec("smoke", 2, 10, 0))
+    result = learn_em(program, data, LearnConfig(method="em"))
+    assert result.iterations > 1
+    assert calls == {"evaluate_many": result.iterations + 1, "evaluate": 0}
+
+
 def test_em_expectation_without_learnable_facts_is_empty():
     program = parse_program("0.4::a.\nq :- a.\n")
     assert em_expectation(program, interps("q.\nnot q.\n"), []) == EMExpectations((), ())

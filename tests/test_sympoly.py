@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pasplearn.credal import credal_query, world_models
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import InconsistentWorld
+from pasplearn.learning import _em_points
 from pasplearn.model import Query, interpretation_query, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 from pasplearn.rng import SplitMix64
@@ -77,6 +78,84 @@ def test_stack_keeps_equal_polynomials_once():
     assert rows[stack.index].tolist() == [
         stack_gradient(x, theta).tolist() for x in (p, q, p, p)
     ]
+
+
+def _many_point_stacks():
+    """(name, stack) of lower+upper stacks: generated cells, random programs,
+    the empty stack and one holding a polynomial of no monomials."""
+    for family, size in (("path", 8), ("shop", 8), ("smoke", 2), ("coloring", 4)):
+        program, data = generate(DatasetSpec(family, size, 10, 0))
+        lower, upper = bound_polys(program, [interpretation_query(i) for i in data], BOUNDS)
+        yield f"{family}{size}", PolyStack(lower + upper, len(program.learnable_indices()))
+    for seed in range(0, 400, 7):
+        program = random_ground_program(seed)
+        queries = []
+        for k in range(3):
+            pos, neg = random_query_literals(seed + 1000 * k, program)
+            queries.append(Query(tuple(pos), tuple(neg)))
+        try:
+            lower, upper = bound_polys(program, queries, BOUNDS)
+        except InconsistentWorld:
+            continue
+        yield f"random{seed}", PolyStack(lower + upper, len(program.learnable_indices()))
+    yield "empty", PolyStack([], 3)
+    p = mono(3, [((), 0.5), ((0,), -1.0), ((0, 2), 2.0)])
+    yield "no monomials", PolyStack([SymPoly(3, [], []), p, SymPoly(3, [], [])], 3)
+
+
+def _many_point_cases(nvars, seed):
+    """k = 1 and k = 2·L+1 point sets, with exact 0.0, −0.0 and 1.0 components."""
+    rng = SplitMix64(seed)
+    rand = np.array([rng.random() for _ in range(nvars)])
+    corners = np.array([(0.0, -0.0, 1.0)[j % 3] for j in range(nvars)])
+    mixed = np.where(np.arange(nvars) % 2 == 1, corners, rand)
+    for theta in (rand, corners, mixed):
+        yield theta[None, :]
+        yield _em_points(theta)
+
+
+def test_evaluate_many_equals_evaluate_row_by_row():
+    seen = {"stacks": 0, "k=1": 0}
+    for name, stack in _many_point_stacks():
+        seen["stacks"] += 1
+        for points in _many_point_cases(stack.nvars, seen["stacks"]):
+            many = stack.evaluate_many(points)
+            assert many.shape == (len(points), len(stack._slices)), name
+            for row, theta in zip(many, points):
+                want = np.array(stack.evaluate(theta)[0], dtype=float)
+                assert row.tobytes() == want.tobytes(), (name, theta)
+            seen["k=1"] += len(points) == 1
+    assert seen["stacks"] > 40 and seen["k=1"], seen
+
+
+def test_evaluate_many_without_vecdot_gives_the_same_bytes(monkeypatch):
+    cases = [
+        (stack, points)
+        for k, (_, stack) in enumerate(_many_point_stacks())
+        for points in _many_point_cases(stack.nvars, k)
+    ]
+    want = [stack.evaluate_many(points).tobytes() for stack, points in cases]
+    # numpy before 2.0 has no np.vecdot; the stack then takes one dot per row.
+    monkeypatch.setattr(sympoly, "_vecdot", sympoly._dot_rows)
+    assert [stack.evaluate_many(points).tobytes() for stack, points in cases] == want
+
+
+def test_stacked_dot_operands_start_aligned():
+    # The SSE kernels' ddot adds in an order that depends on alignment;
+    # a polynomial stacked alone starts at offset 0 of fresh arrays.
+    for name, stack in _many_point_stacks():
+        prods = stack.evaluate(np.full(stack.nvars, 0.5))[2]
+        # An even slot count keeps every row of evaluate_many's products aligned too.
+        assert len(prods) % 2 == 0, name
+        for coefs, s in stack._slices:
+            assert coefs.ctypes.data % 16 == 0 and prods[s].ctypes.data % 16 == 0, name
+
+
+def test_evaluate_many_checks_its_points():
+    stack = PolyStack([mono(2, [((1,), 1.0)])], 2)
+    for bad in ([0.5, 0.5], [[0.5]], np.zeros((2, 3))):
+        with pytest.raises(ValueError, match=r"points of shape \(k, 2\)"):
+            stack.evaluate_many(bad)
 
 
 def test_rendering_style():
