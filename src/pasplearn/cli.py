@@ -9,8 +9,10 @@ payload on stdout and any ``--show-equations`` lines on stderr.
 
 Exit codes: 0 success, 1 parse/spec/usage errors, 2 inconsistent
 program, 3 undefined conditional, 4 no learnable facts; one table maps
-each error class to its code.  Probabilities are printed with 6
-decimals; ``--json`` payloads carry full doubles.
+each error class to its code, and the parser raises its usage errors
+(an unknown option, a bad value, a missing command) as ``ValueError``.
+Probabilities are printed with 6 decimals; ``--json`` payloads carry
+full doubles.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from itertools import product
 from pathlib import Path
 
 from . import __version__
-from .credal import (
-    conditional_flags,
-    credal_conditional,
-    credal_query,
-    world_models,
-)
+from .credal import conditional_flags, credal_conditional, credal_query, world_models
 from .datasets import FAMILIES, DatasetSpec, generate
 from .errors import (
     InconsistentWorld,
@@ -39,7 +36,7 @@ from .errors import (
     PaspSyntaxError,
     UndefinedConditional,
 )
-from .learning import BACKENDS, LearnConfig, LearnResult, learn_em, learn_opt
+from .learning import BACKENDS, LEARNERS, LearnConfig, LearnResult
 from .model import Program, interpretation_query, query_from_literals
 from .parsing import (
     interpretations_to_text,
@@ -50,7 +47,6 @@ from .parsing import (
 )
 from .sympoly import BOUNDS, bound_polys, poly_from_world_flags, poly_to_text
 
-_LEARNERS = {"opt": learn_opt, "em": learn_em}
 _BENCH_METHODS = ("opt-gradient", "opt-dfree", "em")
 #: Exit code per error class; a subclass maps like its base, any other error is 1.
 _EXIT_CODES = {InconsistentWorld: 2, UndefinedConditional: 3, NoLearnableFacts: 4}
@@ -89,8 +85,6 @@ def _emit(args, equations: list[str], payload: dict, lines: list[str]) -> None:
 def cmd_infer(args) -> None:
     program = parse_program(_read(args.program))
     q = _option_query("--query", args.query)
-    if args.check:
-        world_models(program).raise_if_inconsistent()
     e = None if args.evidence is None else _option_query("--evidence", args.evidence)
     equations: list[str] = []
     if args.show_equations:
@@ -147,7 +141,7 @@ def cmd_learn(args) -> None:
         equations = _legend(program) + [
             f"{cfg.target}(I{k}) = {poly_to_text(p)}" for k, p in enumerate(polys)
         ]
-    result = _LEARNERS[args.method](program, interps, cfg)
+    result = LEARNERS[args.method](program, interps, cfg)
     payload = _result_payload(program, result)
     _emit(
         args,
@@ -195,7 +189,7 @@ def _bench_cell(cell: tuple[str, int, int, str, int]) -> list[str]:
             seed=seed,
             opt_backend=BACKENDS.get(backend, LearnConfig.opt_backend),
         )
-        result = _LEARNERS[kind](program, interps, cfg)
+        result = LEARNERS[kind](program, interps, cfg)
         ll, iterations = repr(result.final_ll), str(result.iterations)
         status = "true" if result.converged else "false"
     except PaspError as exc:
@@ -270,8 +264,16 @@ def cmd_bench(args) -> None:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (and subparsers) whose usage errors raise ``ValueError``, not exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pasplearn",
         description="Credal inference and parameter learning for "
         "probabilistic answer set programs.",
@@ -284,18 +286,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--query", required=True, help='e.g. "path(1,4)"')
     p_infer.add_argument("--evidence", help='e.g. "edge(2,4)"')
     p_infer.add_argument("--json", action="store_true")
-    p_infer.add_argument(
-        "--check",
-        action="store_true",
-        help="verify every world has an answer set before querying",
-    )
     p_infer.add_argument("--show-equations", action="store_true")
     p_infer.set_defaults(func=cmd_infer)
 
     p_learn = sub.add_parser("learn", help="fit learnable probabilities")
     p_learn.add_argument("--program", required=True)
     p_learn.add_argument("--interpretations", required=True, help=".int data file")
-    p_learn.add_argument("--method", choices=tuple(_LEARNERS), default=LearnConfig.method)
+    p_learn.add_argument("--method", choices=tuple(LEARNERS), default=LearnConfig.method)
     p_learn.add_argument("--target", choices=BOUNDS, default=LearnConfig.target)
     p_learn.add_argument(
         "--backend",
@@ -356,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.func(args)
     except (PaspError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

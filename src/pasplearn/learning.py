@@ -12,6 +12,8 @@ credal bound (lower or upper) of its interpretation query:
   conditional bounds of each learnable fact given each interpretation,
   and the update is the closed-form ratio e1/(e0+e1).
 
+:data:`LEARNERS` maps each ``LearnConfig.method`` name to its learner.
+
 All query bounds are extracted once as multilinear polynomials by
 :func:`~pasplearn.sympoly.bound_polys` (one world pass per program,
 cached; one extraction per distinct interpretation query), so
@@ -62,7 +64,6 @@ from .model import Interpretation, Program, check_theta, interpretation_query
 from .rng import SplitMix64
 from .sympoly import BOUNDS, PolyStack, SymPoly, bound_polys
 
-_METHODS = ("opt", "em")
 #: Optimization backends: command-line name -> ``LearnConfig.opt_backend``.
 BACKENDS = {"gradient": "gradient", "dfree": "derivativeFree"}
 
@@ -70,6 +71,10 @@ BACKENDS = {"gradient": "gradient", "dfree": "derivativeFree"}
 #: zero before forming conditionals, so that boundary thetas hit the
 #: degenerate clauses instead of dividing by collection noise.
 _SNAP_EPS = 1e-15
+
+#: An optimizer run stops after ``_MAX_STEPS`` iterations (sweeps), or once
+#: its step is shorter than ``_TOL``; coordinate search starts at ``_START_STEP``.
+_MAX_STEPS, _TOL, _START_STEP = 500, 1e-6, 0.25
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,8 @@ class LearnConfig:
     def __post_init__(self):
         if self.target not in BOUNDS:
             raise ValueError(f"target must be one of {BOUNDS}, got {self.target!r}")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in LEARNERS:
+            raise ValueError(f"method must be one of {tuple(LEARNERS)}, got {self.method!r}")
         if self.opt_backend not in BACKENDS.values():
             raise ValueError(
                 f"opt_backend must be one of {tuple(BACKENDS.values())}, "
@@ -218,7 +223,7 @@ def _clip01(v: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(0.0, v), 1.0)
 
 
-def _gradient_ascent(at, gradient, x0, max_inner=500, tol=1e-6):
+def _gradient_ascent(at, gradient, x0):
     """Projected gradient ascent with Armijo backtracking on [0,1]^L.
 
     ``at`` and ``gradient`` are a :class:`_Likelihood`'s: each point is
@@ -230,44 +235,42 @@ def _gradient_ascent(at, gradient, x0, max_inner=500, tol=1e-6):
     trace = [ll]
     converged = False
     iterations = 0
-    for it in range(1, max_inner + 1):
+    for it in range(1, _MAX_STEPS + 1):
         g = gradient(point)
         # The projected full step (1.0·g is g) is the first candidate.
         xn = _clip01(x + g)
         d = xn - x
         # np.linalg.norm of a 1-D float array is this sqrt of a dot.
-        if math.sqrt(d.dot(d)) < tol:
+        if math.sqrt(d.dot(d)) < _TOL:
             converged = True
             break
         iterations = it
         step = 1.0
-        accepted = False
         while step > 1e-18:
             lln, point_n = at(xn)
             # A projected step moves each θ_j the way g_j points, so
             # g·(xn − x) ≥ 0, and a point below ll fails the test anyway.
             if lln >= ll and lln >= ll + 1e-4 * float(g @ (xn - x)):
-                accepted = True
                 break
             step *= 0.5
             xn = _clip01(x + step * g)
-        if not accepted:
+        else:  # no step length passed the test
             break
         x, ll, point = xn, lln, point_n
         trace.append(ll)
     return x, ll, iterations, converged, trace
 
 
-def _coordinate_search(at, x0, max_sweeps=500, start_step=0.25, tol=1e-6):
+def _coordinate_search(at, x0):
     """Derivative-free coordinate descent (ascent) with shrinking step."""
     x = _clip01(np.asarray(x0, dtype=float))
     ll = at(x)[0]
     trace = [ll]
     converged = False
     iterations = 0
-    step = start_step
-    for sweep in range(1, max_sweeps + 1):
-        if step < tol:
+    step = _START_STEP
+    for sweep in range(1, _MAX_STEPS + 1):
+        if step < _TOL:
             converged = True
             break
         iterations = sweep
@@ -479,3 +482,7 @@ def learn_em(
         converged=converged,
         ll_trace=tuple(trace),
     )
+
+
+#: The learners by ``LearnConfig.method``.
+LEARNERS = {"opt": learn_opt, "em": learn_em}

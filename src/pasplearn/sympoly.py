@@ -35,8 +35,9 @@ order of evaluating it alone, so its numbers do not depend on which
 polynomials share the stack.  Gradients are exact: each partial is the
 polynomial with its variable removed, each monomial's product divided
 by that variable's factor.  Where a θ component is 0 the products are
-recomputed with it read as 1.0, and a mask test on the patterns then
-zeroes the partials that still hold a zero factor.
+recomputed from the point's gathered factors with every zero read as
+1.0, and a mask test on the patterns then zeroes the partials that
+still hold a zero factor.
 
 :func:`bound_polys` is the one producer of bound polynomials: it maps
 each distinct query's per-world flags to its lower polynomial (worlds
@@ -102,22 +103,30 @@ def _dot_rows(coefs, prods, out):
 _vecdot = getattr(np, "vecdot", _dot_rows)
 
 
+def _padded(arrays, dtype) -> np.ndarray:
+    """The arrays end to end, each of odd length followed by a 0, as ``dtype``."""
+    parts = [np.zeros(0, dtype)]  # keeps a result of no or empty arrays well-typed
+    for a in arrays:
+        parts += [a, np.zeros(len(a) % 2, dtype)]
+    return np.concatenate(parts)
+
+
 class PolyStack:
     """Several polynomials over the same variables, stacked for evaluation.
 
     Equal polynomials (same patterns and coefficients) are stored once:
     ``index[k]`` is the position of input polynomial k among the
     distinct ones, which are ordered by monomial count, ties in order of
-    first appearance.  The monomials of every distinct polynomial are
-    concatenated in order: one coefficient array, one flat array of
-    variable indices with a segment per monomial, and the slice of
-    monomials each polynomial owns.  Each polynomial owns an even number
-    of slots, padded with a monomial of coefficient 0 whose only factor
-    is the sentinel 1.0, so its operands start 16-byte aligned as those
-    of a polynomial stacked alone do.  One gather and one ``reduceat``
-    give every monomial's product at a point; each polynomial's value is
-    then the dot product of its own slice (without the padding), and all
-    gradients come from one ``bincount`` over ``owner·(nvars+1)+var``.
+    first appearance.  The coefficients and patterns of every distinct
+    polynomial are concatenated in order, each odd-length one followed
+    by a slot of coefficient 0 and pattern 0 (whose only factor is the
+    sentinel 1.0): every polynomial owns an even number of slots, so its
+    operands start 16-byte aligned as those of a polynomial stacked
+    alone do.  A flat array of variable indices holds a segment per
+    monomial.  One gather and one ``reduceat`` give every monomial's
+    product at a point; each polynomial's value is then the dot product
+    of its own slice (without the padding), and all gradients come from
+    one ``bincount`` over ``owner·(nvars+1)+var``.
     This keeps the floating-point operations, and their order, of
     evaluating each polynomial on its own, so the numbers are bit-for-bit
     those of a stack of each polynomial alone (:func:`poly_eval` is the
@@ -128,8 +137,8 @@ class PolyStack:
     products behind them, and :meth:`gradient_rows` takes those to the
     gradients at the same point without a second gather or
     ``reduceat``.  :meth:`evaluate_many` returns the values at each of
-    several points.  A stack fills one preallocated buffer at each
-    point, so one stack is not for use from several threads at once.
+    several points.  :meth:`evaluate` fills one preallocated θ buffer at
+    each point, so one stack is not for use from several threads at once.
     """
 
     def __init__(self, polys, nvars: int):
@@ -154,17 +163,8 @@ class PolyStack:
         widths = [n + n % 2 for n in sizes]
         # Each polynomial's first slot, then the slot count.
         starts = list(accumulate(widths, initial=0))
-        # The leading empty arrays keep a stack of no monomials well-typed.
-        self.coefs = np.concatenate([np.zeros(0)] + [p.coeffs for p in distinct])
-        slots = np.concatenate(
-            [np.zeros(0, dtype=np.intp)] + [np.arange(s, s + n) for s, n in zip(starts, sizes)]
-        )
-        coefs = np.zeros(starts[-1])
-        coefs[slots] = self.coefs
-        patterns = np.zeros(starts[-1], dtype=np.int64)
-        patterns[slots] = np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + [p.patterns for p in distinct]
-        )
+        coefs = _padded([p.coeffs for p in distinct], float)
+        patterns = _padded([p.patterns for p in distinct], np.int64)
         # The constant monomial and the padding read the sentinel variable
         # nvars (value pinned to 1.0), which keeps their segments non-empty
         # for reduceat.
@@ -189,15 +189,6 @@ class PolyStack:
             self._blocks.append((slice(lo, hi), block_slots, w, block))
         # theta, then the sentinel variable's 1.0; refilled at each point.
         self._ext = np.ones(nvars + 1)
-        self._theta_slot = self._ext[:-1]
-
-    def _fill(self, theta) -> np.ndarray:
-        """The ext buffer holding theta, after a length check."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self._theta_slot.shape:
-            raise ValueError(f"expected theta of length {self.nvars}, got {theta.shape}")
-        self._theta_slot[...] = theta
-        return self._ext
 
     def evaluate(self, theta) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Every distinct polynomial's value at theta, with what gave it.
@@ -206,7 +197,11 @@ class PolyStack:
         and every monomial's product (``prods``); :meth:`gradient_rows`
         reuses the last two at the same theta.
         """
-        gathered = self._fill(theta).take(self.flat)
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.nvars,):
+            raise ValueError(f"expected theta of length {self.nvars}, got {theta.shape}")
+        self._ext[:-1] = theta
+        gathered = self._ext.take(self.flat)
         prods = np.multiply.reduceat(gathered, self.offsets)
         return [float(c.dot(prods[s])) for c, s in self._slices], gathered, prods
 
@@ -245,21 +240,19 @@ class PolyStack:
         polynomial with its variable removed: per flat element, its
         monomial's product over its own factor.  Where a θ component is
         0 that quotient is undefined, so the products are recomputed
-        with every zero read as 1.0; the patterns then zero each partial
-        with a zero factor other than its own variable.
+        from ``gathered`` with every zero read as 1.0; the patterns then
+        zero each partial with a zero factor other than its own variable.
         """
         # Per flat element: product of its monomial's *other* variables.
         if 0.0 not in theta.tolist():
             others = prods.take(self._el_row)
             others /= gathered
         else:
-            ext = self._fill(theta)
-            zero = ext == 0.0
-            vals = np.where(zero, 1.0, ext)[self.flat]
+            vals = np.where(gathered == 0.0, 1.0, gathered)
             others = np.multiply.reduceat(vals, self.offsets).take(self._el_row) / vals
-            # Each monomial's zero factors (never the sentinel).  A lone
-            # zero factor's partial is the rest's product over 1.0 and stays.
-            hit = self.patterns & np.bitwise_or.reduce(1 << np.flatnonzero(zero))
+            # Each monomial's zero factors.  A lone zero factor's partial
+            # is the rest's product over 1.0 and stays.
+            hit = self.patterns & np.bitwise_or.reduce(1 << np.flatnonzero(theta == 0.0))
             others[hit.take(self._el_row) & ~(1 << self.flat) != 0] = 0.0
         width = self.nvars + 1
         n = len(self._slices)

@@ -21,7 +21,7 @@ from pasplearn.errors import (
     UndefinedConditional,
     UnsafeRule,
 )
-from pasplearn.learning import LearnConfig, LearnResult
+from pasplearn.learning import LEARNERS, LearnConfig, LearnResult
 
 from conftest import EXAMPLE_GRAPH
 
@@ -139,17 +139,33 @@ def test_infer_missing_file_exit_1(tmp_path):
 def test_infer_inconsistent_exit_2(tmp_path, capsys):
     prog = write(tmp_path, "incon.pasp", "0.5::a.\n:- a.\n")
     assert main(["infer", "--program", prog, "--query", "a"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: world w1 (selection 1) has no answer set\n"
 
 
-def test_infer_check_flag(tmp_path, capsys):
-    prog = write(tmp_path, "incon.pasp", "0.5::a.\n:- a.\n")
-    assert main(["infer", "--program", prog, "--query", "a", "--check"]) == 2
-    checked = capsys.readouterr().err
-    assert main(["infer", "--program", prog, "--query", "a"]) == 2
-    assert capsys.readouterr().err == checked == (
-        "error: world w1 (selection 1) has no answer set\n"
-    )
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["infer", "--program", "p", "--query", "a", "--bogus"], "arguments: --bogus"),
+        (["infer", "--program", "p", "--query", "a", "--check"], "arguments: --check"),
+        (["learn", "--program", "p", "--interpretations", "d", "--method", "sgd"], "invalid choice"),
+        (["learn", "--program", "p", "--interpretations", "d", "--max-iters", "x"], "invalid int"),
+        ([], "required: command"),
+    ],
+    ids=["unknown-option", "removed-check", "bad-choice", "bad-type", "no-command"],
+)
+def test_usage_errors_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pasplearn")
+    assert err.splitlines()[-1].startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["learn", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_infer_empty_evidence_exit_1_like_empty_query(tmp_path, capsys):
@@ -281,7 +297,8 @@ def test_learn_defaults_are_learn_config_defaults(tmp_path, monkeypatch):
         seen.append(cfg)
         return LearnResult((0.5,), -1.0, 1, True, (-1.0,))
 
-    monkeypatch.setattr(cli, "_LEARNERS", {name: learner for name in cli._LEARNERS})
+    for name in LEARNERS:
+        monkeypatch.setitem(LEARNERS, name, learner)
     prog = write(tmp_path, "coin.pasp", COIN)
     data = write(tmp_path, "coin.int", COIN_DATA)
     assert main(["learn", "--program", prog, "--interpretations", data]) == 0

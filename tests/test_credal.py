@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import re
 
@@ -56,6 +57,17 @@ def test_equal_programs_share_one_world_cache_entry(monkeypatch):
 
     monkeypatch.setattr(Rule, "__hash__", refuse)
     assert world_models(second) is world_models(first)
+
+
+def test_program_copy_rehashes_and_shares_the_world_cache():
+    original = parse_program("0.3::e.\nlearnable(0.5)::f.\na :- e, not b.\nb :- f, not a.\n")
+    original_hash = hash(original)
+    assert "_hash" in original.__dict__
+    copy = pickle.loads(pickle.dumps(original))
+    # The cached hash is left out of the pickle: the copy computes its own.
+    assert "_hash" not in copy.__dict__
+    assert copy == original and hash(copy) == original_hash
+    assert world_models(copy) is world_models(original)
 
 
 def test_graph_conditional_bounds(graph_program):

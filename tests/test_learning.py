@@ -80,6 +80,8 @@ def test_config_validation():
         LearnConfig(floor_prob=0.5)
     with pytest.raises(ValueError):
         LearnConfig(target="middle")
+    with pytest.raises(ValueError, match=r"^method must be one of \('opt', 'em'\), got 'sgd'$"):
+        LearnConfig(method="sgd")
     # A float or bool count would fail later as an untyped TypeError in range().
     for field in ("max_iters", "restarts"):
         for bad in (2.5, 2.0, True, "3", 0, -1):

@@ -67,7 +67,7 @@ def test_stack_keeps_equal_polynomials_once():
     p_copy = SymPoly(2, p.patterns.copy(), p.coeffs.copy())
     stack = PolyStack([p, q, p_copy, p], 2)
     assert stack.index.tolist() == [0, 1, 0, 0]
-    assert stack.coefs.tolist() == p.coeffs.tolist() + q.coeffs.tolist()
+    assert [c.tolist() for c, _ in stack._slices] == [p.coeffs.tolist(), q.coeffs.tolist()]
     theta = np.array([0.3, 0.7])
     values, gathered, prods = stack.evaluate(theta)
     assert values == [poly_eval(p, theta), poly_eval(q, theta)]
