@@ -22,11 +22,10 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
-from . import __version__
+from . import __version__, credal, sympoly
 from .credal import conditional_flags, credal_conditional, credal_query, world_models
 from .datasets import FAMILIES, DatasetSpec, generate
 from .errors import (
@@ -177,6 +176,11 @@ def cmd_gen(args) -> None:
 
 def _bench_cell(cell: tuple[str, int, int, str, int]) -> list[str]:
     family, size, n_interps, method, seed = cell
+    # Every cell of one spec generates an equal program, so without this
+    # the first cell of a spec in a process would pay for the world pass
+    # of every later one.
+    credal._world_models.cache_clear()
+    sympoly._support.cache_clear()
     t0 = time.perf_counter()
     try:
         spec = DatasetSpec(
@@ -241,6 +245,9 @@ def cmd_bench(args) -> None:
     sink = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         if workers > 1:
+            # Imported here, so that only a parallel bench loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_bench_cell, cells))
         else:

@@ -27,8 +27,12 @@ a logarithm per distinct polynomial, with the per-interpretation terms
 summed in interpretation order.  ``gradient_rows`` gives the gradient
 at the same point from that evaluation's gathered factors and
 products: one quotient per factor, one ``bincount`` and one division
-per distinct polynomial.  :func:`learn_opt`'s line search evaluates
-each point once, and takes the gradient at the accepted point.
+per distinct polynomial.  :func:`learn_opt`'s line search tries the step
+lengths 1, 1/2, 1/4, ... in ladders of five, each ladder one stacked
+``evaluate_many`` call whose rows are bit for bit ``evaluate``'s.  The
+rows are tested in order, a row's log-likelihood is taken only when it
+is tested, and the gradient at the accepted point reuses that row's
+gathered factors and products.
 EM needs no further polynomials: a bound P of an interpretation q is
 linear in each θ_j, so the joint bounds of fact j with q are
 θ_j·P[θ_j=1] for a_j ∧ q and (1−θ_j)·P[θ_j=0] for ¬a_j ∧ q.  Each EM
@@ -42,7 +46,9 @@ product on operands aligned alike, so every value keeps its bits.  The
 rest of an E-step is array operations over (fact × interpretation):
 one product for every joint bound, one division for both conditionals
 of the target, and one ``add.accumulate`` that adds each fact's terms
-in interpretation order.
+in interpretation order.  A joint bound whose polynomial value is zero
+up to that evaluation's rounding error (``PolyStack.rounding_zeros``)
+is exactly zero.
 
 The stacked numbers are bit-for-bit those of evaluating one polynomial
 at a time.  This matters: on a flat likelihood ridge, changes in the
@@ -67,14 +73,14 @@ from .sympoly import BOUNDS, PolyStack, SymPoly, bound_polys
 #: Optimization backends: command-line name -> ``LearnConfig.opt_backend``.
 BACKENDS = {"gradient": "gradient", "dfree": "derivativeFree"}
 
-#: Joint-bound evaluations below this magnitude are snapped to exact
-#: zero before forming conditionals, so that boundary thetas hit the
-#: degenerate clauses instead of dividing by collection noise.
-_SNAP_EPS = 1e-15
-
 #: An optimizer run stops after ``_MAX_STEPS`` iterations (sweeps), or once
 #: its step is shorter than ``_TOL``; coordinate search starts at ``_START_STEP``.
-_MAX_STEPS, _TOL, _START_STEP = 500, 1e-6, 0.25
+#: Gradient ascent tries its step lengths ``_LADDER`` at a time.
+_MAX_STEPS, _TOL, _START_STEP, _LADDER = 500, 1e-6, 0.25, 5
+
+#: The gradient ascent's step lengths, 2^0, 2^-1, ..., 2^-59 (every power
+#: of two above 1e-18), as (ladders × _LADDER × 1) to scale a gradient by.
+_STEPS = np.ldexp(1.0, -np.arange(60)).reshape(-1, _LADDER, 1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,9 @@ class _Likelihood:
 
     :meth:`at` evaluates a point once and returns its log-likelihood
     with the point itself: θ and the stack's values, gathered factors
-    and products there.  :meth:`gradient` at that point reuses them.
+    and products there.  :meth:`ladder` does the same for the points
+    along a gradient ascent step, several in one stacked evaluation.
+    :meth:`gradient` at a point from either reuses them.
     ``index`` picks the input polynomials among the stack's distinct
     ones; it defaults to all of them, ``stack.index``.
     """
@@ -182,6 +190,22 @@ class _Likelihood:
         values, gathered, prods = self.stack.evaluate(theta)
         return self.log_sum(values), (theta, values, gathered, prods)
 
+    def ladder(self, x: np.ndarray, g: np.ndarray):
+        """Log-likelihood and point, as :meth:`at` gives them, at each
+        ``_clip01(x + 2^-k·g)`` for k = 0 to 59 in turn.
+
+        Each ladder of ``_LADDER`` points is one ``evaluate_many`` call,
+        whose rows are bit for bit :meth:`at`'s; a point's log-likelihood
+        is taken only when the caller asks for the point.
+        """
+        for steps in _STEPS:
+            # steps·g is step·g elementwise, and 1.0·g is g.
+            points = _clip01(x + steps * g)
+            values, gathered, prods = self.stack.evaluate_many(points)
+            for r, theta in enumerate(points):
+                row = values[r].tolist()
+                yield self.log_sum(row), (theta, row, gathered[r], prods[r])
+
     def gradient(self, point) -> np.ndarray:
         """Gradient at a point from :meth:`at`; floored terms contribute zero.
 
@@ -190,10 +214,15 @@ class _Likelihood:
         theta, values, gathered, prods = point
         rows = self.stack.gradient_rows(theta, gathered, prods)
         floor_prob = self.floor_prob
-        kept = [v > floor_prob for v in values]
-        # Floored rows are left out below; dividing them by 1.0 keeps 0/0 away.
-        rows /= np.array([v if k else 1.0 for v, k in zip(values, kept)])[:, None]
-        chosen = [k for k in self._index if kept[k]]
+        # NaN is not above the floor, so it takes the second branch.
+        if all(v > floor_prob for v in values):
+            rows /= np.array(values)[:, None]
+            chosen = self._index
+        else:
+            kept = [v > floor_prob for v in values]
+            # Floored rows are left out below; dividing them by 1.0 keeps 0/0 away.
+            rows /= np.array([v if k else 1.0 for v, k in zip(values, kept)])[:, None]
+            chosen = [k for k in self._index if kept[k]]
         terms = self._terms[: len(chosen) + 1]
         rows.take(chosen, axis=0, out=terms[1:], mode="clip")
         # One row after another from 0.0, in input order.  accumulate adds
@@ -223,37 +252,36 @@ def _clip01(v: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(0.0, v), 1.0)
 
 
-def _gradient_ascent(at, gradient, x0):
+def _gradient_ascent(lik: _Likelihood, x0):
     """Projected gradient ascent with Armijo backtracking on [0,1]^L.
 
-    ``at`` and ``gradient`` are a :class:`_Likelihood`'s: each point is
-    evaluated once, and the gradient at an accepted point reuses that
-    evaluation.
+    Each iteration tries the step lengths 1, 1/2, 1/4, ... down to 2^-59
+    in that order, and takes the first whose projected point passes the
+    Armijo test.  :meth:`_Likelihood.ladder` evaluates the points
+    ``_LADDER`` at a time in one stacked pass, so a step that needs a
+    few halvings costs one evaluation, and the gradient at the accepted
+    point reuses its row of that evaluation.
     """
     x = _clip01(np.asarray(x0, dtype=float))
-    ll, point = at(x)
+    ll, point = lik.at(x)
     trace = [ll]
     converged = False
     iterations = 0
     for it in range(1, _MAX_STEPS + 1):
-        g = gradient(point)
-        # The projected full step (1.0·g is g) is the first candidate.
-        xn = _clip01(x + g)
-        d = xn - x
+        g = lik.gradient(point)
+        # The projected full step, the first point of the ladder.
+        d = _clip01(x + g) - x
         # np.linalg.norm of a 1-D float array is this sqrt of a dot.
         if math.sqrt(d.dot(d)) < _TOL:
             converged = True
             break
         iterations = it
-        step = 1.0
-        while step > 1e-18:
-            lln, point_n = at(xn)
+        for lln, point_n in lik.ladder(x, g):
+            xn = point_n[0]
             # A projected step moves each θ_j the way g_j points, so
             # g·(xn − x) ≥ 0, and a point below ll fails the test anyway.
             if lln >= ll and lln >= ll + 1e-4 * float(g @ (xn - x)):
                 break
-            step *= 0.5
-            xn = _clip01(x + step * g)
         else:  # no step length passed the test
             break
         x, ll, point = xn, lln, point_n
@@ -322,7 +350,7 @@ def learn_opt(
     best = None
     for x0 in starts:
         if cfg.opt_backend == "gradient":
-            run = _gradient_ascent(lik.at, lik.gradient, x0)
+            run = _gradient_ascent(lik, x0)
         else:
             run = _coordinate_search(lik.at, x0)
         if best is None or run[1] > best[1]:
@@ -351,29 +379,41 @@ def _em_points(theta: np.ndarray) -> np.ndarray:
     return points
 
 
+def _em_batch(stack: PolyStack, theta) -> tuple[np.ndarray, np.ndarray]:
+    """The stack's values and products at :func:`_em_points` of theta.
+
+    The gathered factors, which no E-step reads, are dropped at once:
+    they are the largest of the three arrays.
+    """
+    values, _, prods = stack.evaluate_many(_em_points(np.asarray(theta, dtype=float)))
+    return values, prods
+
+
 def _expectations(
-    program: Program, queries, index, theta, pinned, target: str, skip_undefined: bool
+    program: Program, queries, stack, theta, pinned, target: str, skip_undefined: bool
 ) -> EMExpectations:
     """Expected counts from each interpretation's two bound polynomials.
 
     The lower polynomials of ``queries`` and then their upper ones are
-    distinct polynomials ``index`` of a stack, and ``pinned`` holds that
-    stack's values at the first 2·L rows of :func:`_em_points`.  A bound
-    P is linear in θ_i, so the joint bounds of fact i with the
-    interpretation are θ_i·P[θ_i=1] (fact true) and (1−θ_i)·P[θ_i=0]
-    (fact false).  Array operations over (fact × interpretation) then
-    give every joint, both conditionals of the target and their sums in
-    interpretation order.
+    distinct polynomials ``stack.index`` of ``stack``, and ``pinned``
+    holds that stack's values and products at the first 2·L rows of
+    :func:`_em_points`.  A bound P is linear in θ_i, so the joint bounds
+    of fact i with the interpretation are θ_i·P[θ_i=1] (fact true) and
+    (1−θ_i)·P[θ_i=0] (fact false); a joint whose P is zero up to
+    rounding error is exactly zero, so that boundary thetas hit the
+    degenerate clauses instead of dividing by rounding residues.  Array
+    operations over (fact × interpretation) then give every joint, both
+    conditionals of the target and their sums in interpretation order.
     """
     theta = np.asarray(theta, dtype=float)
     nvars = len(theta)
     if not nvars:
         return EMExpectations((), ())
+    values, prods = pinned
+    values = np.where(stack.rounding_zeros(values, prods), 0.0, values)
     # Rows a_i, then not a_i; columns each interpretation's lower bound,
     # then its upper one.
-    values = pinned[:, index]
-    joints = _clip01(np.concatenate((theta, 1.0 - theta))[:, None] * values)
-    joints[joints < _SNAP_EPS] = 0.0
+    joints = _clip01(np.concatenate((theta, 1.0 - theta))[:, None] * values[:, stack.index])
     # joints[e, i, b, k]: bound b of event e of fact i jointly with query k.
     joints = joints.reshape(2, nvars, 2, len(queries))
     low, up = joints[:, :, 0], joints[:, :, 1]
@@ -419,8 +459,9 @@ def em_expectation(
     queries = [interpretation_query(i) for i in interps]
     lower, upper = bound_polys(program, queries, BOUNDS)
     bounds = PolyStack(lower + upper, len(theta))
-    pinned = bounds.evaluate_many(_em_points(theta))[:-1]
-    return _expectations(program, queries, bounds.index, theta, pinned, target, skip_undefined)
+    values, prods = _em_batch(bounds, theta)
+    pinned = values[:-1], prods[:-1]
+    return _expectations(program, queries, bounds, theta, pinned, target, skip_undefined)
 
 
 def em_maximization(e: EMExpectations, prev_theta) -> tuple[float, ...]:
@@ -458,17 +499,18 @@ def learn_em(
     lik = _Likelihood(bounds, cfg.floor_prob, target)
 
     theta = tuple(program.initial_theta())
-    values = bounds.evaluate_many(_em_points(np.array(theta)))
+    values, prods = _em_batch(bounds, theta)
     ll = lik.log_sum(values[-1].tolist())
     trace = [ll]
     converged = False
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
+        pinned = values[:-1], prods[:-1]
         exp = _expectations(
-            program, queries, bounds.index, theta, values[:-1], cfg.target, cfg.skip_undefined
+            program, queries, bounds, theta, pinned, cfg.target, cfg.skip_undefined
         )
         theta = em_maximization(exp, theta)
-        values = bounds.evaluate_many(_em_points(np.array(theta)))
+        values, prods = _em_batch(bounds, theta)
         prev_ll, ll = ll, lik.log_sum(values[-1].tolist())
         trace.append(ll)
         iterations = it

@@ -26,10 +26,12 @@ two length-1 arrays is).  ``np.vecdot`` takes each row's value with
 the same BLAS ``ddot`` as a one-point dot product, and each
 polynomial's operands start 16-byte aligned in both layouts (the SSE
 kernels add in an order that depends on alignment), so both methods
-give the same bits.
+give the same bits, and each row of its gathered factors and products
+is :meth:`PolyStack.evaluate`'s at that point.
 :meth:`PolyStack.gradient_rows` turns a point's products into every
-gradient with one ``np.bincount``.  :func:`poly_eval` is the
-one-polynomial value.
+gradient with one ``np.bincount``.  :meth:`PolyStack.rounding_zeros`
+tells which values are zero up to their evaluation's rounding error.
+:func:`poly_eval` is the one-polynomial value.
 The stack keeps each polynomial's floating-point operations in the
 order of evaluating it alone, so its numbers do not depend on which
 polynomials share the stack.  Gradients are exact: each partial is the
@@ -131,14 +133,16 @@ class PolyStack:
     evaluating each polynomial on its own, so the numbers are bit-for-bit
     those of a stack of each polynomial alone (:func:`poly_eval` is the
     one-polynomial value).
-    The evaluation API is three methods, each with one result per
+    The evaluation API is four methods, each with one result per
     distinct polynomial (callers map inputs through ``index``).
     :meth:`evaluate` returns the values with the gathered factors and
     products behind them, and :meth:`gradient_rows` takes those to the
     gradients at the same point without a second gather or
-    ``reduceat``.  :meth:`evaluate_many` returns the values at each of
-    several points.  :meth:`evaluate` fills one preallocated θ buffer at
-    each point, so one stack is not for use from several threads at once.
+    ``reduceat``.  :meth:`evaluate_many` returns the same three at each
+    of several points, one row per point, and :meth:`rounding_zeros`
+    marks the values among them that are zero up to rounding.
+    :meth:`evaluate` fills one preallocated θ buffer at each point, so
+    one stack is not for use from several threads at once.
     """
 
     def __init__(self, polys, nvars: int):
@@ -189,6 +193,13 @@ class PolyStack:
             self._blocks.append((slice(lo, hi), block_slots, w, block))
         # theta, then the sentinel variable's 1.0; refilled at each point.
         self._ext = np.ones(nvars + 1)
+        # Per distinct polynomial: the relative rounding bound of its values
+        # (nvars roundings per product, one per monomial in the dot), and
+        # twice that bound times its absolute coefficient sum, which no
+        # value's bound at a point in [0, 1]^nvars exceeds.
+        self._tol = np.array([(nvars + n) * 2.0**-53 for n in sizes])
+        abs_sums = np.bincount(owner, weights=np.abs(coefs), minlength=len(distinct))
+        self._zero_bound = 2.0 * self._tol * abs_sums
 
     def evaluate(self, theta) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Every distinct polynomial's value at theta, with what gave it.
@@ -205,13 +216,14 @@ class PolyStack:
         prods = np.multiply.reduceat(gathered, self.offsets)
         return [float(c.dot(prods[s])) for c, s in self._slices], gathered, prods
 
-    def evaluate_many(self, points) -> np.ndarray:
-        """Every distinct polynomial's value at each row of points.
+    def evaluate_many(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every distinct polynomial's value at each row of points, with what gave it.
 
-        ``points`` is a (k, nvars) array; row r of the (k, distinct)
-        result holds, bit for bit, the values :meth:`evaluate` gives at
-        ``points[r]``.  The gathered factors are a (k × flat elements)
-        array, so this is for a few points at a time.
+        ``points`` is a (k, nvars) array.  Returns the (k, distinct)
+        values, the (k × flat elements) gathered factors and the
+        (k × monomials) products; row r of each holds, bit for bit, what
+        :meth:`evaluate` gives at ``points[r]``, so :meth:`gradient_rows`
+        takes a row of the last two.  This is for a few points at a time.
         """
         points = np.asarray(points, dtype=float)
         k = len(points)
@@ -219,7 +231,8 @@ class PolyStack:
             raise ValueError(f"expected points of shape (k, {self.nvars}), got {points.shape}")
         ext = np.ones((k, self.nvars + 1))
         ext[:, :-1] = points
-        prods = np.multiply.reduceat(ext.take(self.flat, axis=1), self.offsets, axis=1)
+        gathered = ext.take(self.flat, axis=1)
+        prods = np.multiply.reduceat(gathered, self.offsets, axis=1)
         values = np.empty((k, len(self._slices)))
         for cols, slots, w, coefs in self._blocks:
             m, n = coefs.shape
@@ -230,7 +243,29 @@ class PolyStack:
                 np.multiply(coefs[:, 0], block[:, :, 0], out=values[:, cols])
             else:
                 _vecdot(coefs, block, out=values[:, cols])
-        return values
+        return values, gathered, prods
+
+    def rounding_zeros(self, values, prods) -> np.ndarray:
+        """Where values from :meth:`evaluate_many` are zero up to rounding error.
+
+        ``values`` and ``prods`` are (k, distinct) values and their
+        (k × monomials) products at k points in [0, 1]^nvars.  A value
+        of a polynomial of m monomials is taken for zero when it is at
+        most ``(nvars + m)·u·Σ_t |c_t|·prod_t``, with u = 2^-53: each
+        product takes fewer than nvars roundings and the dot product m,
+        so that bounds the residue of terms that cancel exactly, while a
+        small value of terms that do not cancel, such as one monomial of
+        coefficient 0.02^10, stays.  Products are at most 1 there, so
+        only a positive value below twice ``(nvars + m)·u·Σ_t |c_t|``
+        takes the dot product of the absolute coefficients.
+        """
+        zero = values <= self._zero_bound
+        small = zero & (values > 0.0)
+        if small.any():
+            for r, k in zip(*np.nonzero(small)):
+                coefs, s = self._slices[k]
+                zero[r, k] = values[r, k] <= self._tol[k] * np.abs(coefs).dot(prods[r, s])
+        return zero
 
     def gradient_rows(self, theta: np.ndarray, gathered, prods) -> np.ndarray:
         """Exact gradients (one row per distinct polynomial) at theta.

@@ -31,6 +31,9 @@ these numbers.  :func:`learn_opt_ref` drives the original
 projected-gradient and coordinate searches with those formulas, one
 objective and one gradient call at a time; :func:`learn_em_ref` runs
 the EM loop on the same E-step and log-likelihood formulas.
+:func:`gradient_ascent_sequential` is the package's gradient ascent on
+its own ``_Likelihood``, with one evaluation per step length: the
+reference for the stacked ladders of step lengths.
 """
 
 from __future__ import annotations
@@ -44,7 +47,14 @@ import numpy as np
 
 from pasplearn.credal import conditional_from_joints
 from pasplearn.errors import InconsistentWorld, UndefinedConditional
-from pasplearn.learning import EMExpectations, LearnResult, em_maximization
+from pasplearn.learning import (
+    _MAX_STEPS,
+    _TOL,
+    EMExpectations,
+    LearnResult,
+    _clip01,
+    em_maximization,
+)
 from pasplearn.model import Atom, Literal, Program, Rule, interpretation_query, is_variable
 from pasplearn.rng import SplitMix64
 from pasplearn.sympoly import SymPoly, extract_poly
@@ -372,7 +382,8 @@ def _poly_arrays(p):
     return coefs, np.array(flat, dtype=np.intp), np.array(offsets, dtype=np.intp), lengths
 
 
-def poly_eval_ref(p, theta) -> float:
+def poly_eval_ref(p, theta, absolute: bool = False) -> float:
+    """p(theta); with ``absolute``, p with every coefficient replaced by its magnitude."""
     theta = np.asarray(theta, dtype=float)
     assert theta.shape == (p.nvars,)
     if not len(p.coeffs):
@@ -380,7 +391,7 @@ def poly_eval_ref(p, theta) -> float:
     coefs, flat, offsets, _ = _poly_arrays(p)
     ext = np.append(theta, 1.0)
     prods = np.multiply.reduceat(ext[flat], offsets)
-    return float(coefs @ prods)
+    return float((np.abs(coefs) if absolute else coefs) @ prods)
 
 
 def poly_grad_ref(p, theta) -> np.ndarray:
@@ -421,10 +432,16 @@ def ll_gradient_ref(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:
     return grad
 
 
-def _snap(v: float) -> float:
-    if abs(v) < 1e-15:
+def _joint(t: float, p, theta) -> float:
+    """t·p(theta) clipped to [0, 1], or 0.0 where p(theta) is zero up to rounding.
+
+    That is a value at most (nvars + monomials)·2^-53 times p's value
+    with every coefficient replaced by its magnitude.
+    """
+    v = poly_eval_ref(p, theta)
+    if v <= (p.nvars + len(p.coeffs)) * 2.0**-53 * poly_eval_ref(p, theta, absolute=True):
         return 0.0
-    return min(max(v, 0.0), 1.0)
+    return min(max(t * v, 0.0), 1.0)
 
 
 def expectations_ref(bounds, theta, target: str, skip_undefined: bool = False):
@@ -442,10 +459,10 @@ def expectations_ref(bounds, theta, target: str, skip_undefined: bool = False):
     e1 = [0.0] * L
     for low, up in bounds:
         for i, t in enumerate(theta.tolist()):
-            low_a = _snap(t * poly_eval_ref(low, at_one[i]))
-            up_a = _snap(t * poly_eval_ref(up, at_one[i]))
-            low_na = _snap((1.0 - t) * poly_eval_ref(low, at_zero[i]))
-            up_na = _snap((1.0 - t) * poly_eval_ref(up, at_zero[i]))
+            low_a = _joint(t, low, at_one[i])
+            up_a = _joint(t, up, at_one[i])
+            low_na = _joint(1.0 - t, low, at_zero[i])
+            up_na = _joint(1.0 - t, up, at_zero[i])
             try:
                 cond_a = conditional_from_joints(low_a, up_a, low_na, up_na)
                 cond_na = conditional_from_joints(low_na, up_na, low_a, up_a)
@@ -459,6 +476,41 @@ def expectations_ref(bounds, theta, target: str, skip_undefined: bool = False):
 
 
 # -- the multi-start searches, one objective and one gradient call at a time
+
+
+def gradient_ascent_sequential(lik, x0):
+    """``learning._gradient_ascent`` evaluating one step length at a time.
+
+    ``lik`` is a ``learning._Likelihood``; each candidate point takes one
+    ``lik.at``.  ``_gradient_ascent`` evaluates its step lengths in
+    stacked ladders, with the same test in the same order, so both
+    return the same bits.
+    """
+    x = _clip01(np.asarray(x0, dtype=float))
+    ll, point = lik.at(x)
+    trace = [ll]
+    converged = False
+    iterations = 0
+    for it in range(1, _MAX_STEPS + 1):
+        g = lik.gradient(point)
+        xn = _clip01(x + g)
+        d = xn - x
+        if math.sqrt(d.dot(d)) < _TOL:
+            converged = True
+            break
+        iterations = it
+        step = 1.0
+        while step > 1e-18:
+            lln, point_n = lik.at(xn)
+            if lln >= ll and lln >= ll + 1e-4 * float(g @ (xn - x)):
+                break
+            step *= 0.5
+            xn = _clip01(x + step * g)
+        else:
+            break
+        x, ll, point = xn, lln, point_n
+        trace.append(ll)
+    return x, ll, iterations, converged, trace
 
 
 def _gradient_ascent_ref(objective, gradient, x0, max_inner=500, tol=1e-6):

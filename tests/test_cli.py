@@ -1,9 +1,13 @@
+import concurrent.futures
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pasplearn
 from pasplearn import cli
 from pasplearn.cli import main
 from pasplearn.errors import (
@@ -22,6 +26,7 @@ from pasplearn.errors import (
     UnsafeRule,
 )
 from pasplearn.learning import LEARNERS, LearnConfig, LearnResult
+from pasplearn.stable import StableSolver
 
 from conftest import EXAMPLE_GRAPH
 
@@ -486,8 +491,43 @@ def _recording_pool(monkeypatch) -> list[int]:
         def map(self, fn, cells):
             return map(fn, cells)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    # cmd_bench imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return made
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("methods", ["opt-gradient,em", "em,opt-gradient"])
+def test_bench_cells_each_run_their_own_world_pass(tmp_path, monkeypatch, methods, jobs):
+    # Cells of one spec generate equal programs; each must still pay for
+    # its world pass, whatever the method order, so that wall_seconds
+    # covers the same layers in every cell.
+    made = _recording_pool(monkeypatch)
+    passes: list[int] = []
+    all_worlds, bench_cell = StableSolver.all_worlds, cli._bench_cell
+
+    def counted_pass(solver):
+        passes[-1] += 1
+        return all_worlds(solver)
+
+    def counted_cell(cell):
+        passes.append(0)
+        return bench_cell(cell)
+
+    monkeypatch.setattr(StableSolver, "all_worlds", counted_pass)
+    monkeypatch.setattr(cli, "_bench_cell", counted_cell)
+    out = str(tmp_path / "bench.csv")
+    assert main(bench_argv(out, methods=methods) + ["--jobs", jobs]) == 0
+    assert made == ([] if jobs == "1" else [2])
+    assert passes == [1, 1, 1, 1]  # 2 sizes × 2 methods
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    code = "import sys, pasplearn.cli; print('concurrent.futures.process' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(pasplearn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_bench_jobs_start_at_most_one_worker_per_cell(tmp_path, monkeypatch):

@@ -1,18 +1,23 @@
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pasplearn.credal import check_consistency, conditional_from_joints
+from pasplearn import learning
+from pasplearn.credal import check_consistency, conditional_from_joints, credal_query
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import NoLearnableFacts, UndefinedConditional
 from pasplearn.learning import (
+    _LADDER,
     EMExpectations,
     LearnConfig,
+    LearnResult,
     _clip01,
+    _gradient_ascent,
     _Likelihood,
     em_expectation,
     em_maximization,
@@ -35,6 +40,7 @@ from conftest import stack_gradient
 from oracles import (
     credal_brute,
     expectations_ref,
+    gradient_ascent_sequential,
     learn_em_ref,
     learn_opt_ref,
     ll_gradient_ref,
@@ -217,6 +223,21 @@ def test_em_evaluates_its_stack_once_per_iteration(monkeypatch):
     result = learn_em(program, data, LearnConfig(method="em"))
     assert result.iterations > 1
     assert calls == {"evaluate_many": result.iterations + 1, "evaluate": 0}
+
+
+def test_em_keeps_a_small_joint_bound_that_is_no_rounding_residue():
+    # P(q) = 0.02^10·θ_g: one monomial, nothing cancels, so its joint
+    # bound 0.5·0.02^10 = 5.12e-18 is real and the conditional defined.
+    facts = "".join(f"0.02::f{k}.\n" for k in range(10))
+    body = ", ".join(f"f{k}" for k in range(10))
+    program = parse_program(f"{facts}learnable(0.5)::g.\nq :- g, {body}.\n")
+    data = interps("q.\n")
+    upper = credal_query(program, query_from_literals(parse_query("q"))).upper
+    assert upper == pytest.approx(0.5 * 0.02**10, rel=1e-12)
+    for target in ("lower", "upper"):
+        assert em_expectation(program, data, [0.5], target) == EMExpectations((0.0,), (1.0,))
+        res = learn_em(program, data, LearnConfig(method="em", target=target))
+        assert res.params == (1.0,) and res.converged
 
 
 def test_em_expectation_without_learnable_facts_is_empty():
@@ -634,6 +655,83 @@ def test_learn_opt_equals_original_line_search(monkeypatch):
                 got = learn_opt(program, data, cfg)
                 assert repr(got) == repr(learn_opt_ref(program, data, cfg)), (name, cfg)
     assert seen["reuse"] and seen["zero"], seen
+
+
+def _ladder_cases():
+    """(name, program, interpretations): random programs and generated cells."""
+    yield from _random_learning_cases(30)
+    for family, sizes in (("shop", (4, 8)), ("path", (5, 8)), ("smoke", (2,)), ("coloring", (3,))):
+        for size in sizes:
+            for seed in (0, 1):
+                spec = DatasetSpec(family=family, size=size, num_interpretations=10, seed=seed)
+                yield f"{family}{size}-{seed}", *generate(spec)
+
+
+def _counted_ladders(monkeypatch) -> list[int]:
+    """How many points each gradient ascent iteration takes from ``_Likelihood.ladder``."""
+    taken: list[int] = []
+    ladder = _Likelihood.ladder
+
+    def counted(lik, x, g):
+        taken.append(0)
+        for item in ladder(lik, x, g):
+            taken[-1] += 1
+            yield item
+
+    monkeypatch.setattr(_Likelihood, "ladder", counted)
+    return taken
+
+
+def test_stacked_ladders_equal_one_step_length_at_a_time(monkeypatch):
+    taken = _counted_ladders(monkeypatch)
+    for name, program, data in _ladder_cases():
+        for target in ("lower", "upper"):
+            cfg = LearnConfig(target=target)
+            got = learn_opt(program, data, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(learning, "_gradient_ascent", gradient_ascent_sequential)
+                want = learn_opt(program, data, cfg)
+            for field in fields(LearnResult):
+                assert getattr(got, field.name) == getattr(want, field.name), (name, target)
+            assert repr(got) == repr(want), (name, target)  # the signs of zeros too
+    # The first step passed, a later row of the first ladder, and a row of a later ladder.
+    assert 1 in taken and any(1 < n <= _LADDER for n in taken) and max(taken) > _LADDER
+
+
+def test_stacked_ladders_from_points_on_the_boundary(monkeypatch):
+    # Starts holding +0.0, −0.0 and 1.0, from which the clipped ladder
+    # points keep exact zeros and ones.
+    taken = _counted_ladders(monkeypatch)
+    for k, (name, program, data) in enumerate(_ladder_cases()):
+        nvars = len(program.learnable_indices())
+        queries = [query_from_literals(i.literals) for i in data]
+        polys = [extract_poly(program, q, "upper") for q in queries]
+        lik = _Likelihood(PolyStack(polys, nvars), 1e-12)
+        for x0 in _theta_cases(nvars, k)[1:]:
+            got = _gradient_ascent(lik, x0)
+            want = gradient_ascent_sequential(lik, x0)
+            assert got[0].tobytes() == want[0].tobytes(), name
+            assert repr(got[1:]) == repr(want[1:]), name
+    assert taken
+
+
+def test_gradient_ascent_stops_when_no_step_length_passes(monkeypatch):
+    # A gradient turned around (and scaled up) fails the Armijo test at
+    # every one of the 60 step lengths, across every ladder.
+    class Downhill(_Likelihood):
+        def gradient(self, point):
+            return -1e6 * super().gradient(point)
+
+    taken = _counted_ladders(monkeypatch)
+    program = parse_program(COIN)
+    queries = [query_from_literals(parse_query(t)) for t in ("a", "a", "not a")]
+    polys = [extract_poly(program, q, "upper") for q in queries]
+    lik = Downhill(PolyStack(polys, 1), 1e-12)
+    got = _gradient_ascent(lik, [0.5])
+    want = gradient_ascent_sequential(lik, [0.5])
+    assert taken == [60]
+    assert got[0].tobytes() == want[0].tobytes() == np.array([0.5]).tobytes()
+    assert got[1:] == want[1:] == (got[1], 1, False, [got[1]])
 
 
 def test_learn_em_equals_one_polynomial_em():

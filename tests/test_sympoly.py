@@ -114,18 +114,37 @@ def _many_point_cases(nvars, seed):
         yield _em_points(theta)
 
 
+def _ladder_points(theta, seed):
+    """The five points of a gradient ascent ladder from theta, along a random
+    direction; clipping leaves exact 0.0 and 1.0 where a step overshoots."""
+    rng = SplitMix64(seed).split(5)
+    g = np.array([4.0 * rng.random() - 2.0 for _ in theta])
+    return np.clip(theta + np.ldexp(1.0, -np.arange(5))[:, None] * g, 0.0, 1.0)
+
+
 def test_evaluate_many_equals_evaluate_row_by_row():
-    seen = {"stacks": 0, "k=1": 0}
+    # Values, gathered factors and products: each row is evaluate's, bit
+    # for bit, so gradient_rows can take a row of the last two.
+    seen = {"stacks": 0, "k=1": 0, "odd nvars": 0, "+0.0": 0, "-0.0": 0}
     for name, stack in _many_point_stacks():
         seen["stacks"] += 1
+        seen["odd nvars"] += stack.nvars % 2
         for points in _many_point_cases(stack.nvars, seen["stacks"]):
-            many = stack.evaluate_many(points)
-            assert many.shape == (len(points), len(stack._slices)), name
-            for row, theta in zip(many, points):
-                want = np.array(stack.evaluate(theta)[0], dtype=float)
-                assert row.tobytes() == want.tobytes(), (name, theta)
+            for pts in (points, _ladder_points(points[-1], seen["stacks"])):
+                values, gathered, prods = stack.evaluate_many(pts)
+                assert values.shape == (len(pts), len(stack._slices)), name
+                assert gathered.shape == (len(pts), len(stack.flat)), name
+                for r, theta in enumerate(pts):
+                    want, want_gathered, want_prods = stack.evaluate(theta)
+                    want = np.array(want, dtype=float)
+                    assert values[r].tobytes() == want.tobytes(), (name, theta)
+                    assert gathered[r].tobytes() == want_gathered.tobytes(), (name, theta)
+                    assert prods[r].tobytes() == want_prods.tobytes(), (name, theta)
+                    signs = np.copysign(1.0, theta[theta == 0.0])
+                    seen["+0.0"] += (signs > 0).any()
+                    seen["-0.0"] += (signs < 0).any()
             seen["k=1"] += len(points) == 1
-    assert seen["stacks"] > 40 and seen["k=1"], seen
+    assert seen["stacks"] > 40 and all(seen.values()), seen
 
 
 def test_evaluate_many_without_vecdot_gives_the_same_bytes(monkeypatch):
@@ -134,10 +153,10 @@ def test_evaluate_many_without_vecdot_gives_the_same_bytes(monkeypatch):
         for k, (_, stack) in enumerate(_many_point_stacks())
         for points in _many_point_cases(stack.nvars, k)
     ]
-    want = [stack.evaluate_many(points).tobytes() for stack, points in cases]
+    want = [stack.evaluate_many(points)[0].tobytes() for stack, points in cases]
     # numpy before 2.0 has no np.vecdot; the stack then takes one dot per row.
     monkeypatch.setattr(sympoly, "_vecdot", sympoly._dot_rows)
-    assert [stack.evaluate_many(points).tobytes() for stack, points in cases] == want
+    assert [stack.evaluate_many(points)[0].tobytes() for stack, points in cases] == want
 
 
 def test_stacked_dot_operands_start_aligned():
@@ -149,6 +168,19 @@ def test_stacked_dot_operands_start_aligned():
         assert len(prods) % 2 == 0, name
         for coefs, s in stack._slices:
             assert coefs.ctypes.data % 16 == 0 and prods[s].ctypes.data % 16 == 0, name
+
+
+def test_rounding_zeros_tell_residues_from_small_values():
+    # 0.1 + 0.2 - 0.3 at (1, 1) leaves a rounding residue; 0.02^10·θ0 is
+    # smaller still, but no residue: nothing in it cancels.
+    cancel = mono(2, [((0,), 0.1), ((1,), 0.2), ((0, 1), -0.3)])
+    tiny = mono(2, [((0,), 0.02**10)])
+    stack = PolyStack([cancel, tiny, SymPoly(2, [], [])], 2)
+    points = np.array([[1.0, 1.0], [0.5, 0.5], [0.0, 1.0]])
+    values, _, prods = stack.evaluate_many(points)
+    assert 0.0 < values[0, stack.index[1]] < values[0, stack.index[0]] < 1e-15
+    zero = stack.rounding_zeros(values, prods)[:, stack.index]
+    assert zero.tolist() == [[True, False, True], [False, False, True], [False, True, True]]
 
 
 def test_evaluate_many_checks_its_points():
