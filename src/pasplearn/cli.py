@@ -25,7 +25,7 @@ import time
 from itertools import product
 from pathlib import Path
 
-from . import __version__, credal, sympoly
+from . import __version__, credal
 from .credal import conditional_flags, credal_conditional, credal_query, world_models
 from .datasets import FAMILIES, DatasetSpec, generate
 from .errors import (
@@ -55,7 +55,8 @@ _CSV_HEADER = (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a leading byte order mark, which some editors write.
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _legend(program: Program) -> list[str]:
@@ -180,7 +181,6 @@ def _bench_cell(cell: tuple[str, int, int, str, int]) -> list[str]:
     # the first cell of a spec in a process would pay for the world pass
     # of every later one.
     credal._world_models.cache_clear()
-    sympoly._support.cache_clear()
     t0 = time.perf_counter()
     try:
         spec = DatasetSpec(

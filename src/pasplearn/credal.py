@@ -20,9 +20,8 @@ declared probabilities depends only on the program too, so
 :attr:`WorldModels.weights` builds it once, on the first query or
 conditional that needs it, and keeps it read-only beside the answer
 sets; a θ passed explicitly gets freshly built weights.  The cache
-holds 8·2^n bytes per program with n probabilistic facts: 4 KB on a
-9-fact program, 128 MB at the default cap of 24.  The learners never
-read it.
+keeps the last 8 programs' entries, and :class:`WorldModels` lists the
+tables each one holds, polynomial extraction's among them.
 """
 
 from __future__ import annotations
@@ -61,17 +60,28 @@ class WorldModels:
     per answer set.  World ``i``'s are rows ``starts[i]`` to
     ``starts[i] + counts[i] - 1``, in ascending order.  A row packs one
     answer set with ``np.packbits``: ground atom ``k`` of ``gp`` is in
-    it iff bit ``0x80 >> (k & 7)`` of byte ``k >> 3`` is set.  Only the
-    answer sets live here; the per-world learnable patterns and
-    fixed-fact weights that polynomial extraction needs are a table of
-    :mod:`pasplearn.sympoly`, which owns the monomial layout.
-
-    :attr:`weights` is P(w) under the declared probabilities, built on
-    first access and read-only: 8·2^n bytes for n probabilistic facts,
-    4 KB on a 9-fact program and 128 MB at the default cap of 24.  The
+    it iff bit ``0x80 >> (k & 7)`` of byte ``k >> 3`` is set.  The
     index of the first world without answer sets, which
     :meth:`raise_if_inconsistent` reports, is found once, at
     construction.
+
+    An entry holds these tables, for n probabilistic facts of which L
+    are learnable (a 2^n table of 8-byte entries is 4 KB at n = 9 and
+    128 MiB at the default cap of 24):
+
+    - ``counts`` and ``starts``: int64, 2^n each, from construction.
+    - ``rows``: uint8, ``ceil(n_atoms / 8)`` bytes per answer set.
+    - :attr:`weights`: P(w) under the declared probabilities, float64,
+      2^n, built read-only on the first query or conditional that needs
+      it.  The learners never build it.
+    - ``extraction``: polynomial extraction's tables, filled by
+      :mod:`pasplearn.sympoly` on the program's first extraction and
+      read only there, as the module owns the monomial layout: each
+      world's learnable pattern (int64, 2^n), its fixed-fact weight
+      ``k_w`` (float64, 2^n) and the 2^L monomials in canonical order
+      (int64).
+
+    All of them leave memory when the entry leaves the cache.
     """
 
     program: Program
@@ -80,6 +90,9 @@ class WorldModels:
     rows: np.ndarray
     starts: np.ndarray = field(init=False, repr=False)
     first_empty: int | None = field(init=False, repr=False)
+    extraction: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         self.starts = np.cumsum(self.counts) - self.counts

@@ -16,9 +16,9 @@ credal bound (lower or upper) of its interpretation query:
 
 All query bounds are extracted once as multilinear polynomials by
 :func:`~pasplearn.sympoly.bound_polys` (one world pass per program,
-cached; one extraction per distinct interpretation query), so
-iterations only evaluate polynomials and never re-enumerate answer
-sets.  Each learner stacks its polynomials
+cached together with the tables extraction reads; one extraction per
+distinct interpretation query), so iterations only evaluate
+polynomials and never re-enumerate answer sets.  Each learner stacks its polynomials
 once into a :class:`~pasplearn.sympoly.PolyStack`, which keeps each
 distinct polynomial once, and evaluates them only through the stack's
 methods.  ``evaluate`` gives :func:`learn_opt`'s objective: one gather

@@ -117,9 +117,9 @@ class ProbFact:
 class Program:
     """Probabilistic facts (declaration order) plus normal rules.
 
-    The hash is computed once per object: the world-pass and polynomial
-    caches look a program up on every query, and hashing every rule,
-    literal and atom again would cost more than a warm query.
+    The hash is computed once per object: the world-pass cache looks a
+    program up on every query and every extraction, and hashing every
+    rule, literal and atom again would cost more than a warm query.
     """
 
     prob_facts: tuple[ProbFact, ...]

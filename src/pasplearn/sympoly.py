@@ -51,7 +51,6 @@ where some answer set does).  Both learners, :func:`extract_poly` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -326,14 +325,18 @@ def poly_to_text(p: SymPoly) -> str:
 # -- extraction from world enumeration ---------------------------------
 
 
-@lru_cache(maxsize=8)
 def _support(program: Program) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pattern per world, ``k_w`` per world, the 2^L patterns in canonical order).
 
     ``patterns[i]`` packs the learnable facts included in world ``i``
     (bit k = learnable k, declaration order); ``k_w[i]`` is the product
-    of the fixed facts' probability factors.
+    of the fixed facts' probability factors.  The tables are built on a
+    program's first extraction and kept in its cached
+    :class:`~pasplearn.credal.WorldModels` entry, which they leave with.
     """
+    wm = world_models(program)
+    if wm.extraction is not None:
+        return wm.extraction
     facts = program.prob_facts
     n = len(facts)
     idx = np.arange(1 << n, dtype=np.int64)
@@ -355,7 +358,8 @@ def _support(program: Program) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         bit = every >> j & 1
         popcount += bit
         reversed_bits |= bit << (nvars - 1 - j)
-    return patterns, k_w, every[np.lexsort((-reversed_bits, popcount))]
+    wm.extraction = patterns, k_w, every[np.lexsort((-reversed_bits, popcount))]
+    return wm.extraction
 
 
 def poly_from_world_flags(program: Program, flags) -> SymPoly:
@@ -368,6 +372,10 @@ def poly_from_world_flags(program: Program, flags) -> SymPoly:
     ``K·u·Σ_{b⊆t} |c_b|`` in magnitude, with u = 2^-53 and
     K = n + L + 2^(n−L) for n facts of which L are learnable.  A small
     coefficient that is no cancellation residue, such as 0.02^10, stays.
+    Raises ``ValueError`` unless there is one flag per world, before
+    the program's world pass is looked up or run, and
+    :class:`~pasplearn.errors.CapExceeded` as
+    :func:`~pasplearn.credal.world_models` does.
     """
     mask = np.asarray(flags, dtype=bool)
     n_worlds = 1 << program.n_prob_facts

@@ -141,6 +141,30 @@ def test_infer_missing_file_exit_1(tmp_path):
     assert main(["infer", "--program", str(tmp_path / "nope.pasp"), "--query", "a"]) == 1
 
 
+def write_with_bom(tmp_path, name, text):
+    """``text`` as UTF-8 after a byte order mark, as some editors save it."""
+    p = tmp_path / name
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return str(p)
+
+
+def test_infer_reads_a_program_with_a_byte_order_mark(graph_file, tmp_path, capsys):
+    argv = ["infer", "--query", "path(1,4)", "--show-equations", "--program"]
+    assert main(argv + [graph_file]) == 0
+    plain = capsys.readouterr()
+    assert main(argv + [write_with_bom(tmp_path, "bom.pasp", EXAMPLE_GRAPH)]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_learn_reads_interpretations_with_a_byte_order_mark(tmp_path, capsys):
+    argv = ["learn", "--program", write(tmp_path, "coin.pasp", COIN), "--json"]
+    assert main(argv + ["--interpretations", write(tmp_path, "coin.int", COIN_DATA)]) == 0
+    plain = capsys.readouterr()
+    bom = write_with_bom(tmp_path, "bom.int", COIN_DATA)
+    assert main(argv + ["--interpretations", bom]) == 0
+    assert capsys.readouterr() == plain
+
+
 def test_infer_inconsistent_exit_2(tmp_path, capsys):
     prog = write(tmp_path, "incon.pasp", "0.5::a.\n:- a.\n")
     assert main(["infer", "--program", prog, "--query", "a"]) == 2

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pasplearn import credal
 from pasplearn.credal import credal_query, world_models
 from pasplearn.datasets import DatasetSpec, generate
-from pasplearn.errors import InconsistentWorld
+from pasplearn.errors import CapExceeded, InconsistentWorld
 from pasplearn.learning import _em_points
 from pasplearn.model import Query, interpretation_query, query_from_literals
 from pasplearn.parsing import parse_program, parse_query
 from pasplearn.rng import SplitMix64
+from pasplearn.stable import StableSolver
 from pasplearn import sympoly
 from pasplearn.sympoly import (
     BOUNDS,
@@ -281,6 +285,55 @@ def test_bound_polys_build_each_distinct_query_once(learnable_graph_program, mon
     (alone,) = bound_polys(program, qs, ["upper"])
     assert [poly_as_dict(p) for p in alone] == [poly_as_dict(p) for p in upper]
     assert bound_polys(program, [], BOUNDS) == [[], []]
+
+
+_TABLES_PROGRAM = "learnable(0.5)::a.\n0.2::b.\nlearnable(0.7)::c.\nq :- a, b.\nr :- not c.\n"
+
+
+def test_extraction_tables_are_built_once_per_program(monkeypatch):
+    program = parse_program(_TABLES_PROGRAM)
+    credal._world_models.cache_clear()
+    built = []  # k_w is the one world_weights table extraction builds
+    build = sympoly.world_weights
+    monkeypatch.setattr(sympoly, "world_weights", lambda f: built.append(f) or build(f))
+    qs = [query_from_literals(parse_query(t)) for t in ("q", "not r", "q, r")]
+    for _ in range(2):
+        bound_polys(program, qs, BOUNDS)
+        extract_poly(program, qs[0], "upper")
+        poly_from_world_flags(program, world_models(program).satisfaction(qs[1])[0])
+    assert len(built) == 1
+    assert world_models(program).extraction is _support(program)
+
+
+def test_extraction_tables_leave_with_the_world_models_entry():
+    program = parse_program(_TABLES_PROGRAM)
+    extract_poly(program, query_from_literals(parse_query("q")), "lower")
+    refs = [weakref.ref(table) for table in _support(program)]
+    credal._world_models.cache_clear()
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, True]
+
+
+def test_wrong_flags_fail_before_any_world_pass(monkeypatch):
+    program = parse_program(_TABLES_PROGRAM)
+    credal._world_models.cache_clear()
+    passes = []
+    all_worlds = StableSolver.all_worlds
+    monkeypatch.setattr(
+        StableSolver, "all_worlds", lambda solver: passes.append(solver) or all_worlds(solver)
+    )
+    for flags in ([True] * 7, [True] * 9, np.ones((2, 4), dtype=bool)):
+        with pytest.raises(ValueError, match="expected 8 world flags"):
+            poly_from_world_flags(program, flags)
+    assert passes == []
+    poly_from_world_flags(program, [True] * 8)  # the count sees a pass that does run
+    assert len(passes) == 1
+
+
+def test_extraction_keeps_the_world_cap(monkeypatch):
+    monkeypatch.setenv("PASP_WORLD_CAP", "2")
+    with pytest.raises(CapExceeded):
+        poly_from_world_flags(parse_program(_TABLES_PROGRAM), [True] * 8)
 
 
 @pytest.mark.parametrize("bad", ["middle", "Lower", None])
