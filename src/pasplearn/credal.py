@@ -203,22 +203,13 @@ def world_weights(factors) -> np.ndarray:
     leaves fact ``j`` out of the product.  Each world's product runs in
     fact order, left to right.
     """
-    n = len(factors)
-    weights = np.empty(1 << n)
-    weights[0] = 1.0  # the empty product, the answer for no facts
-    # Each fact doubles the table, entry i becoming entries 2i (fact
-    # excluded) and 2i+1 (included), so fact 0 ends as the most
-    # significant bit of the world index.  The tables alternate between
-    # ``weights`` and a half-size scratch, so that the last lands in
-    # ``weights``.
-    scratch = np.empty(1 << n >> 1)
-    dst, spare = (weights, scratch) if n & 1 else (scratch, weights)
-    src = np.ones(1)
+    # The empty product, the answer for no facts.  Each fact doubles the
+    # table, entry i becoming entries 2i (fact excluded) and 2i+1
+    # (included), so fact 0 ends as the most significant bit of the
+    # world index.
+    weights = np.ones(1)
     for absent, present in factors:
-        m = len(src)
-        np.multiply(src, absent, out=dst[0 : 2 * m : 2])
-        np.multiply(src, present, out=dst[1 : 2 * m : 2])
-        src, dst, spare = dst[: 2 * m], spare, dst
+        weights = np.outer(weights, (absent, present)).ravel()
     return weights
 
 

@@ -60,8 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
-from operator import itemgetter
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -118,6 +117,10 @@ class LearnConfig:
                 f"opt_backend must be one of {tuple(BACKENDS.values())}, "
                 f"got {self.opt_backend!r}"
             )
+        for name in ("eps_ll", "floor_prob"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, Real):
+                raise ValueError(f"{name} must be a real number, got {x!r}")
         if not self.eps_ll > 0:
             raise ValueError(f"eps_ll must be positive, got {self.eps_ll}")
         if not 0 < self.floor_prob < 1e-3:
@@ -128,6 +131,8 @@ class LearnConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.skip_undefined, (bool, np.bool_)):
+            raise ValueError(f"skip_undefined must be a bool, got {self.skip_undefined!r}")
 
 
 def _check_method(cfg: LearnConfig, method: str) -> None:
@@ -169,38 +174,35 @@ class _Likelihood:
     def __init__(self, stack: PolyStack, floor_prob: float, index=None):
         self.stack = stack
         self.floor_prob = floor_prob
-        self._index = index = (stack.index if index is None else index).tolist()
-        # The distinct polynomials' logs, one per input polynomial in input order.
-        self._per_input = (
-            itemgetter(*index) if len(index) > 1 else lambda logs: [logs[k] for k in index]
-        )
-        # One gradient term per kept input polynomial after a row of zeros.
-        self._terms = np.zeros((len(index) + 1, stack.nvars))
+        self._index = (stack.index if index is None else index).tolist()
 
     def log_sum(self, values) -> float:
         """Log-likelihood from the distinct polynomials' values, a list of floats.
 
-        The terms are added in input order, from 0.0.
+        The terms are added one by one in input order, from 0.0, on every
+        Python: the built-in ``sum`` compensates float additions from 3.12.
         """
         floor_prob = self.floor_prob
-        return sum(self._per_input([math.log(max(v, floor_prob)) for v in values]), 0.0)
+        logs = [math.log(max(v, floor_prob)) for v in values]
+        total = 0.0
+        for k in self._index:
+            total += logs[k]
+        return total
 
     def at(self, theta: np.ndarray) -> tuple[float, tuple]:
         """Log-likelihood and point at theta, a float array."""
         values, gathered, prods = self.stack.evaluate(theta)
         return self.log_sum(values), (theta, values, gathered, prods)
 
-    def ladder(self, x: np.ndarray, g: np.ndarray):
+    def ladder(self, ladders: np.ndarray):
         """Log-likelihood and point, as :meth:`at` gives them, at each
-        ``_clip01(x + 2^-k·g)`` for k = 0 to 59 in turn.
+        point of ``ladders``, a (ladders × ``_LADDER`` × nvars) array, in turn.
 
         Each ladder of ``_LADDER`` points is one ``evaluate_many`` call,
         whose rows are bit for bit :meth:`at`'s; a point's log-likelihood
         is taken only when the caller asks for the point.
         """
-        for steps in _STEPS:
-            # steps·g is step·g elementwise, and 1.0·g is g.
-            points = _clip01(x + steps * g)
+        for points in ladders:
             values, gathered, prods = self.stack.evaluate_many(points)
             for r, theta in enumerate(points):
                 row = values[r].tolist()
@@ -223,7 +225,7 @@ class _Likelihood:
             # Floored rows are left out below; dividing them by 1.0 keeps 0/0 away.
             rows /= np.array([v if k else 1.0 for v, k in zip(values, kept)])[:, None]
             chosen = [k for k in self._index if kept[k]]
-        terms = self._terms[: len(chosen) + 1]
+        terms = np.zeros((len(chosen) + 1, self.stack.nvars))
         rows.take(chosen, axis=0, out=terms[1:], mode="clip")
         # One row after another from 0.0, in input order.  accumulate adds
         # in that order; add.reduce would sum a lone column (one variable)
@@ -255,9 +257,9 @@ def _clip01(v: np.ndarray) -> np.ndarray:
 def _gradient_ascent(lik: _Likelihood, x0):
     """Projected gradient ascent with Armijo backtracking on [0,1]^L.
 
-    Each iteration tries the step lengths 1, 1/2, 1/4, ... down to 2^-59
-    in that order, and takes the first whose projected point passes the
-    Armijo test.  :meth:`_Likelihood.ladder` evaluates the points
+    Each iteration projects the points of the step lengths 1, 1/2, 1/4,
+    ... down to 2^-59 at once and takes the first, in that order, that
+    passes the Armijo test.  :meth:`_Likelihood.ladder` evaluates them
     ``_LADDER`` at a time in one stacked pass, so a step that needs a
     few halvings costs one evaluation, and the gradient at the accepted
     point reuses its row of that evaluation.
@@ -269,14 +271,16 @@ def _gradient_ascent(lik: _Likelihood, x0):
     iterations = 0
     for it in range(1, _MAX_STEPS + 1):
         g = lik.gradient(point)
-        # The projected full step, the first point of the ladder.
-        d = _clip01(x + g) - x
+        # Every step length's projected point; steps·g is step·g
+        # elementwise, and 1.0·g is g, so the first is the full step.
+        ladders = _clip01(x + _STEPS * g)
+        d = ladders[0, 0] - x
         # np.linalg.norm of a 1-D float array is this sqrt of a dot.
         if math.sqrt(d.dot(d)) < _TOL:
             converged = True
             break
         iterations = it
-        for lln, point_n in lik.ladder(x, g):
+        for lln, point_n in lik.ladder(ladders):
             xn = point_n[0]
             # A projected step moves each θ_j the way g_j points, so
             # g·(xn − x) ≥ 0, and a point below ll fails the test anyway.

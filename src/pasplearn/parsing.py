@@ -306,9 +306,12 @@ def _check_interpretation(literals: tuple[Literal, ...], line: int) -> Interpret
 
 
 def parse_interpretations(text: str) -> list[Interpretation]:
-    """Parse an interpretation file: one conjunction of ground literals per line."""
+    """Parse an interpretation file: one conjunction of ground literals per line.
+
+    Only a line feed ends a line; other line breaks are whitespace.
+    """
     out: list[Interpretation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         parser = _Parser(raw, first_line=lineno)
         if parser.done:
             continue

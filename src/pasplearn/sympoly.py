@@ -140,8 +140,6 @@ class PolyStack:
     ``reduceat``.  :meth:`evaluate_many` returns the same three at each
     of several points, one row per point, and :meth:`rounding_zeros`
     marks the values among them that are zero up to rounding.
-    :meth:`evaluate` fills one preallocated θ buffer at each point, so
-    one stack is not for use from several threads at once.
     """
 
     def __init__(self, polys, nvars: int):
@@ -190,8 +188,6 @@ class PolyStack:
             block_slots = slice(starts[lo], starts[hi])
             block = coefs[block_slots].reshape(hi - lo, w)[:, :n]
             self._blocks.append((slice(lo, hi), block_slots, w, block))
-        # theta, then the sentinel variable's 1.0; refilled at each point.
-        self._ext = np.ones(nvars + 1)
         # Per distinct polynomial: the relative rounding bound of its values
         # (nvars roundings per product, one per monomial in the dot), and
         # twice that bound times its absolute coefficient sum, which no
@@ -210,8 +206,11 @@ class PolyStack:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.nvars,):
             raise ValueError(f"expected theta of length {self.nvars}, got {theta.shape}")
-        self._ext[:-1] = theta
-        gathered = self._ext.take(self.flat)
+        # theta, then the sentinel variable's 1.0.
+        ext = np.empty(self.nvars + 1)
+        ext[:-1] = theta
+        ext[-1] = 1.0
+        gathered = ext.take(self.flat)
         prods = np.multiply.reduceat(gathered, self.offsets)
         return [float(c.dot(prods[s])) for c, s in self._slices], gathered, prods
 

@@ -17,7 +17,8 @@ per-world query flags, reading the atom masks of
 give the same flags.
 
 :func:`world_weights_ref` is the product measure as one ``np.outer``
-per fact, which the package's strided build must equal byte for byte.
+per fact, which the package's outer-product loop must equal byte for
+byte.
 
 The polynomial section at the end converts between the package's
 bit-pattern polynomials and ``{frozenset of variables: coefficient}``
@@ -420,7 +421,12 @@ def poly_grad_ref(p, theta) -> np.ndarray:
 
 
 def ll_objective_ref(polys, theta, floor_prob: float = 1e-12) -> float:
-    return sum((math.log(max(poly_eval_ref(p, theta), floor_prob)) for p in polys), 0.0)
+    # One addition at a time from 0.0: the built-in sum compensates its
+    # float additions from Python 3.12 on.
+    total = 0.0
+    for p in polys:
+        total += math.log(max(poly_eval_ref(p, theta), floor_prob))
+    return total
 
 
 def ll_gradient_ref(polys, theta, floor_prob: float = 1e-12) -> np.ndarray:

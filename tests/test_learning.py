@@ -1,6 +1,10 @@
+import builtins
 import hashlib
 import math
+import operator
+import re
 from dataclasses import fields
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -74,6 +78,22 @@ def ll_gradient(polys, theta, floor_prob=1e-12):
     return lik.gradient(lik.at(theta)[1])
 
 
+_BUILTIN_SUM = builtins.sum
+
+
+def _neumaier_sum(iterable, start=0):
+    """The built-in ``sum`` of Python 3.12 on, which compensates float additions."""
+    items = list(iterable)
+    if type(start) not in (int, float) or not all(type(v) is float for v in items):
+        return _BUILTIN_SUM(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
 # -- config / objective --------------------------------------------------
 
 
@@ -94,6 +114,7 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
                 LearnConfig(**{field: bad})
     assert LearnConfig(max_iters=np.int64(3), restarts=np.int64(2)).restarts == 2
+    assert LearnConfig(skip_undefined=np.True_, eps_ll=np.float64(1e-3)).skip_undefined
     # A float seed would fail later in SplitMix64 as an untyped TypeError; True would seed as 1.
     for bad in (1.5, 2.0, True, "3", None):
         with pytest.raises(ValueError, match="seed must be an integer"):
@@ -102,6 +123,27 @@ def test_config_validation():
     for seed in (-1, np.int64(-1), np.int64(7)):
         got = learn_opt(program, data, LearnConfig(seed=seed))
         assert repr(got) == repr(learn_opt(program, data, LearnConfig(seed=int(seed))))
+
+
+@pytest.mark.parametrize(
+    "field,bad,message",
+    [
+        ("skip_undefined", "no", "skip_undefined must be a bool"),
+        ("skip_undefined", 0, "skip_undefined must be a bool"),
+        ("skip_undefined", None, "skip_undefined must be a bool"),
+        ("eps_ll", "0.1", "eps_ll must be a real number"),
+        ("eps_ll", True, "eps_ll must be a real number"),
+        ("eps_ll", None, "eps_ll must be a real number"),
+        ("floor_prob", "1e-12", "floor_prob must be a real number"),
+        ("floor_prob", False, "floor_prob must be a real number"),
+        ("floor_prob", np.True_, "floor_prob must be a real number"),
+    ],
+)
+def test_config_rejects_fields_of_the_wrong_type(field, bad, message):
+    # "no" would run as a true skip_undefined, True as an eps_ll of 1.0,
+    # and "0.1" would fail later as an untyped TypeError.
+    with pytest.raises(ValueError, match=f"^{message}, got {re.escape(repr(bad))}$"):
+        LearnConfig(method="em", **{field: bad})
 
 
 def test_learners_refuse_config_of_the_other_method():
@@ -114,6 +156,31 @@ def test_em_refuses_opt_config():
     program, data = parse_program(COIN), interps(COIN_DATA)
     with pytest.raises(ValueError, match="learn_opt"):
         learn_em(program, data, LearnConfig(method="opt"))
+
+
+def test_log_likelihood_adds_its_terms_in_order_on_every_python(monkeypatch):
+    # shop6's log-likelihood terms at the initial θ sum to different
+    # floats added in order and with Neumaier's compensation, the
+    # built-in sum's algorithm from Python 3.12 on.  The learners add in
+    # order whichever sum the interpreter has.
+    program, data = generate(DatasetSpec("shop", 6, 10, 0))
+    polys = [extract_poly(program, query_from_literals(i.literals), "upper") for i in data]
+    theta = program.initial_theta()
+    logs = [math.log(max(poly_eval_ref(p, theta), 1e-12)) for p in polys]
+    ordered = reduce(operator.add, logs, 0.0)
+    assert _neumaier_sum(logs, 0.0) != ordered
+
+    def run():
+        return (
+            ll_objective(polys, theta),
+            learn_opt(program, data, LearnConfig(restarts=1)),
+            learn_em(program, data, LearnConfig(method="em")),
+        )
+
+    want = run()
+    assert want[0] == ordered == ll_objective_ref(polys, theta)
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+    assert repr(run()) == repr(want)
 
 
 def test_ll_objective_values(learnable_graph_program):
@@ -672,9 +739,9 @@ def _counted_ladders(monkeypatch) -> list[int]:
     taken: list[int] = []
     ladder = _Likelihood.ladder
 
-    def counted(lik, x, g):
+    def counted(lik, ladders):
         taken.append(0)
-        for item in ladder(lik, x, g):
+        for item in ladder(lik, ladders):
             taken[-1] += 1
             yield item
 

@@ -104,6 +104,17 @@ def test_parse_interpretations_lines():
     assert len(interps[1]) == 1
 
 
+@pytest.mark.parametrize(
+    "brk",
+    ["\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\r"],
+    ids=["form-feed", "vertical-tab", "file-separator", "next-line", "line-separator", "cr"],
+)
+def test_interpretation_lines_end_at_newline_only(brk):
+    # Any other line break is whitespace, as it is to the program parser.
+    assert parse_interpretations(f"a,{brk}b.\n") == parse_interpretations("a, b.\n")
+    assert len(parse_interpretations(f"a.\r\n{brk}\nb.\r\n")) == 2
+
+
 def test_interpretation_must_be_ground():
     with pytest.raises(NonGroundInterpretation):
         parse_interpretations("f(X).")
@@ -166,6 +177,8 @@ _ERROR_TEXTS = [
      ContradictoryInterpretation, '3:1: atom c occurs both positively and negatively'),
     ('interp-line-3-trailing', parse_interpretations, 'a.\nb.\nc. d.\n',
      PaspSyntaxError, "3:4: trailing input 'd'"),
+    ('interp-form-feed-inside-line', parse_interpretations, 'a.\x0cb.\n',
+     PaspSyntaxError, "1:4: trailing input 'b'"),
     ('query-empty', parse_query, '  ',
      PaspSyntaxError, '1:1: empty query'),
     ('query-variable', parse_query, 'path(X,4)',
