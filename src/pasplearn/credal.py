@@ -203,13 +203,15 @@ def world_weights(factors) -> np.ndarray:
     leaves fact ``j`` out of the product.  Each world's product runs in
     fact order, left to right.
     """
-    # The empty product, the answer for no facts.  Each fact doubles the
-    # table, entry i becoming entries 2i (fact excluded) and 2i+1
-    # (included), so fact 0 ends as the most significant bit of the
-    # world index.
+    # From the empty product, each fact doubles the table: entry i becomes
+    # entries 2i (fact excluded) and 2i+1 (included), so fact 0 ends as
+    # the most significant bit of the world index.
     weights = np.ones(1)
     for absent, present in factors:
-        weights = np.outer(weights, (absent, present)).ravel()
+        doubled = np.empty(2 * len(weights))
+        np.multiply(weights, absent, out=doubled[0::2])
+        np.multiply(weights, present, out=doubled[1::2])
+        weights = doubled
     return weights
 
 

@@ -17,8 +17,7 @@ per-world query flags, reading the atom masks of
 give the same flags.
 
 :func:`world_weights_ref` is the product measure as one ``np.outer``
-per fact, which the package's outer-product loop must equal byte for
-byte.
+per fact, which the package's strided build must equal byte for byte.
 
 The polynomial section at the end converts between the package's
 bit-pattern polynomials and ``{frozenset of variables: coefficient}``
