@@ -21,7 +21,7 @@ declared probabilities depends only on the program too, so
 conditional that needs it, and keeps it read-only beside the answer
 sets; a θ passed explicitly gets freshly built weights.  The cache
 keeps the last 8 programs' entries, and :class:`WorldModels` lists the
-tables each one holds, polynomial extraction's among them.
+tables each one holds.
 """
 
 from __future__ import annotations
@@ -65,21 +65,15 @@ class WorldModels:
     :meth:`raise_if_inconsistent` reports, is found once, at
     construction.
 
-    An entry holds these tables, for n probabilistic facts of which L
-    are learnable (a 2^n table of 8-byte entries is 4 KB at n = 9 and
-    128 MiB at the default cap of 24):
+    An entry holds these tables, for n probabilistic facts (a 2^n table
+    of 8-byte entries is 4 KB at n = 9 and 128 MiB at the default cap
+    of 24):
 
     - ``counts`` and ``starts``: int64, 2^n each, from construction.
     - ``rows``: uint8, ``ceil(n_atoms / 8)`` bytes per answer set.
     - :attr:`weights`: P(w) under the declared probabilities, float64,
       2^n, built read-only on the first query or conditional that needs
       it.  The learners never build it.
-    - ``extraction``: polynomial extraction's tables, filled by
-      :mod:`pasplearn.sympoly` on the program's first extraction and
-      read only there, as the module owns the monomial layout: each
-      world's learnable pattern (int64, 2^n), its fixed-fact weight
-      ``k_w`` (float64, 2^n) and the 2^L monomials in canonical order
-      (int64).
 
     All of them leave memory when the entry leaves the cache.
     """
@@ -90,9 +84,6 @@ class WorldModels:
     rows: np.ndarray
     starts: np.ndarray = field(init=False, repr=False)
     first_empty: int | None = field(init=False, repr=False)
-    extraction: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False
-    )
 
     def __post_init__(self):
         self.starts = np.cumsum(self.counts) - self.counts

@@ -15,10 +15,10 @@ credal bound (lower or upper) of its interpretation query:
 :data:`LEARNERS` maps each ``LearnConfig.method`` name to its learner.
 
 All query bounds are extracted once as multilinear polynomials by
-:func:`~pasplearn.sympoly.bound_polys` (one world pass per program,
-cached together with the tables extraction reads; one extraction per
-distinct interpretation query), so iterations only evaluate
-polynomials and never re-enumerate answer sets.  Each learner stacks its polynomials
+:func:`~pasplearn.sympoly.bound_polys` (one cached world pass per
+program; one extraction per distinct interpretation query), so
+iterations only evaluate polynomials and never re-enumerate answer
+sets.  Each learner stacks its polynomials
 once into a :class:`~pasplearn.sympoly.PolyStack`, which keeps each
 distinct polynomial once, and evaluates them only through the stack's
 methods.  ``evaluate`` gives :func:`learn_opt`'s objective: one gather
@@ -215,16 +215,11 @@ class _Likelihood:
         """
         theta, values, gathered, prods = point
         rows = self.stack.gradient_rows(theta, gathered, prods)
-        floor_prob = self.floor_prob
-        # NaN is not above the floor, so it takes the second branch.
-        if all(v > floor_prob for v in values):
-            rows /= np.array(values)[:, None]
-            chosen = self._index
-        else:
-            kept = [v > floor_prob for v in values]
-            # Floored rows are left out below; dividing them by 1.0 keeps 0/0 away.
-            rows /= np.array([v if k else 1.0 for v, k in zip(values, kept)])[:, None]
-            chosen = [k for k in self._index if kept[k]]
+        # NaN is not above the floor, so its row is left out too.
+        kept = [v > self.floor_prob for v in values]
+        # Floored rows are left out below; dividing them by 1.0 keeps 0/0 away.
+        rows /= np.array([v if k else 1.0 for v, k in zip(values, kept)])[:, None]
+        chosen = [k for k in self._index if kept[k]]
         terms = np.zeros((len(chosen) + 1, self.stack.nvars))
         rows.take(chosen, axis=0, out=terms[1:], mode="clip")
         # One row after another from 0.0, in input order.  accumulate adds

@@ -118,8 +118,9 @@ class Program:
     """Probabilistic facts (declaration order) plus normal rules.
 
     The hash is computed once per object: the world-pass cache looks a
-    program up on every query and every extraction, and hashing every
-    rule, literal and atom again would cost more than a warm query.
+    program up on every query and every ``bound_polys`` call, and
+    hashing every rule, literal and atom again would cost more than a
+    warm query.
     """
 
     prob_facts: tuple[ProbFact, ...]

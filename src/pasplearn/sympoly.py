@@ -8,7 +8,9 @@ collecting terms yields a unique multilinear normal form: the
 coefficient of monomial ``t`` is ``Σ_{b⊆t} (−1)^{|t|−|b|} c_b`` where
 ``c_b`` accumulates ``k_w`` over contributing worlds with learnable
 pattern ``b`` (a signed subset-sum a.k.a. Möbius transform, computed
-with a butterfly over the 2^L table of patterns).
+with a butterfly over the 2^L table of patterns).  Extraction reads
+each world's pattern off the bits of its index (:func:`_support`), so
+it builds no per-world table and keeps nothing between calls.
 
 A polynomial is an array of monomial bit patterns (bit ``j`` for
 variable ``j``, a layout only this module knows) and an array of
@@ -56,7 +58,8 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .credal import world_models, world_weights
-from .model import Program, Query
+from .errors import CapExceeded
+from .model import Program, Query, world_cap
 
 #: The bound names, in the order of :meth:`WorldModels.satisfaction`'s flags.
 BOUNDS = ("lower", "upper")
@@ -324,32 +327,25 @@ def poly_to_text(p: SymPoly) -> str:
 # -- extraction from world enumeration ---------------------------------
 
 
-def _support(program: Program) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pattern per world, ``k_w`` per world, the 2^L patterns in canonical order).
+def _support(program: Program) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """(``k_f``, ``axes``, the 2^L patterns in canonical order, their columns).
 
-    ``patterns[i]`` packs the learnable facts included in world ``i``
-    (bit k = learnable k, declaration order); ``k_w[i]`` is the product
-    of the fixed facts' probability factors.  The tables are built on a
-    program's first extraction and kept in its cached
-    :class:`~pasplearn.credal.WorldModels` entry, which they leave with.
+    Fact j is bit n−1−j of the world index, so one world-flag array
+    reshaped to an axis per fact and transposed to ``axes`` (the fixed
+    facts, then the learnable ones, each in declaration order) is a
+    (2^(n−L) × 2^L) table.  Its row is the fixed facts' world, and
+    ``k_f[row]`` the product of their probability factors in fact
+    order.  Its column is the learnable pattern with learnable 0 as the
+    most significant bit: pattern t's bits reversed.  Nothing here has
+    2^n entries, and nothing is kept between calls.
     """
-    wm = world_models(program)
-    if wm.extraction is not None:
-        return wm.extraction
     facts = program.prob_facts
-    n = len(facts)
-    idx = np.arange(1 << n, dtype=np.int64)
-    patterns = np.zeros(1 << n, dtype=np.int64)
-    learnable = program.learnable_indices()
-    for k, j in enumerate(learnable):
-        patterns |= ((idx >> (n - 1 - j)) & 1) << k
-    k_w = world_weights(
-        [(1.0, 1.0) if pf.learnable else (1.0 - pf.prob, pf.prob) for pf in facts]
-    )
+    fixed = [j for j, pf in enumerate(facts) if not pf.learnable]
+    k_f = world_weights([(1.0 - facts[j].prob, facts[j].prob) for j in fixed])
+    nvars = program.n_prob_facts - len(fixed)
     # Canonical order sorts by popcount, then by ascending variable list:
     # the list whose lowest differing variable is smaller comes first,
     # which is the larger pattern once bit j is moved to bit nvars-1-j.
-    nvars = len(learnable)
     every = np.arange(1 << nvars, dtype=np.int64)
     popcount = np.zeros_like(every)
     reversed_bits = np.zeros_like(every)
@@ -357,8 +353,38 @@ def _support(program: Program) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         bit = every >> j & 1
         popcount += bit
         reversed_bits |= bit << (nvars - 1 - j)
-    wm.extraction = patterns, k_w, every[np.lexsort((-reversed_bits, popcount))]
-    return wm.extraction
+    order = every[np.lexsort((-reversed_bits, popcount))]
+    return k_f, fixed + list(program.learnable_indices()), order, reversed_bits[order]
+
+
+def _poly(program: Program, support, mask: np.ndarray) -> SymPoly:
+    """:func:`poly_from_world_flags` on checked flags and the program's :func:`_support`."""
+    k_f, axes, order, columns = support
+    n, nvars = program.n_prob_facts, len(program.learnable_indices())
+    table = mask.reshape((2,) * n).transpose(axes).reshape(len(k_f), 1 << nvars)
+    # Each flagged world's column and fixed-fact weight, read through
+    # broadcast views, so no per-world table is built.  Each pattern's
+    # worlds are added in world order: the rows run in the order of the
+    # fixed facts' bits in the world index.
+    cols = np.broadcast_to(np.arange(1 << nvars), table.shape)[table]
+    arr = np.zeros(1 << nvars)
+    np.add.at(arr, cols, np.broadcast_to(k_f[:, None], table.shape)[table])
+    # scale[t] = Σ_{b⊆t} |c_b|: the same butterfly with + bounds the
+    # magnitudes that coefficient t's rounding errors scale with.
+    # Variable 0 goes first; it is the columns' highest bit.
+    scale = np.abs(arr)
+    for k in reversed(range(nvars)):
+        arr = arr.reshape(-1, 2, 1 << k)
+        arr[:, 1, :] -= arr[:, 0, :]
+        scale = scale.reshape(-1, 2, 1 << k)
+        scale[:, 1, :] += scale[:, 0, :]
+    coeffs = arr.reshape(-1)[columns]
+    # A coefficient within rounding error of zero is a cancellation
+    # residue: n-factor products, up to 2^(n-L) worlds summed per
+    # pattern, and L butterfly levels, in units of the unit roundoff.
+    tol = (n + nvars + 2.0 ** (n - nvars)) * 2.0**-53
+    keep = np.abs(coeffs) > tol * scale.reshape(-1)[columns]
+    return SymPoly(nvars, order[keep], coeffs[keep])
 
 
 def poly_from_world_flags(program: Program, flags) -> SymPoly:
@@ -371,36 +397,19 @@ def poly_from_world_flags(program: Program, flags) -> SymPoly:
     ``K·u·Σ_{b⊆t} |c_b|`` in magnitude, with u = 2^-53 and
     K = n + L + 2^(n−L) for n facts of which L are learnable.  A small
     coefficient that is no cancellation residue, such as 0.02^10, stays.
-    Raises ``ValueError`` unless there is one flag per world, before
-    the program's world pass is looked up or run, and
-    :class:`~pasplearn.errors.CapExceeded` as
-    :func:`~pasplearn.credal.world_models` does.
+    It reads no world pass.  Raises ``ValueError`` unless there is one
+    flag per world, then :class:`~pasplearn.errors.CapExceeded` above
+    :func:`~pasplearn.model.world_cap` facts, as
+    :func:`~pasplearn.credal.world_models` does.  The flags take one
+    array axis per fact, which numpy 1.x allows up to n = 32.
     """
     mask = np.asarray(flags, dtype=bool)
-    n_worlds = 1 << program.n_prob_facts
-    if mask.shape != (n_worlds,):
-        raise ValueError(f"expected {n_worlds} world flags, got {mask.shape}")
-    patterns, k_w, order = _support(program)
-    nvars = len(program.learnable_indices())
-
-    arr = np.zeros(1 << nvars)
-    np.add.at(arr, patterns[mask], k_w[mask])
-    # scale[t] = Σ_{b⊆t} |c_b|: the same butterfly with + bounds the
-    # magnitudes that coefficient t's rounding errors scale with.
-    scale = np.abs(arr)
-    for k in range(nvars):
-        arr = arr.reshape(-1, 2, 1 << k)
-        arr[:, 1, :] -= arr[:, 0, :]
-        scale = scale.reshape(-1, 2, 1 << k)
-        scale[:, 1, :] += scale[:, 0, :]
-    coeffs = arr.reshape(-1)[order]
-    # A coefficient within rounding error of zero is a cancellation
-    # residue: n-factor products, up to 2^(n-L) worlds summed per
-    # pattern, and L butterfly levels, in units of the unit roundoff.
-    n = program.n_prob_facts
-    tol = (n + nvars + 2.0 ** (n - nvars)) * 2.0**-53
-    keep = np.abs(coeffs) > tol * scale.reshape(-1)[order]
-    return SymPoly(nvars, order[keep], coeffs[keep])
+    n, cap = program.n_prob_facts, world_cap()
+    if mask.shape != (1 << n,):
+        raise ValueError(f"expected {1 << n} world flags, got {mask.shape}")
+    if n > cap:
+        raise CapExceeded(n, cap)
+    return _poly(program, _support(program), mask)
 
 
 def bound_polys(program: Program, queries, bounds) -> list[list[SymPoly]]:
@@ -409,19 +418,21 @@ def bound_polys(program: Program, queries, bounds) -> list[list[SymPoly]]:
     A bound is a name in :data:`BOUNDS`.  Worlds contribute to a query's
     upper bound when some answer set satisfies it, to its lower bound
     when all do.  Each distinct query's world flags are computed once,
-    and its polynomials built from them.  Raises ``ValueError`` on any
-    other bound name, and :class:`~pasplearn.errors.InconsistentWorld`
-    if a world has no answer set.
+    and its polynomials built from them, all on one :func:`_support`.
+    Raises ``ValueError`` on any other bound name, and
+    :class:`~pasplearn.errors.InconsistentWorld` if a world has no
+    answer set.
     """
     for b in bounds:
         if b not in BOUNDS:
             raise ValueError(f"bound must be one of {BOUNDS}, got {b!r}")
     wm = world_models(program)
+    support = _support(program)
     polys = {}
     for q in queries:
         if q not in polys:
             flags = dict(zip(BOUNDS, wm.satisfaction(q)))
-            polys[q] = [poly_from_world_flags(program, flags[b]) for b in bounds]
+            polys[q] = [_poly(program, support, flags[b]) for b in bounds]
     return [[polys[q][j] for q in queries] for j in range(len(bounds))]
 
 

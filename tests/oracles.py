@@ -18,6 +18,9 @@ give the same flags.
 
 :func:`world_weights_ref` is the product measure as one ``np.outer``
 per fact, which the package's strided build must equal byte for byte.
+:func:`poly_from_world_flags_ref` extracts a polynomial from per-world
+pattern and weight tables decoded from every world index, which the
+package's extraction from the index bits must equal byte for byte.
 
 The polynomial section at the end converts between the package's
 bit-pattern polynomials and ``{frozenset of variables: coefficient}``
@@ -361,6 +364,50 @@ def poly_coefficients_exact(program: Program, flags, decimal: bool = True):
                 coeffs[t] -= coeffs[t ^ 1 << k]
                 scales[t] += scales[t ^ 1 << k]
     return coeffs, scales
+
+
+def poly_from_world_flags_ref(program: Program, flags) -> SymPoly:
+    """``sympoly.poly_from_world_flags`` from per-world tables, 2^n each.
+
+    World i's learnable pattern (bit k = learnable k) and its fixed-fact
+    weight ``k_w`` are decoded from its index; ``np.add.at`` then sums
+    each pattern's weights in world order, a butterfly per variable
+    gives the Möbius table, and the canonical patterns are gathered out
+    of it with the same drop test.  The package's coefficients must
+    equal these byte for byte.
+    """
+    mask = np.asarray(flags, dtype=bool)
+    facts = program.prob_facts
+    n = len(facts)
+    idx = np.arange(1 << n, dtype=np.int64)
+    patterns = np.zeros(1 << n, dtype=np.int64)
+    learnable = program.learnable_indices()
+    for k, j in enumerate(learnable):
+        patterns |= ((idx >> (n - 1 - j)) & 1) << k
+    k_w = world_weights_ref(
+        [(1.0, 1.0) if pf.learnable else (1.0 - pf.prob, pf.prob) for pf in facts]
+    )
+    nvars = len(learnable)
+    every = np.arange(1 << nvars, dtype=np.int64)
+    popcount = np.zeros_like(every)
+    reversed_bits = np.zeros_like(every)
+    for j in range(nvars):
+        bit = every >> j & 1
+        popcount += bit
+        reversed_bits |= bit << (nvars - 1 - j)
+    order = every[np.lexsort((-reversed_bits, popcount))]
+    arr = np.zeros(1 << nvars)
+    np.add.at(arr, patterns[mask], k_w[mask])
+    scale = np.abs(arr)
+    for k in range(nvars):
+        arr = arr.reshape(-1, 2, 1 << k)
+        arr[:, 1, :] -= arr[:, 0, :]
+        scale = scale.reshape(-1, 2, 1 << k)
+        scale[:, 1, :] += scale[:, 0, :]
+    coeffs = arr.reshape(-1)[order]
+    tol = (n + nvars + 2.0 ** (n - nvars)) * 2.0**-53
+    keep = np.abs(coeffs) > tol * scale.reshape(-1)[order]
+    return SymPoly(nvars, order[keep], coeffs[keep])
 
 
 @lru_cache(maxsize=64)

@@ -31,7 +31,12 @@ from pasplearn.sympoly import (
 )
 
 from conftest import stack_gradient
-from oracles import poly_as_dict, poly_coefficients_exact, poly_from_dict
+from oracles import (
+    poly_as_dict,
+    poly_coefficients_exact,
+    poly_from_dict,
+    poly_from_world_flags_ref,
+)
 from randprog import random_ground_program, random_query_literals
 
 
@@ -265,13 +270,13 @@ def test_bound_polys_build_each_distinct_query_once(learnable_graph_program, mon
     program = learnable_graph_program
     qs = [query_from_literals(parse_query(t)) for t in ("path(1,4)", "not path(1,3)", "path(1,4)")]
     built = []
+    poly = sympoly._poly
 
-    def recording(program, flags):
+    def recording(program, support, flags):
         built.append(flags)
-        return poly_from_world_flags(program, flags)
+        return poly(program, support, flags)
 
-    # Through the module global, where a tracer wrapping it sees the calls.
-    monkeypatch.setattr(sympoly, "poly_from_world_flags", recording)
+    monkeypatch.setattr(sympoly, "_poly", recording)
     lower, upper = bound_polys(program, qs, BOUNDS)
     assert len(built) == 4
     assert lower[0] is lower[2] and upper[0] is upper[2]
@@ -290,28 +295,35 @@ def test_bound_polys_build_each_distinct_query_once(learnable_graph_program, mon
 _TABLES_PROGRAM = "learnable(0.5)::a.\n0.2::b.\nlearnable(0.7)::c.\nq :- a, b.\nr :- not c.\n"
 
 
-def test_extraction_tables_are_built_once_per_program(monkeypatch):
+def test_extraction_leaves_nothing_on_the_world_models_entry(monkeypatch):
     program = parse_program(_TABLES_PROGRAM)
-    credal._world_models.cache_clear()
-    built = []  # k_w is the one world_weights table extraction builds
+    refs = []
+    support = sympoly._support
+
+    def recording(program):
+        tables = support(program)
+        refs.extend(weakref.ref(t) for t in tables if isinstance(t, np.ndarray))
+        return tables
+
+    monkeypatch.setattr(sympoly, "_support", recording)
+    qs = [query_from_literals(parse_query(t)) for t in ("q", "not r")]
+    polys = bound_polys(program, qs, BOUNDS)
+    gc.collect()
+    assert len(refs) == 3 and [ref() is None for ref in refs] == [True] * 3
+    assert not hasattr(world_models(program), "extraction")
+    assert [poly_as_dict(p) for p in polys[1]] == [{frozenset({0}): 0.2}, {frozenset({1}): 1.0}]
+
+
+def test_bound_polys_build_world_weights_once_per_call(monkeypatch):
+    program = parse_program(_TABLES_PROGRAM)
+    built = []  # k_f is the one world_weights table extraction builds
     build = sympoly.world_weights
     monkeypatch.setattr(sympoly, "world_weights", lambda f: built.append(f) or build(f))
-    qs = [query_from_literals(parse_query(t)) for t in ("q", "not r", "q, r")]
-    for _ in range(2):
-        bound_polys(program, qs, BOUNDS)
-        extract_poly(program, qs[0], "upper")
-        poly_from_world_flags(program, world_models(program).satisfaction(qs[1])[0])
-    assert len(built) == 1
-    assert world_models(program).extraction is _support(program)
-
-
-def test_extraction_tables_leave_with_the_world_models_entry():
-    program = parse_program(_TABLES_PROGRAM)
-    extract_poly(program, query_from_literals(parse_query("q")), "lower")
-    refs = [weakref.ref(table) for table in _support(program)]
-    credal._world_models.cache_clear()
-    gc.collect()
-    assert [ref() is None for ref in refs] == [True, True, True]
+    qs = [query_from_literals(parse_query(t)) for t in ("q", "not r", "q, r", "not q", "r")]
+    for count in range(len(qs) + 1):
+        bound_polys(program, qs[:count], BOUNDS)
+        assert len(built) == count + 1
+    assert built[0] == [(1.0 - 0.2, 0.2)]
 
 
 def test_wrong_flags_fail_before_any_world_pass(monkeypatch):
@@ -325,8 +337,9 @@ def test_wrong_flags_fail_before_any_world_pass(monkeypatch):
     for flags in ([True] * 7, [True] * 9, np.ones((2, 4), dtype=bool)):
         with pytest.raises(ValueError, match="expected 8 world flags"):
             poly_from_world_flags(program, flags)
+    poly_from_world_flags(program, [True] * 8)
     assert passes == []
-    poly_from_world_flags(program, [True] * 8)  # the count sees a pass that does run
+    bound_polys(program, [], BOUNDS)  # the count sees a pass that does run
     assert len(passes) == 1
 
 
@@ -401,9 +414,21 @@ def test_small_coefficients_kept():
     assert poly_eval(up, [0.5]) == credal_query(program, query).upper
 
 
+def _assert_same_bytes(program, flags, got) -> None:
+    """``got`` is the per-world tables' polynomial of the flags, byte for byte."""
+    want = poly_from_world_flags_ref(program, flags)
+    assert got.nvars == want.nvars
+    assert got.patterns.tobytes() == want.patterns.tobytes()
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 def _assert_exact_extraction(program, flags) -> None:
-    """Kept monomials are the exact non-zero ones, each within its error bound."""
+    """Kept monomials are the exact non-zero ones, each within its error bound.
+
+    Their bytes are also those of the per-world tables' polynomial.
+    """
     got = poly_from_world_flags(program, flags)
+    _assert_same_bytes(program, flags, got)
     decimal, _ = poly_coefficients_exact(program, flags)
     assert got.patterns.tolist() == [t for t in _support(program)[2].tolist() if decimal[t]]
     binary, scales = poly_coefficients_exact(program, flags, decimal=False)
@@ -449,6 +474,47 @@ def test_extraction_matches_exact_coefficients_at_the_drop_threshold(text):
     program = parse_program(text)
     for f in world_models(program).satisfaction(query_from_literals(parse_query("q"))):
         _assert_exact_extraction(program, f)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "family,size",
+    [
+        ("path", 8),
+        ("shop", 8),
+        ("smoke", 2),
+        ("coloring", 4),
+        ("smoke", 3),
+        ("path", 10),
+        ("path", 12),
+        ("coloring", 5),
+        ("shop", 12),
+    ],
+)
+def test_extraction_equals_per_world_tables_on_generated_cells(family, size, seed):
+    program, interps = generate(DatasetSpec(family, size, 10, seed))
+    queries = [interpretation_query(i) for i in interps]
+    wm = world_models(program)
+    for q, lower, upper in zip(queries, *bound_polys(program, queries, BOUNDS)):
+        for got, flags in zip((lower, upper), wm.satisfaction(q)):
+            _assert_same_bytes(program, flags, got)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_TABLES_PROGRAM, "0.3::a.\n0.6::b.\nq :- a, not b.\n", "q :- not r.\nr :- not q.\n"],
+    ids=["interleaved", "no-learnable", "no-facts"],
+)
+def test_extraction_equals_per_world_tables_on_edge_programs(text):
+    program = parse_program(text)
+    wm = world_models(program)
+    for q in ("q", "not r", "q, not r"):
+        for f in wm.satisfaction(query_from_literals(parse_query(q))):
+            _assert_same_bytes(program, f, poly_from_world_flags(program, f))
+    rng = SplitMix64(program.n_prob_facts)
+    for _ in range(20):
+        f = [rng.random() < 0.5 for _ in range(1 << program.n_prob_facts)]
+        _assert_same_bytes(program, f, poly_from_world_flags(program, f))
 
 
 @pytest.mark.parametrize("nvars", range(13))
