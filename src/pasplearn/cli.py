@@ -88,13 +88,13 @@ def cmd_infer(args) -> None:
     e = None if args.evidence is None else _option_query("--evidence", args.evidence)
     equations: list[str] = []
     if args.show_equations:
+        wm = world_models(program)
         if e is None:
-            names = ("low(q)", "up(q)")
-            polys = [p for (p,) in bound_polys(program, [q], BOUNDS)]
+            names, flags = ("low(q)", "up(q)"), wm.satisfaction(q)
         else:
             names = ("low(q,e)", "up(q,e)", "low(not q,e)", "up(not q,e)")
-            flags = conditional_flags(world_models(program), q, e)
-            polys = [poly_from_world_flags(program, fl) for fl in flags]
+            flags = conditional_flags(wm, q, e)
+        polys = poly_from_world_flags(program, flags)
         equations = _legend(program) + [
             f"{name} = {poly_to_text(p)}" for name, p in zip(names, polys)
         ]

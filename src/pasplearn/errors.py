@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .model import term_text
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -65,7 +67,7 @@ class UnsafeRule(PaspError):
     def __init__(self, rule, variable: str):
         self.rule = rule
         self.variable = variable
-        super().__init__(f"unsafe rule (variable {variable!r} unbound): {rule}")
+        super().__init__(f"unsafe rule (variable {term_text(variable)!r} unbound): {rule}")
 
 
 class CapExceeded(PaspError):

@@ -121,8 +121,9 @@ class LearnConfig:
             x = getattr(self, name)
             if isinstance(x, bool) or not isinstance(x, Real):
                 raise ValueError(f"{name} must be a real number, got {x!r}")
-        if not self.eps_ll > 0:
-            raise ValueError(f"eps_ll must be positive, got {self.eps_ll}")
+        # An infinite eps_ll would stop EM after one iteration as converged.
+        if not 0 < self.eps_ll < math.inf:
+            raise ValueError(f"eps_ll must be positive and finite, got {self.eps_ll}")
         if not 0 < self.floor_prob < 1e-3:
             raise ValueError(f"floor_prob must be in (0, 1e-3), got {self.floor_prob}")
         for name in ("max_iters", "restarts"):

@@ -7,7 +7,9 @@ ordinary answer set program; credal bounds aggregate over worlds.
 Conventions used throughout the package:
 
 * Terms are strings or ints.  A string term starting with an uppercase
-  letter or ``_`` is a variable; everything else is a constant.
+  letter or ``_`` is a variable; everything else is a constant.  Each
+  ``_`` of a text is its own variable, named by
+  :func:`anonymous_variable` and printed as ``_``.
 * Worlds are numbered by reading the selection vector as a binary
   number, most-significant bit first: world ``i`` includes fact ``j``
   iff bit ``n-1-j`` of ``i`` is set.  World 0 is the empty selection,
@@ -34,6 +36,16 @@ def is_variable(term: Term) -> bool:
     return isinstance(term, str) and (term[:1].isupper() or term.startswith("_"))
 
 
+def anonymous_variable(k: int) -> str:
+    """The k-th ``_`` of a text: ``#`` keeps the name out of any program's text."""
+    return f"_#{k}"
+
+
+def term_text(term: Term) -> str:
+    """A term as program text; an anonymous variable is ``_`` again."""
+    return "_" if isinstance(term, str) and term.startswith("_#") else str(term)
+
+
 @dataclass(frozen=True, order=True)
 class Atom:
     functor: str
@@ -42,7 +54,7 @@ class Atom:
     def __str__(self) -> str:
         if not self.args:
             return self.functor
-        return f"{self.functor}({','.join(map(str, self.args))})"
+        return f"{self.functor}({','.join(map(term_text, self.args))})"
 
     @property
     def is_ground(self) -> bool:

@@ -37,7 +37,7 @@ from .errors import (
     ProbOutOfRange,
     SourceSpan,
 )
-from .model import Atom, Interpretation, Literal, ProbFact, Program, Rule, Term
+from .model import Atom, Interpretation, Literal, ProbFact, Program, Rule, Term, anonymous_variable
 
 #: One alternative per token kind; whitespace and comments match no group.
 #: ``BAD`` takes any other character, so the matches tile the text.
@@ -134,10 +134,6 @@ class _Parser:
 
     # -- grammar productions -------------------------------------------
 
-    def _fresh_anon(self) -> str:
-        self._anon_counter += 1
-        return f"_G{self._anon_counter}"
-
     def _parse_term(self) -> Term:
         i = self._advance()
         kind, text = self.kinds[i], self.texts[i]
@@ -148,7 +144,8 @@ class _Parser:
         if kind == "NAME":
             if text == "_":
                 # Anonymous variables are distinct per occurrence.
-                return self._fresh_anon()
+                self._anon_counter += 1
+                return anonymous_variable(self._anon_counter)
             return text
         raise PaspSyntaxError(f"expected term, found {text!r}", self._span_at(i))
 

@@ -43,11 +43,11 @@ recomputed from the point's gathered factors with every zero read as
 1.0, and a mask test on the patterns then zeroes the partials that
 still hold a zero factor.
 
-:func:`bound_polys` is the one producer of bound polynomials: it maps
-each distinct query's per-world flags to its lower polynomial (worlds
-where all answer sets satisfy the query) and its upper one (worlds
-where some answer set does).  Both learners, :func:`extract_poly` and
-``pasplearn learn --show-equations`` reach their polynomials through it.
+:func:`poly_from_world_flags` is the one producer of polynomials, one
+per flag array, on one extraction support per call.  :func:`bound_polys`
+feeds it each distinct query's lower flags (every answer set satisfies
+it) and upper ones (some answer set does), one query at a time.  Both
+learners, :func:`extract_poly` and ``--show-equations`` go through it.
 """
 
 from __future__ import annotations
@@ -357,59 +357,60 @@ def _support(program: Program) -> tuple[np.ndarray, list[int], np.ndarray, np.nd
     return k_f, fixed + list(program.learnable_indices()), order, reversed_bits[order]
 
 
-def _poly(program: Program, support, mask: np.ndarray) -> SymPoly:
-    """:func:`poly_from_world_flags` on checked flags and the program's :func:`_support`."""
-    k_f, axes, order, columns = support
-    n, nvars = program.n_prob_facts, len(program.learnable_indices())
-    table = mask.reshape((2,) * n).transpose(axes).reshape(len(k_f), 1 << nvars)
-    # Each flagged world's column and fixed-fact weight, read through
-    # broadcast views, so no per-world table is built.  Each pattern's
-    # worlds are added in world order: the rows run in the order of the
-    # fixed facts' bits in the world index.
-    cols = np.broadcast_to(np.arange(1 << nvars), table.shape)[table]
-    arr = np.zeros(1 << nvars)
-    np.add.at(arr, cols, np.broadcast_to(k_f[:, None], table.shape)[table])
-    # scale[t] = Σ_{b⊆t} |c_b|: the same butterfly with + bounds the
-    # magnitudes that coefficient t's rounding errors scale with.
-    # Variable 0 goes first; it is the columns' highest bit.
-    scale = np.abs(arr)
-    for k in reversed(range(nvars)):
-        arr = arr.reshape(-1, 2, 1 << k)
-        arr[:, 1, :] -= arr[:, 0, :]
-        scale = scale.reshape(-1, 2, 1 << k)
-        scale[:, 1, :] += scale[:, 0, :]
-    coeffs = arr.reshape(-1)[columns]
-    # A coefficient within rounding error of zero is a cancellation
-    # residue: n-factor products, up to 2^(n-L) worlds summed per
-    # pattern, and L butterfly levels, in units of the unit roundoff.
-    tol = (n + nvars + 2.0 ** (n - nvars)) * 2.0**-53
-    keep = np.abs(coeffs) > tol * scale.reshape(-1)[columns]
-    return SymPoly(nvars, order[keep], coeffs[keep])
+def poly_from_world_flags(program: Program, flags) -> list[SymPoly]:
+    """One polynomial ``Σ_w f[w] · k_w · Π_{j∈w} π_j · Π_{j∉w} (1−π_j)`` per array.
 
-
-def poly_from_world_flags(program: Program, flags) -> SymPoly:
-    """Polynomial ``Σ_w flags[w] · k_w · Π_{j∈w} π_j · Π_{j∉w} (1−π_j)``.
-
-    ``flags[w]`` marks the contributing worlds (by world index); the
-    result is over the program's learnable parameters in declaration
-    order, in canonical monomial form.  Monomial t is left out when its
-    coefficient is within rounding error of zero, at most
-    ``K·u·Σ_{b⊆t} |c_b|`` in magnitude, with u = 2^-53 and
-    K = n + L + 2^(n−L) for n facts of which L are learnable.  A small
-    coefficient that is no cancellation residue, such as 0.02^10, stays.
-    It reads no world pass.  Raises ``ValueError`` unless there is one
-    flag per world, then :class:`~pasplearn.errors.CapExceeded` above
+    Each array ``f`` of the iterable ``flags`` marks contributing worlds
+    by world index.  Their polynomials, in order, are over the learnable
+    parameters in declaration order, in canonical monomial form.  The
+    arrays are read one at a time, and :func:`_support` is built once,
+    for the first.  Monomial t is left out when its coefficient is
+    within rounding error of zero, at most ``K·u·Σ_{b⊆t} |c_b|`` in
+    magnitude, with u = 2^-53 and K = n + L + 2^(n−L) for n facts of
+    which L are learnable.  A small coefficient that is no cancellation
+    residue, such as 0.02^10, stays.  It reads no world pass.  Raises
+    ``ValueError`` unless an array has one flag per world, then
+    :class:`~pasplearn.errors.CapExceeded` above
     :func:`~pasplearn.model.world_cap` facts, as
     :func:`~pasplearn.credal.world_models` does.  The flags take one
     array axis per fact, which numpy 1.x allows up to n = 32.
     """
-    mask = np.asarray(flags, dtype=bool)
-    n, cap = program.n_prob_facts, world_cap()
-    if mask.shape != (1 << n,):
-        raise ValueError(f"expected {1 << n} world flags, got {mask.shape}")
-    if n > cap:
-        raise CapExceeded(n, cap)
-    return _poly(program, _support(program), mask)
+    n, nvars, cap = program.n_prob_facts, len(program.learnable_indices()), world_cap()
+    support = None
+    polys = []
+    for f in flags:
+        mask = np.asarray(f, dtype=bool)
+        if mask.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} world flags, got {mask.shape}")
+        if n > cap:
+            raise CapExceeded(n, cap)
+        k_f, axes, order, columns = support = support or _support(program)
+        table = mask.reshape((2,) * n).transpose(axes).reshape(len(k_f), 1 << nvars)
+        # Each flagged world's column and fixed-fact weight, read through
+        # broadcast views, so no per-world table is built.  Each pattern's
+        # worlds are added in world order: the rows run in the order of the
+        # fixed facts' bits in the world index.
+        cols = np.broadcast_to(np.arange(1 << nvars), table.shape)[table]
+        arr = np.zeros(1 << nvars)
+        np.add.at(arr, cols, np.broadcast_to(k_f[:, None], table.shape)[table])
+        del table, cols  # per-world arrays: gone before the next flags are read
+        # scale[t] = Σ_{b⊆t} |c_b|: the same butterfly with + bounds the
+        # magnitudes that coefficient t's rounding errors scale with.
+        # Variable 0 goes first; it is the columns' highest bit.
+        scale = np.abs(arr)
+        for k in reversed(range(nvars)):
+            arr = arr.reshape(-1, 2, 1 << k)
+            arr[:, 1, :] -= arr[:, 0, :]
+            scale = scale.reshape(-1, 2, 1 << k)
+            scale[:, 1, :] += scale[:, 0, :]
+        coeffs = arr.reshape(-1)[columns]
+        # A coefficient within rounding error of zero is a cancellation
+        # residue: n-factor products, up to 2^(n-L) worlds summed per
+        # pattern, and L butterfly levels, in units of the unit roundoff.
+        tol = (n + nvars + 2.0 ** (n - nvars)) * 2.0**-53
+        keep = np.abs(coeffs) > tol * scale.reshape(-1)[columns]
+        polys.append(SymPoly(nvars, order[keep], coeffs[keep]))
+    return polys
 
 
 def bound_polys(program: Program, queries, bounds) -> list[list[SymPoly]]:
@@ -417,23 +418,21 @@ def bound_polys(program: Program, queries, bounds) -> list[list[SymPoly]]:
 
     A bound is a name in :data:`BOUNDS`.  Worlds contribute to a query's
     upper bound when some answer set satisfies it, to its lower bound
-    when all do.  Each distinct query's world flags are computed once,
-    and its polynomials built from them, all on one :func:`_support`.
-    Raises ``ValueError`` on any other bound name, and
-    :class:`~pasplearn.errors.InconsistentWorld` if a world has no
-    answer set.
+    when all do.  One :func:`poly_from_world_flags` call reads each
+    distinct query's flags once, one query's at a time.  Raises
+    ``ValueError`` on any other bound name, and
+    :class:`~pasplearn.errors.InconsistentWorld` if a world has none.
     """
     for b in bounds:
         if b not in BOUNDS:
             raise ValueError(f"bound must be one of {BOUNDS}, got {b!r}")
     wm = world_models(program)
-    support = _support(program)
-    polys = {}
-    for q in queries:
-        if q not in polys:
-            flags = dict(zip(BOUNDS, wm.satisfaction(q)))
-            polys[q] = [_poly(program, support, flags[b]) for b in bounds]
-    return [[polys[q][j] for q in queries] for j in range(len(bounds))]
+    distinct = {q: k for k, q in enumerate(dict.fromkeys(queries))}
+    picks = [BOUNDS.index(b) for b in bounds]
+    polys = poly_from_world_flags(
+        program, (sat[i] for sat in map(wm.satisfaction, distinct) for i in picks)
+    )
+    return [[polys[distinct[q] * len(picks) + j] for q in queries] for j in range(len(picks))]
 
 
 def extract_poly(program: Program, q: Query, bound: str) -> SymPoly:

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import pasplearn
-from pasplearn import cli
+from pasplearn import cli, sympoly
 from pasplearn.cli import main
+from pasplearn.credal import conditional_flags, world_models
 from pasplearn.errors import (
     CapExceeded,
     ContradictoryInterpretation,
@@ -26,9 +27,13 @@ from pasplearn.errors import (
     UnsafeRule,
 )
 from pasplearn.learning import LEARNERS, LearnConfig, LearnResult
+from pasplearn.model import query_from_literals
+from pasplearn.parsing import parse_program, parse_query
 from pasplearn.stable import StableSolver
+from pasplearn.sympoly import poly_to_text
 
 from conftest import EXAMPLE_GRAPH
+from oracles import poly_from_world_flags_ref
 
 COIN = "learnable(0.3)::heads.\n"
 COIN_DATA = "heads.\nnot heads.\n"
@@ -101,6 +106,25 @@ def test_infer_conditional_equations_text(tmp_path, capsys):
         "low(not q,e) = 0.3 - 0.3*p0",
         "up(not q,e) = 0.3",
         "lower=0.000000 upper=0.200000",
+    ]
+
+
+def test_infer_conditional_equations_build_the_support_once(tmp_path, monkeypatch, capsys):
+    # A fixed fact between learnable ones: extraction transposes the flags.
+    text = "learnable(0.5)::a.\n0.2::b.\nlearnable(0.7)::c.\nq :- a, b.\n"
+    supports = []
+    support = sympoly._support
+    monkeypatch.setattr(sympoly, "_support", lambda p: supports.append(p) or support(p))
+    argv = ["infer", "--program", write(tmp_path, "mixed.pasp", text), "--query", "q"]
+    assert main(argv + ["--evidence", "c", "--show-equations"]) == 0
+    assert len(supports) == 1
+    program = parse_program(text)
+    q, e = (query_from_literals(parse_query(t)) for t in ("q", "c"))
+    names = ("low(q,e)", "up(q,e)", "low(not q,e)", "up(not q,e)")
+    flags = conditional_flags(world_models(program), q, e)
+    assert capsys.readouterr().out.splitlines()[2:6] == [
+        f"{name} = {poly_to_text(poly_from_world_flags_ref(program, f))}"
+        for name, f in zip(names, flags)
     ]
 
 

@@ -3,6 +3,7 @@ import hashlib
 import math
 import operator
 import re
+import sys
 from dataclasses import fields
 from functools import reduce
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pasplearn import learning
+from pasplearn import learning, sympoly
 from pasplearn.credal import check_consistency, conditional_from_joints, credal_query
 from pasplearn.datasets import DatasetSpec, generate
 from pasplearn.errors import NoLearnableFacts, UndefinedConditional
@@ -100,8 +101,9 @@ def _neumaier_sum(iterable, start=0):
 def test_config_validation():
     with pytest.raises(ValueError):
         LearnConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        LearnConfig(eps_ll=0.0)
+    for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps_ll must be positive and finite"):
+            LearnConfig(eps_ll=bad)
     with pytest.raises(ValueError):
         LearnConfig(floor_prob=0.5)
     with pytest.raises(ValueError):
@@ -144,6 +146,35 @@ def test_config_rejects_fields_of_the_wrong_type(field, bad, message):
     # and "0.1" would fail later as an untyped TypeError.
     with pytest.raises(ValueError, match=f"^{message}, got {re.escape(repr(bad))}$"):
         LearnConfig(method="em", **{field: bad})
+
+
+def test_learners_and_extract_poly_go_through_poly_from_world_flags(monkeypatch):
+    # Swapped in wherever a pasplearn module binds it, as perfbench's tracer does.
+    producer = sympoly.poly_from_world_flags
+    calls = []
+
+    def counting(program, flags):
+        calls.append(program)
+        return producer(program, flags)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pasplearn":
+            for attr, value in list(vars(module).items()):
+                if value is producer:
+                    monkeypatch.setattr(module, attr, counting)
+    program, data = parse_program(TWO_RULE), interps("q.\nnot q.\nq.\n")
+    q = query_from_literals(data[0].literals)
+    runs = {
+        "learn_opt": lambda: learn_opt(program, data, LearnConfig()),
+        "learn_em": lambda: learn_em(program, data, LearnConfig(method="em")),
+        "extract_poly": lambda: extract_poly(program, q, "upper"),
+    }
+    counts = {}
+    for name, run in runs.items():
+        before = len(calls)
+        run()
+        counts[name] = len(calls) - before
+    assert counts == {"learn_opt": 1, "learn_em": 1, "extract_poly": 1}
 
 
 def test_learners_refuse_config_of_the_other_method():

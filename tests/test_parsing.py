@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pasplearn.credal import CredalBounds, credal_query
 from pasplearn.errors import (
     ContradictoryInterpretation,
     DuplicateProbFact,
@@ -12,8 +13,9 @@ from pasplearn.errors import (
     PaspSyntaxError,
     ProbOutOfRange,
     SourceSpan,
+    UnsafeRule,
 )
-from pasplearn.model import Atom, Literal, format_prob
+from pasplearn.model import Atom, Literal, format_prob, query_from_literals
 from pasplearn.parsing import (
     interpretations_to_text,
     parse_interpretations,
@@ -240,6 +242,22 @@ def test_anonymous_variables_are_distinct():
     (rule,) = p.rules
     anon = [a for a in rule.variables() if a.startswith("_")]
     assert len(set(anon)) == 2
+
+
+def test_anonymous_variables_alias_no_named_variable():
+    text = "0.5::b(1,2).\n0.5::c(3).\na :- b(1,_), c(_G1).\n"
+    p = parse_program(text)
+    assert program_to_text(p) == text
+    (named,) = p.rules[0].body[1].atom.args
+    assert named == "_G1" and named not in p.rules[0].body[0].atom.args
+    # b(1,_) and c(_G1) share no variable, so P(a) = P(b(1,2))·P(c(3)).
+    assert credal_query(p, query_from_literals(parse_query("a"))) == CredalBounds(0.25, 0.25)
+    unsafe = parse_program(text + "d :- b(_,_), not e(_).\n")
+    assert parse_program(program_to_text(unsafe)) == unsafe
+    with pytest.raises(UnsafeRule, match=r"variable '_' unbound\): d :- b\(_,_\), not e\(_\)\.$"):
+        credal_query(unsafe, query_from_literals(parse_query("d")))
+    with pytest.raises(PaspSyntaxError, match=r"query literal a\(_\) contains variables"):
+        parse_query("a(_)")
 
 
 def test_negated_literal_rendering():

@@ -67,7 +67,7 @@ def test_malformed_input_raises_value_error():
         poly_eval(mono(2, [((1,), 1.0)]), [0.5])
     program = parse_program("learnable(0.5)::a.\n0.2::b.\nq :- a, b.")
     with pytest.raises(ValueError, match="expected 4 world flags"):
-        poly_from_world_flags(program, [True, False])
+        poly_from_world_flags(program, [[True] * 4, [True, False]])
 
 
 def test_stack_keeps_equal_polynomials_once():
@@ -269,22 +269,22 @@ def test_extracted_poly_for_graph_upper(learnable_graph_program):
 def test_bound_polys_build_each_distinct_query_once(learnable_graph_program, monkeypatch):
     program = learnable_graph_program
     qs = [query_from_literals(parse_query(t)) for t in ("path(1,4)", "not path(1,3)", "path(1,4)")]
-    built = []
-    poly = sympoly._poly
+    calls, built = [], []
+    producer = sympoly.poly_from_world_flags
 
-    def recording(program, support, flags):
-        built.append(flags)
-        return poly(program, support, flags)
+    def recording(program, flags):
+        calls.append(program)
+        return producer(program, (built.append(f) or f for f in flags))
 
-    monkeypatch.setattr(sympoly, "_poly", recording)
+    monkeypatch.setattr(sympoly, "poly_from_world_flags", recording)
     lower, upper = bound_polys(program, qs, BOUNDS)
-    assert len(built) == 4
+    assert len(calls) == 1 and len(built) == 4
     assert lower[0] is lower[2] and upper[0] is upper[2]
     wm = world_models(program)
     for q, lo, up in zip(qs, lower, upper):
-        all_sat, some_sat = wm.satisfaction(q)
-        assert poly_as_dict(lo) == poly_as_dict(poly_from_world_flags(program, all_sat))
-        assert poly_as_dict(up) == poly_as_dict(poly_from_world_flags(program, some_sat))
+        low_want, up_want = poly_from_world_flags(program, wm.satisfaction(q))
+        assert poly_as_dict(lo) == poly_as_dict(low_want)
+        assert poly_as_dict(up) == poly_as_dict(up_want)
         assert poly_as_dict(lo) == poly_as_dict(extract_poly(program, q, "lower"))
         assert poly_as_dict(up) == poly_as_dict(extract_poly(program, q, "upper"))
     (alone,) = bound_polys(program, qs, ["upper"])
@@ -322,7 +322,7 @@ def test_bound_polys_build_world_weights_once_per_call(monkeypatch):
     qs = [query_from_literals(parse_query(t)) for t in ("q", "not r", "q, r", "not q", "r")]
     for count in range(len(qs) + 1):
         bound_polys(program, qs[:count], BOUNDS)
-        assert len(built) == count + 1
+        assert len(built) == count  # a call without queries builds none
     assert built[0] == [(1.0 - 0.2, 0.2)]
 
 
@@ -336,8 +336,8 @@ def test_wrong_flags_fail_before_any_world_pass(monkeypatch):
     )
     for flags in ([True] * 7, [True] * 9, np.ones((2, 4), dtype=bool)):
         with pytest.raises(ValueError, match="expected 8 world flags"):
-            poly_from_world_flags(program, flags)
-    poly_from_world_flags(program, [True] * 8)
+            poly_from_world_flags(program, [flags])
+    poly_from_world_flags(program, [[True] * 8])
     assert passes == []
     bound_polys(program, [], BOUNDS)  # the count sees a pass that does run
     assert len(passes) == 1
@@ -346,7 +346,7 @@ def test_wrong_flags_fail_before_any_world_pass(monkeypatch):
 def test_extraction_keeps_the_world_cap(monkeypatch):
     monkeypatch.setenv("PASP_WORLD_CAP", "2")
     with pytest.raises(CapExceeded):
-        poly_from_world_flags(parse_program(_TABLES_PROGRAM), [True] * 8)
+        poly_from_world_flags(parse_program(_TABLES_PROGRAM), [[True] * 8])
 
 
 @pytest.mark.parametrize("bad", ["middle", "Lower", None])
@@ -427,7 +427,7 @@ def _assert_exact_extraction(program, flags) -> None:
 
     Their bytes are also those of the per-world tables' polynomial.
     """
-    got = poly_from_world_flags(program, flags)
+    (got,) = poly_from_world_flags(program, [flags])
     _assert_same_bytes(program, flags, got)
     decimal, _ = poly_coefficients_exact(program, flags)
     assert got.patterns.tolist() == [t for t in _support(program)[2].tolist() if decimal[t]]
@@ -508,13 +508,16 @@ def test_extraction_equals_per_world_tables_on_generated_cells(family, size, see
 def test_extraction_equals_per_world_tables_on_edge_programs(text):
     program = parse_program(text)
     wm = world_models(program)
-    for q in ("q", "not r", "q, not r"):
-        for f in wm.satisfaction(query_from_literals(parse_query(q))):
-            _assert_same_bytes(program, f, poly_from_world_flags(program, f))
+    flags = [
+        f
+        for q in ("q", "not r", "q, not r")
+        for f in wm.satisfaction(query_from_literals(parse_query(q)))
+    ]
     rng = SplitMix64(program.n_prob_facts)
     for _ in range(20):
-        f = [rng.random() < 0.5 for _ in range(1 << program.n_prob_facts)]
-        _assert_same_bytes(program, f, poly_from_world_flags(program, f))
+        flags.append([rng.random() < 0.5 for _ in range(1 << program.n_prob_facts)])
+    for f, got in zip(flags, poly_from_world_flags(program, flags), strict=True):
+        _assert_same_bytes(program, f, got)
 
 
 @pytest.mark.parametrize("nvars", range(13))
