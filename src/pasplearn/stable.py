@@ -15,12 +15,15 @@ lanes are in world-index order.  For :meth:`StableSolver.satisfiable`
 there is one start lane with the facts open and the *assumptions*, the
 (atom, value) pairs asked about, set in its true or false rows.  In
 every start lane the atoms that head no rule and are not facts are
-false.  Then the solver takes each atom in index order from 0 and splits
-every lane where it is unassigned, the false child right before the
-true one; in the worlds' lanes the scan passes over the set facts.  So
-the lanes always spell distinct prefixes in ascending order, the
-leaves come out in the order of a depth-first search that branches
-false first on the lowest unassigned atom, and the rows need no sort.
+false.  Then each step takes the lowest atom that is unassigned in some
+lane, found by one test over every lane and every atom from the last
+split on, and splits every lane where it is unassigned, the false child
+right before the true one.  Conflicted and padding lanes have every bit
+set, so they are never unassigned, and in the worlds' lanes the set
+facts are never split.  So the lanes always spell distinct prefixes in
+ascending order, the leaves come out in the order of a depth-first
+search that branches false first on the lowest unassigned atom, and
+the rows need no sort.  A chunk with no unassigned atom is finished.
 
 The frontier is solved in chunks.  A split that would exceed the chunk
 width pushes the second half of the chunk on a work stack and goes on
@@ -37,21 +40,23 @@ and doubles each time a chunk is taken off the work stack, up to
 first chunk, one word wide, while an unsatisfiable one, which must
 refute every lane, soon runs at the full width.
 
-After every split the lanes are closed under unit propagation over the
-rule completion: a completed body forces its head true, a false head
-with one pending body literal refutes that literal, and an atom whose
-rules are all refuted is false.  A lane where an atom turns both true
-and false conflicts; it is set all ones, which no rule changes, and
-the next split drops it.
+After every split one loop, :meth:`StableSolver._propagate`, closes
+the lanes under unit propagation over the rule completion: a completed
+body forces its head true, a false head with one pending body literal
+refutes that literal, and an atom whose rules are all refuted is
+false.  A lane where an atom turns both true and false conflicts; it is
+set all ones, which no rule changes, and the next split drops it.
 
-Programs whose positive dependency graph is cyclic also run
-:meth:`StableSolver._unfounded` at each fixpoint of unit propagation.
-It covers only the loop atoms: those in a strongly connected component
-of that graph with a positive cycle, found once per program.  It
-computes the least model of the unrefuted rules with a loop head and
-forces the loop atoms outside it false, so positive loops never turn
-into fruitless branching.  An atom outside every loop needs no such
-check: once all its rules are refuted, unit propagation falsifies it.
+In a program whose positive dependency graph is cyclic, the same loop
+also runs :meth:`StableSolver._unfounded` at each fixpoint of that
+completion step, and goes on while either changes a lane.  The check
+covers only the loop atoms: those in a strongly connected component
+of the positive dependency graph with a positive cycle, found once per
+program.  It computes the least model of the unrefuted rules with a
+loop head and forces the loop atoms outside it false, so positive loops
+never turn into fruitless branching.  An atom outside every loop needs
+no such check: once all its rules are refuted, unit propagation
+falsifies it.
 
 A total assignment that propagation leaves without conflict is a stable
 model, so leaves are not checked again:
@@ -127,7 +132,8 @@ class StableSolver:
         ``true_lit[j, r]`` is the row whose bit says that body literal
         ``j`` of rule ``r`` is true, ``false_lit[j, r]`` the row that says
         it is false; short bodies are padded with the sentinel rows.
-        ``head_starts`` starts each head's run of rules.
+        ``head_starts`` starts each head's run of rules, and
+        ``head_rows`` and ``head_false_rows`` are the run's head rows.
 
         One entry per body literal, grouped by the row ``pair_rows`` that
         refuting the literal sets, serves the refutation of a pending
@@ -148,6 +154,7 @@ class StableSolver:
         heads = np.array(self.heads, dtype=np.intp)
         self.head_starts = _run_starts(self.heads)
         self.head_rows = heads[self.head_starts]
+        self.head_false_rows = A + self.head_rows
         pairs = sorted(
             (f, r, j) for r, body in enumerate(bodies) for j, (_, f) in enumerate(body)
         )
@@ -258,26 +265,26 @@ class StableSolver:
         """Split start lanes down to their leaves, one chunk at a time.
 
         ``bits`` holds one row of lane bits per true and false atom row;
-        the never-supported atoms are set false here.  Yields the live
-        leaves of each finished chunk, one column per leaf and one row
-        per atom, in ascending order.  A split that would exceed
-        ``width`` lanes defers the second half of the chunk to the work
-        stack; each chunk taken off the stack doubles the width, up to
+        the never-supported atoms are set false here.  Each step splits
+        on the lowest atom open in some lane, found by one test over the
+        atoms from the last split on.  A chunk with no open atom is
+        finished: it yields its live leaves, possibly none, one column
+        per leaf and one row per atom, in ascending order.  A split that
+        would exceed ``width`` lanes defers the second half of the chunk
+        to the work stack and tests the first half again from the same
+        atom; each chunk taken off the stack doubles the width, up to
         :data:`_LANES` (module docstring).
         """
-        A = self.n_total
+        A, n = self.n_total, self.n_atoms
         bits[A + np.array(self.unsupported)] = 1
         state = self._pack(bits)
         self._propagate(state)
         work = [(state, bits.shape[1], 0)]
         while work:
             state, lanes, k = work.pop()
-            while k < self.n_atoms:
-                if (state[self.false_atom] == 0xFF).all():
-                    break  # every lane conflicted
-                if not (~(state[k] | state[A + k])).any():
-                    k += 1
-                    continue
+            # Conflicted and padding lanes are all ones, so never open.
+            while (open_ahead := (~(state[k:n] | state[A + k : A + n])).any(axis=1)).any():
+                k += int(open_ahead.argmax())
                 bits = np.unpackbits(state[: 2 * A], axis=1, count=lanes)
                 split = (bits[k] | bits[A + k]) == 0
                 reps = (bits[self.false_atom] == 0).astype(np.intp) + split
@@ -295,9 +302,8 @@ class StableSolver:
                 state, lanes = self._pack(bits), total
                 self._propagate(state)
                 k += 1
-            else:
-                bits = np.unpackbits(state[:A], axis=1, count=lanes)
-                yield bits[: self.n_atoms, bits[self.false_atom] == 0]
+            bits = np.unpackbits(state[:A], axis=1, count=lanes)
+            yield bits[:n, bits[self.false_atom] == 0]
             width = min(2 * width, _LANES)
 
     def _pack(self, bits: np.ndarray) -> np.ndarray:
@@ -318,29 +324,22 @@ class StableSolver:
     # -- propagation -------------------------------------------------------
 
     def _propagate(self, state: np.ndarray) -> None:
-        while True:
-            refuted = self._unit_propagate(state)
-            if not (self.cyclic and self._unfounded(state, refuted)):
-                return
-
-    def _unit_propagate(self, state: np.ndarray) -> np.ndarray:
         """Close every lane under the completion rules, in place.
 
-        Works on 64 lanes per word.  Returns the lanes where each rule's
-        body is refuted, at the fixpoint.  A conflicting lane is set all
-        ones.
+        Works on 64 lanes per word.  Each pass of the loop is one
+        completion step over every rule.  In a cyclic program each
+        fixpoint of that step also runs :meth:`_unfounded` on the lanes
+        where each rule's body is refuted, and the loop goes on while
+        either changes a lane.  A conflicting lane is set all ones.
         """
         A = self.n_total
         words = state.view(np.uint64)
-        if not self.heads:
-            return words[:0]
         while True:
             before = words.copy()
             complete = np.bitwise_and.reduce(words[self.true_lit], axis=0)
             refuted = np.bitwise_or.reduce(words[self.false_lit], axis=0)
-            heads = self.head_rows
-            words[heads] |= np.bitwise_or.reduceat(complete, self.head_starts)
-            words[A + heads] |= np.bitwise_and.reduceat(refuted, self.head_starts)
+            words[self.head_rows] |= np.bitwise_or.reduceat(complete, self.head_starts)
+            words[self.head_false_rows] |= np.bitwise_and.reduceat(refuted, self.head_starts)
             if len(self.pair_rows):
                 # Every other body literal is true and the head is false:
                 # this literal must not be true too.
@@ -348,8 +347,10 @@ class StableSolver:
                 force &= words[self.pair_head_false]
                 words[self.pair_rows] |= np.bitwise_or.reduceat(force, self.pair_starts)
             words[: 2 * A] |= np.bitwise_or.reduce(words[:A] & words[A : 2 * A], axis=0)
-            if np.array_equal(before, words):
-                return refuted
+            if np.array_equal(before, words) and not (
+                self.cyclic and self._unfounded(state, refuted)
+            ):
+                return
 
     def _unfounded(self, state: np.ndarray, refuted: np.ndarray) -> bool:
         """Force loop atoms with no optimistic derivation to false.

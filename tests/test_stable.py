@@ -164,6 +164,11 @@ _ROW_DIGESTS = {
     ("coloring", 4): "e953b889783c1629449cd5daf437afa43267c2c16108b221de1f7b3a822bb42a",
     # 65,536 worlds and 165,328 rows: the frontier crosses many lane caps.
     ("smoke", 3): "dddf918f5625ae933d3b1fa99a3c8b00865238d0f8d50fc248eb9bf5c54d6fcd",
+    ("path", 10): "5381ac4dc0d6f467064a9f5d33c76f8a68a4935fc9e12c02d2bf609018d84c7f",
+    # Cyclic, 531,441 rows.
+    ("path", 12): "f7553a7d43225cee503d26356073e171b5d0786fd8b286e86297dc7f3a7617cb",
+    # 248,832 rows.
+    ("coloring", 5): "8f232f7d4d21fe685247d09a6d7de9b38979aa416af506203d18085be9f13006",
 }
 
 
@@ -183,6 +188,27 @@ def test_all_worlds_rows_match_parent_digest_across_chunks(family, size, monkeyp
     # Eight lanes: every cell packs its rows in many small blocks.
     monkeypatch.setattr(stable, "_LANES", 8)
     test_all_worlds_rows_match_parent_digest(family, size)
+
+
+# SHA-256 over the counts, rows and row shape of random_ground_program(seed)
+# for every seed below the first key, in seed order.  The rows do not
+# depend on the lane cap, so two lanes hash a prefix of the same stream.
+_RANDOM_PROGRAM_DIGESTS = {
+    (20_000, stable._LANES): "cb1149b327803542e3b504cecc241cd9628ae15b8414c5e8eb26211b56ca37ea",
+    (2_000, 2): "cb6cc87932e197acd06a5d3ef0b2218de6dcb7764df14ae99cf8c1afc73c5777",
+}
+
+
+@pytest.mark.parametrize(
+    "seeds,lanes", list(_RANDOM_PROGRAM_DIGESTS), ids=["default-lanes", "two-lanes"]
+)
+def test_random_program_rows_match_recorded_digest(seeds, lanes, monkeypatch):
+    monkeypatch.setattr(stable, "_LANES", lanes)
+    digest = hashlib.sha256()
+    for seed in range(seeds):
+        counts, rows = StableSolver(ground(random_ground_program(seed))).all_worlds()
+        digest.update(counts.tobytes() + rows.tobytes() + repr(rows.shape).encode())
+    assert digest.hexdigest() == _RANDOM_PROGRAM_DIGESTS[seeds, lanes]
 
 
 # Programs where propagation fixes a probabilistic fact, so the search
@@ -365,6 +391,10 @@ def _check_satisfiable_against_oracle(seed):
 def test_satisfiable_on_edge_cases():
     empty = StableSolver(ground(parse_program("")))
     assert empty.satisfiable([])
+    # Without rules, contradictory assumptions still conflict.
+    ruleless = StableSolver(ground(parse_program("0.5::f.\n")))
+    assert ruleless.satisfiable([(0, True)])
+    assert not ruleless.satisfiable([(0, True), (0, False)])
     gp = ground(parse_program("0.5::f.\na :- f, not b.\nb :- not a.\n:- a, b.\n"))
     solver = StableSolver(gp)
     f, a, b = (gp.atom_index[Atom(name)] for name in "fab")
